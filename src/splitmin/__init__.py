@@ -10,10 +10,8 @@ reporting CLI.
 from .assembly import advection, apply_dirichlet, gram, mass, stiffness
 from .banded import BandedMatrix
 from .exceptions import DomainError, ParameterError, SingularMatrixError
-from .full2d import (RotatingFlowStepper, Space2D, assemble_2d_saddle,
-                     sparse_lu, sparse_lu_solve)
-from .kron import (BandedLU, KronSystem, OpCounter, SaddleFactor, kron_matvec,
-                   kron_solve)
+from .full2d import RotatingFlowStepper, Space2D, assemble_2d_saddle, sparse_lu
+from .kron import BandedLU, OpCounter, SaddleFactor, kron_matvec, kron_solve
 from .problems import (ProblemDefinition, circular_wind, get_problem,
                        manufactured, pollution)
 from .reporting import (RunConfig, compute_errors, convergence_study,
@@ -21,21 +19,20 @@ from .reporting import (RunConfig, compute_errors, convergence_study,
                         timing_study)
 from .resmin import (SolutionState, build_directional, residual_norms,
                      substep)
-from .splines import BasisEval, SplineSpace, eval_basis, eval_matrix, make_space
+from .splines import SplineSpace, eval_matrix, make_space
 from .stepping import SchemeKind, Stepper, TimeLoopConfig, project_initial
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandedLU", "BandedMatrix", "BasisEval", "DomainError", "KronSystem",
-    "OpCounter", "ParameterError", "ProblemDefinition", "RotatingFlowStepper",
-    "RunConfig", "SaddleFactor", "SchemeKind", "SingularMatrixError",
-    "SolutionState", "Space2D", "SplineSpace", "Stepper", "TimeLoopConfig",
-    "advection", "apply_dirichlet", "assemble_2d_saddle", "build_directional",
-    "circular_wind", "compute_errors", "convergence_study", "eval_basis",
-    "eval_matrix", "export_field", "get_problem", "gram", "kron_matvec",
-    "kron_solve", "make_space", "manufactured", "mass", "pollution",
-    "project_initial", "residual_norms", "run", "sample_field",
-    "solution_l2_norm", "sparse_lu", "sparse_lu_solve", "stiffness",
+    "BandedLU", "BandedMatrix", "DomainError", "OpCounter", "ParameterError",
+    "ProblemDefinition", "RotatingFlowStepper", "RunConfig", "SaddleFactor",
+    "SchemeKind", "SingularMatrixError", "SolutionState", "Space2D",
+    "SplineSpace", "Stepper", "TimeLoopConfig", "advection", "apply_dirichlet",
+    "assemble_2d_saddle", "build_directional", "circular_wind",
+    "compute_errors", "convergence_study", "eval_matrix", "export_field",
+    "get_problem", "gram", "kron_matvec", "kron_solve", "make_space",
+    "manufactured", "mass", "pollution", "project_initial", "residual_norms",
+    "run", "sample_field", "solution_l2_norm", "sparse_lu", "stiffness",
     "substep", "timing_study",
 ]

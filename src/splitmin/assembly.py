@@ -7,99 +7,53 @@ Entry conventions (k = test row, i = trial column):
     advection:  G[k,i] = int v(x)  trial_i'(x) test_k(x)  dx
     gram:       A      = mass(test,test,1) + stiffness(test,test,1)
 
-The quadrature rule uses ceil((p_trial + p_test)/2) + 1 points per element,
-exact for every constant-coefficient term.  Homogeneous Dirichlet conditions
-are imposed by eliminating the first and last basis function of each space.
+Coefficients are constants or callables of x (None means 1).  Trial and test
+spaces share one mesh.  The quadrature rule uses ceil((p_trial + p_test)/2) + 1
+points per element, exact for every constant-coefficient term.  Each element's
+local block is scattered straight into band storage, whose bandwidths follow
+from the element connectivity.  Homogeneous Dirichlet conditions are imposed
+by eliminating the first and last basis function of each space.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .banded import BandedMatrix
 from .exceptions import ParameterError
-from .splines import SplineSpace, eval_matrix
+from .splines import SplineSpace, element_table
 
-__all__ = ["Coefficient1D", "LineRule", "line_rule", "mass", "stiffness",
-           "advection", "gram", "apply_dirichlet"]
-
-
-@dataclass(frozen=True)
-class Coefficient1D:
-    """A scalar coefficient of one variable, with a constant fast path."""
-
-    fn: object
-    constant: bool
-    value: float = 0.0
-
-    @classmethod
-    def wrap(cls, c) -> "Coefficient1D":
-        if isinstance(c, Coefficient1D):
-            return c
-        if callable(c):
-            return cls(c, False)
-        return cls(None, True, float(c))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.constant:
-            return np.full_like(np.asarray(x, dtype=float), self.value)
-        return np.asarray(self.fn(x), dtype=float)
-
-
-@dataclass(frozen=True)
-class LineRule:
-    """Gauss points/weights on a 1D mesh plus dense basis values there."""
-
-    points: np.ndarray       # (n_points,)
-    weights: np.ndarray      # (n_points,)
-    values: np.ndarray       # (n_points, dim)
-    derivatives: np.ndarray  # (n_points, dim)
-
-
-def gauss_points(breakpoints: np.ndarray, n_per_element: int):
-    """Gauss-Legendre nodes and weights mapped onto each interval of a mesh."""
-    ref_x, ref_w = np.polynomial.legendre.leggauss(n_per_element)
-    lo = breakpoints[:-1]
-    h = np.diff(breakpoints)
-    pts = (lo[:, None] + 0.5 * h[:, None] * (ref_x[None, :] + 1.0)).ravel()
-    wts = (0.5 * h[:, None] * ref_w[None, :]).ravel()
-    return pts, wts
-
-
-def line_rule(space: SplineSpace, n_per_element: int,
-              breakpoints: np.ndarray | None = None) -> LineRule:
-    bks = space.breakpoints if breakpoints is None else breakpoints
-    pts, wts = gauss_points(bks, n_per_element)
-    vals, ders = eval_matrix(space, pts)
-    return LineRule(pts, wts, vals, ders)
+__all__ = ["mass", "stiffness", "advection", "gram", "apply_dirichlet"]
 
 
 def _nq(p_trial: int, p_test: int) -> int:
     return (p_trial + p_test + 1) // 2 + 1  # ceil((p+q)/2) + 1
 
 
-def _common_mesh(trial: SplineSpace, test: SplineSpace) -> np.ndarray:
-    if trial.interval != test.interval:
-        raise ParameterError(
-            f"mismatched intervals {trial.interval} vs {test.interval}")
-    if trial.n_elements == test.n_elements:
-        return trial.breakpoints
-    return np.union1d(trial.breakpoints, test.breakpoints)
-
-
 def _assemble(trial: SplineSpace, test: SplineSpace, coefficient,
               trial_deriv: bool, test_deriv: bool) -> BandedMatrix:
-    coefficient = Coefficient1D.wrap(1.0 if coefficient is None else coefficient)
-    bks = _common_mesh(trial, test)
-    pts, wts = gauss_points(bks, _nq(trial.degree, test.degree))
-    t_vals, t_ders = eval_matrix(trial, pts)
-    s_vals, s_ders = eval_matrix(test, pts)
-    t = t_ders if trial_deriv else t_vals
-    s = s_ders if test_deriv else s_vals
-    dense = s.T @ ((wts * coefficient(pts))[:, None] * t)
-    return BandedMatrix.from_dense(dense)
+    if trial.interval != test.interval or trial.n_elements != test.n_elements:
+        raise ParameterError(
+            f"trial and test spaces must share one mesh: {trial.n_elements} "
+            f"elements on {trial.interval} vs {test.n_elements} on {test.interval}")
+    nq = _nq(trial.degree, test.degree)
+    t, s = element_table(trial, nq), element_table(test, nq)
+    if coefficient is None:
+        coefficient = 1.0
+    c = coefficient(t.points) if callable(coefficient) else coefficient
+    w = t.weights * np.asarray(c, dtype=float)
+    phi = t.derivatives if trial_deriv else t.values
+    psi = s.derivatives if test_deriv else s.values
+    local = np.einsum("eq,eqk,eqi->eki", w, psi, phi)
+    rows = s.firsts[:, None] + np.arange(test.degree + 1)
+    cols = t.firsts[:, None] + np.arange(trial.degree + 1)
+    offsets = cols[:, None, :] - rows[:, :, None]
+    lb = max(-int(offsets.min()), 0)
+    ub = max(int(offsets.max()), 0)
+    data = np.zeros((test.dim, lb + ub + 1))
+    np.add.at(data, (np.broadcast_to(rows[:, :, None], offsets.shape), offsets + lb),
+              local)
+    return BandedMatrix(data, lb, ub, trial.dim)
 
 
 def mass(trial: SplineSpace, test: SplineSpace, weight=None) -> BandedMatrix:

@@ -60,17 +60,27 @@ class BandedMatrix:
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a vector or a stack of columns, swept diagonal by diagonal."""
-        x = np.asarray(x, dtype=float)
+        """A @ x for a vector or a stack of columns, swept diagonal by diagonal.
+
+        Each stored diagonal is swept only over the rows where it holds
+        nonzeros: a rectangular block's band is slanted, so most of its
+        stored slots are zero.
+        """
+        x = np.ascontiguousarray(x, dtype=float)
         single = x.ndim == 1
         if single:
             x = x[:, None]
         if x.shape[0] != self.n_cols:
             raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
         out = np.zeros((self.n_rows, x.shape[1]))
+        nonzero = self.data != 0.0
+        rows = np.arange(self.n_rows)[:, None]
+        first = np.min(np.where(nonzero, rows, self.n_rows), axis=0,
+                       initial=self.n_rows)
+        last = np.max(np.where(nonzero, rows + 1, 0), axis=0, initial=0)
         for t in range(self.data.shape[1]):
             d = t - self.lower_bandwidth
-            i0, i1 = max(0, -d), min(self.n_rows, self.n_cols - d)
+            i0, i1 = max(first[t], -d), min(last[t], self.n_cols - d)
             if i1 > i0:
                 out[i0:i1] += self.data[i0:i1, t:t + 1] * x[i0 + d:i1 + d]
         return out[:, 0] if single else out

@@ -13,8 +13,9 @@ gradient terms) and B the rectangular one-step operator
 
 and factorizes it once with a sparse LU (reused across steps while beta is
 time-independent).  Separable contributions (mass, constant diffusion, Gram)
-are Kronecker products of 1D matrices; only the advection term needs a 2D
-per-element quadrature loop.
+are Kronecker products of 1D matrices; only the advection term and the loads
+need 2D quadrature, contracted over all elements at once from the 1D element
+tables.
 
 All matrices are homogeneous-Dirichlet eliminated; 2D dof order is
 row-major, index = ix * n_y + iy over interior 1D indices.
@@ -29,14 +30,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import _nq, line_rule, mass, stiffness
+from .assembly import _nq, mass, stiffness
 from .exceptions import ParameterError, SingularMatrixError
 from .resmin import SolutionState
-from .splines import SplineSpace, make_space
+from .splines import ElementTable, SplineSpace, element_table, make_space
 
 __all__ = ["Space2D", "SaddleSystem", "assemble_2d_operators",
            "assemble_2d_saddle", "assemble_2d_load", "sparse_lu",
-           "sparse_lu_solve", "RotatingFlowStepper"]
+           "RotatingFlowStepper"]
 
 
 @dataclass(frozen=True)
@@ -57,31 +58,6 @@ class Space2D:
         return (self.x.dim - 2, self.y.dim - 2)
 
 
-class _ElementTables(NamedTuple):
-    points: np.ndarray       # (n_el, nq)
-    weights: np.ndarray      # (n_el, nq)
-    values: np.ndarray       # (n_el, nq, degree+1)
-    derivatives: np.ndarray  # (n_el, nq, degree+1)
-    firsts: np.ndarray       # (n_el,) first active basis index
-
-
-def _element_tables(space: SplineSpace, nq: int) -> _ElementTables:
-    rule = line_rule(space, nq)
-    n_el, per = space.n_elements, space.degree + 1
-    pts = rule.points.reshape(n_el, nq)
-    wts = rule.weights.reshape(n_el, nq)
-    vals = rule.values.reshape(n_el, nq, space.dim)
-    ders = rule.derivatives.reshape(n_el, nq, space.dim)
-    step = space.degree - space.continuity
-    firsts = np.arange(n_el) * step
-    values = np.empty((n_el, nq, per))
-    derivs = np.empty((n_el, nq, per))
-    for e in range(n_el):
-        values[e] = vals[e, :, firsts[e]:firsts[e] + per]
-        derivs[e] = ders[e, :, firsts[e]:firsts[e] + per]
-    return _ElementTables(pts, wts, values, derivs, firsts)
-
-
 def _check_meshes(trial: Space2D, test: Space2D) -> None:
     for t, v, label in ((trial.x, test.x, "x"), (trial.y, test.y, "y")):
         if t.n_elements != v.n_elements or t.interval != v.interval:
@@ -95,49 +71,40 @@ def _interior_kron(ax, ay) -> sp.csr_matrix:
     return sp.kron(sp.csr_matrix(ax), sp.csr_matrix(ay), format="csr")
 
 
+def _element_dofs(tx: ElementTable, ty: ElementTable, n_y: int) -> np.ndarray:
+    """2D index of each element's active functions, shaped (Ex, Ey, px+1, py+1)."""
+    ix = tx.firsts[:, None] + np.arange(tx.values.shape[2])
+    iy = ty.firsts[:, None] + np.arange(ty.values.shape[2])
+    return ix[:, None, :, None] * n_y + iy[None, :, None, :]
+
+
+def _tensor_rule(tx: ElementTable, ty: ElementTable):
+    """Points and weights of the 2D rule on every element, shaped (Ex, Ey, nqx, nqy)."""
+    X = tx.points[:, None, :, None]
+    Y = ty.points[None, :, None, :]
+    return X, Y, tx.weights[:, None, :, None] * ty.weights[None, :, None, :]
+
+
 def _assemble_advection_2d(trial: Space2D, test: Space2D,
                            beta_field: Callable) -> sp.csr_matrix:
     """Full (non-eliminated) advection matrix (beta . grad u, psi)."""
     nqx = max(_nq(trial.x.degree, test.x.degree), _nq(test.x.degree, test.x.degree))
     nqy = max(_nq(trial.y.degree, test.y.degree), _nq(test.y.degree, test.y.degree))
-    bx_t = _element_tables(trial.x, nqx)
-    by_t = _element_tables(trial.y, nqy)
-    tx_t = _element_tables(test.x, nqx)
-    ty_t = _element_tables(test.y, nqy)
-    n_elx, n_ely = trial.x.n_elements, trial.y.n_elements
-    pt, qt = trial.x.degree, test.x.degree
-    pty, qty = trial.y.degree, test.y.degree
-
-    data, rows, cols = [], [], []
-    trial_ny, test_ny = trial.y.dim, test.y.dim
-    for ex in range(n_elx):
-        X = bx_t.points[ex][:, None]
-        wx = bx_t.weights[ex]
-        for ey in range(n_ely):
-            Y = by_t.points[ey][None, :]
-            wgrid = wx[:, None] * by_t.weights[ey][None, :]
-            beta_x, beta_y = beta_field(X, Y)
-            bxg = np.broadcast_to(np.asarray(beta_x, dtype=float), wgrid.shape)
-            byg = np.broadcast_to(np.asarray(beta_y, dtype=float), wgrid.shape)
-            blk = np.einsum("ab,ak,bl,ai,bj->klij", wgrid * bxg,
-                            tx_t.values[ex], ty_t.values[ey],
-                            bx_t.derivatives[ex], by_t.values[ey],
-                            optimize=True)
-            blk += np.einsum("ab,ak,bl,ai,bj->klij", wgrid * byg,
-                             tx_t.values[ex], ty_t.values[ey],
-                             bx_t.values[ex], by_t.derivatives[ey],
-                             optimize=True)
-            r0 = (tx_t.firsts[ex] + np.arange(qt + 1))[:, None] * test_ny \
-                + (ty_t.firsts[ey] + np.arange(qty + 1))[None, :]
-            c0 = (bx_t.firsts[ex] + np.arange(pt + 1))[:, None] * trial_ny \
-                + (by_t.firsts[ey] + np.arange(pty + 1))[None, :]
-            nr, nc = r0.size, c0.size
-            data.append(blk.reshape(nr, nc).ravel())
-            rows.append(np.repeat(r0.ravel(), nc))
-            cols.append(np.tile(c0.ravel(), nr))
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(test.dim, trial.dim))
+    bx, by = element_table(trial.x, nqx), element_table(trial.y, nqy)
+    tx, ty = element_table(test.x, nqx), element_table(test.y, nqy)
+    X, Y, W = _tensor_rule(bx, by)
+    beta_x, beta_y = beta_field(X, Y)
+    wbx = W * np.broadcast_to(np.asarray(beta_x, dtype=float), W.shape)
+    wby = W * np.broadcast_to(np.asarray(beta_y, dtype=float), W.shape)
+    blk = np.einsum("xyab,xak,ybl,xai,ybj->xyklij", wbx, tx.values, ty.values,
+                    bx.derivatives, by.values, optimize=True)
+    blk += np.einsum("xyab,xak,ybl,xai,ybj->xyklij", wby, tx.values, ty.values,
+                     bx.values, by.derivatives, optimize=True)
+    rows = _element_dofs(tx, ty, test.y.dim)[:, :, :, :, None, None]
+    cols = _element_dofs(bx, by, trial.y.dim)[:, :, None, None, :, :]
+    rows, cols = np.broadcast_arrays(rows, cols)
+    mat = sp.coo_matrix((blk.ravel(), (rows.ravel(), cols.ravel())),
+                        shape=(test.dim, trial.dim))
     return mat.tocsr()
 
 
@@ -206,24 +173,15 @@ def assemble_2d_saddle(trial: Space2D, test: Space2D, alpha: float,
 
 def assemble_2d_load(test: Space2D, f: Callable, t: float) -> np.ndarray:
     """Interior load grid (test_x - 2, test_y - 2): integral of f psi."""
-    nqx = _nq(test.x.degree, test.x.degree) + 1
-    nqy = _nq(test.y.degree, test.y.degree) + 1
-    tx = _element_tables(test.x, nqx)
-    ty = _element_tables(test.y, nqy)
-    out = np.zeros((test.x.dim, test.y.dim))
-    for ex in range(test.x.n_elements):
-        X = tx.points[ex][:, None]
-        for ey in range(test.y.n_elements):
-            Y = ty.points[ey][None, :]
-            wgrid = tx.weights[ex][:, None] * ty.weights[ey][None, :]
-            fv = np.broadcast_to(np.asarray(f(X, Y, t), dtype=float),
-                                 wgrid.shape)
-            blk = np.einsum("ab,ak,bl->kl", wgrid * fv,
-                            tx.values[ex], ty.values[ey], optimize=True)
-            sx = slice(tx.firsts[ex], tx.firsts[ex] + test.x.degree + 1)
-            sy = slice(ty.firsts[ey], ty.firsts[ey] + test.y.degree + 1)
-            out[sx, sy] += blk
-    return out[1:-1, 1:-1]
+    tx = element_table(test.x, _nq(test.x.degree, test.x.degree) + 1)
+    ty = element_table(test.y, _nq(test.y.degree, test.y.degree) + 1)
+    X, Y, W = _tensor_rule(tx, ty)
+    fv = np.broadcast_to(np.asarray(f(X, Y, t), dtype=float), W.shape)
+    blk = np.einsum("xyab,xak,ybl->xykl", W * fv, tx.values, ty.values,
+                    optimize=True)
+    out = np.bincount(_element_dofs(tx, ty, test.y.dim).ravel(), blk.ravel(),
+                      minlength=test.dim)
+    return out.reshape(test.x.dim, test.y.dim)[1:-1, 1:-1]
 
 
 class _SparseFactor:
@@ -239,10 +197,6 @@ class _SparseFactor:
 
 def sparse_lu(matrix) -> _SparseFactor:
     return _SparseFactor(matrix)
-
-
-def sparse_lu_solve(matrix, rhs: np.ndarray) -> np.ndarray:
-    return sparse_lu(matrix).solve(rhs)
 
 
 class RotatingFlowStepper:

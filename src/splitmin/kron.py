@@ -17,7 +17,7 @@ Three pieces:
   Locally the Gram rows eliminate the B^T rows, and both factorization and
   each solve stay O(m + n).
 
-* ``KronSystem`` / ``kron_solve`` / ``kron_matvec`` -- two-sweep application
+* ``kron_solve`` / ``kron_matvec`` -- two-sweep application
   of (F_split (x) A_other)^{-1} and (Ax (x) Ay) on coefficient grids, never
   materializing a Kronecker product.  Grids are indexed (x, y); sweeps run
   y-then-x (the order is mathematically irrelevant and fixed for
@@ -35,8 +35,7 @@ import numpy as np
 from .banded import BandedMatrix
 from .exceptions import SingularMatrixError
 
-__all__ = ["OpCounter", "BandedLU", "SaddleFactor", "KronSystem",
-           "kron_solve", "kron_matvec"]
+__all__ = ["OpCounter", "BandedLU", "SaddleFactor", "kron_solve", "kron_matvec"]
 
 
 class OpCounter:
@@ -215,35 +214,25 @@ def _band_entries(mat: BandedMatrix):
     return rows[keep], cols[keep], vals[keep]
 
 
-class KronSystem:
-    """Factor pair for one substep: a split-direction factor and the orthogonal mass LU.
-
-    ``split_factor`` is a SaddleFactor (stabilized) or BandedLU (plain
-    Galerkin) acting along ``split_axis``; ``other_lu`` is the BandedLU of the
-    trial mass in the orthogonal direction.
-    """
-
-    def __init__(self, split_factor, other_lu: BandedLU, split_axis: str):
-        if split_axis not in ("x", "y"):
-            raise ValueError("split_axis must be 'x' or 'y'")
-        self.split_factor = split_factor
-        self.other_lu = other_lu
-        self.split_axis = split_axis
-
-
-def kron_solve(system: KronSystem, rhs: np.ndarray) -> np.ndarray:
+def kron_solve(split_factor, other_lu: BandedLU, split_axis: str,
+               rhs: np.ndarray) -> np.ndarray:
     """Apply (F_split (x) A_other)^{-1} to a coefficient grid.
 
-    The grid is indexed (x, y).  When the split factor is a SaddleFactor the
-    grid is stacked along the split axis: (m+n) x n_y for an x split,
-    n_x x (m+n) for a y split.  Sweeps are y-then-x in both orientations.
+    ``split_factor`` is a SaddleFactor (stabilized) or BandedLU (plain
+    Galerkin) acting along ``split_axis``; ``other_lu`` factors the matrix of
+    the orthogonal direction.  The grid is indexed (x, y).  When the split
+    factor is a SaddleFactor the grid is stacked along the split axis:
+    (m+n) x n_y for an x split, n_x x (m+n) for a y split.  Sweeps are
+    y-then-x in both orientations.
     """
+    if split_axis not in ("x", "y"):
+        raise ValueError("split_axis must be 'x' or 'y'")
     rhs = np.asarray(rhs, dtype=float)
-    if system.split_axis == "y":
-        z = system.split_factor.solve(rhs.T).T
-        return system.other_lu.solve(z)
-    z = system.other_lu.solve(rhs.T).T
-    return system.split_factor.solve(z)
+    if split_axis == "y":
+        z = split_factor.solve(rhs.T).T
+        return other_lu.solve(z)
+    z = other_lu.solve(rhs.T).T
+    return split_factor.solve(z)
 
 
 def kron_matvec(Ax: BandedMatrix, Ay: BandedMatrix, grid: np.ndarray) -> np.ndarray:

@@ -56,8 +56,6 @@ class ProblemDefinition:
     exact: Optional[Callable] = None
     exact_grad: Optional[Callable] = None
     alpha: Optional[float] = None
-    default_tau: float = 0.1
-    default_steps: int = 100
 
 
 # -- manufactured -----------------------------------------------------------
@@ -110,8 +108,6 @@ def manufactured() -> ProblemDefinition:
         exact=_manufactured_exact,
         exact_grad=_manufactured_exact_grad,
         alpha=_MANUFACTURED_ALPHA,
-        default_tau=0.01,
-        default_steps=200,
     )
 
 
@@ -176,8 +172,6 @@ def pollution(p0: tuple[float, float] = (1500.0, 1500.0)) -> ProblemDefinition:
         velocity_y=_pollution_velocity_y,
         forcing=functools.partial(_pollution_forcing, p0=p0),
         initial=_pollution_initial,
-        default_tau=0.1,
-        default_steps=100,
     )
 
 
@@ -217,8 +211,6 @@ def circular_wind(center: tuple[float, float] = (0.0, -0.5),
         initial=functools.partial(_circular_initial, center=center,
                                   sigma=sigma),
         alpha=_CIRCULAR_ALPHA,
-        default_tau=0.1,
-        default_steps=63,
     )
 
 

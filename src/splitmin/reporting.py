@@ -17,17 +17,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assembly import _nq, apply_dirichlet, gauss_points, mass, stiffness
+from .assembly import _nq, apply_dirichlet, mass, stiffness
 from .exceptions import ParameterError
 from .full2d import RotatingFlowStepper, Space2D, assemble_2d_saddle, sparse_lu
 from .kron import OpCounter, kron_matvec
 from .problems import get_problem
-from .splines import SplineSpace, eval_matrix, make_space
+from .splines import SplineSpace, eval_matrix, gauss_rule, make_space
 from .stepping import SchemeKind, Stepper, TimeLoopConfig
 
 __all__ = ["RunConfig", "ErrorRow", "ErrorEvaluator", "compute_errors",
            "make_stepper", "run", "convergence_study", "timing_study",
-           "export_field", "sample_field", "solution_l2_norm"]
+           "export_field", "sample_field", "solution_norms", "solution_l2_norm"]
 
 _ZERO_NORM_GUARD = 1e-14
 
@@ -76,8 +76,8 @@ class ErrorEvaluator:
         self.exact_grad = exact_grad
         nqx = _nq(trial_x.degree, trial_x.degree) + 1
         nqy = _nq(trial_y.degree, trial_y.degree) + 1
-        self.px, self.wx = gauss_points(trial_x.breakpoints, nqx)
-        self.py, self.wy = gauss_points(trial_y.breakpoints, nqy)
+        self.px, self.wx = gauss_rule(trial_x, nqx)
+        self.py, self.wy = gauss_rule(trial_y, nqy)
         vx, dx = eval_matrix(trial_x, self.px)
         vy, dy = eval_matrix(trial_y, self.py)
         self.vx, self.dx = vx[:, 1:-1], dx[:, 1:-1]
@@ -277,19 +277,11 @@ def convergence_study(config: RunConfig, taus: Sequence[float],
                 row = evaluator.errors(grids[(scheme, float(tau))], t_final)
                 points[(scheme, float(tau))] = (row.l2_percent, row.h1_percent)
     else:
-        mx = apply_dirichlet(mass(trial_x, trial_x), trial_x, trial_x)
-        my = apply_dirichlet(mass(trial_y, trial_y), trial_y, trial_y)
-        kx = apply_dirichlet(stiffness(trial_x, trial_x), trial_x, trial_x)
-        ky = apply_dirichlet(stiffness(trial_y, trial_y), trial_y, trial_y)
         for scheme in schemes:
             ref = grids[(scheme, tau_ref)]
             for tau in taus:
-                d = grids[(scheme, float(tau))] - ref
-                l2sq = float(np.sum(d * kron_matvec(mx, my, d)))
-                h1sq = l2sq + float(np.sum(d * kron_matvec(kx, my, d))) \
-                    + float(np.sum(d * kron_matvec(mx, ky, d)))
-                points[(scheme, float(tau))] = (np.sqrt(max(l2sq, 0.0)),
-                                                np.sqrt(max(h1sq, 0.0)))
+                points[(scheme, float(tau))] = solution_norms(
+                    grids[(scheme, float(tau))] - ref, trial_x, trial_y)
 
     slopes = {}
     for scheme in schemes:
@@ -426,8 +418,23 @@ def export_field(u_grid: np.ndarray, trial_x: SplineSpace, trial_y: SplineSpace,
     _write_csv(base.with_suffix(".csv"), ("x", "y", "value"), rows)
 
 
-def solution_l2_norm(u_grid: np.ndarray, trial_x: SplineSpace,
-                     trial_y: SplineSpace) -> float:
+def solution_norms(u_grid: np.ndarray, trial_x: SplineSpace,
+                   trial_y: SplineSpace) -> tuple[float, float]:
+    """L2 and H1 norms of the field with interior coefficients u_grid.
+
+    Exact for the discrete field: the squares are u^T (Mx (x) My) u and that
+    plus u^T (Kx (x) My + Mx (x) Ky) u.
+    """
     mx = apply_dirichlet(mass(trial_x, trial_x), trial_x, trial_x)
     my = apply_dirichlet(mass(trial_y, trial_y), trial_y, trial_y)
-    return float(np.sqrt(max(np.sum(u_grid * kron_matvec(mx, my, u_grid)), 0.0)))
+    kx = apply_dirichlet(stiffness(trial_x, trial_x), trial_x, trial_x)
+    ky = apply_dirichlet(stiffness(trial_y, trial_y), trial_y, trial_y)
+    l2sq = float(np.sum(u_grid * kron_matvec(mx, my, u_grid)))
+    h1sq = l2sq + float(np.sum(u_grid * kron_matvec(kx, my, u_grid))) \
+        + float(np.sum(u_grid * kron_matvec(mx, ky, u_grid)))
+    return float(np.sqrt(max(l2sq, 0.0))), float(np.sqrt(max(h1sq, 0.0)))
+
+
+def solution_l2_norm(u_grid: np.ndarray, trial_x: SplineSpace,
+                     trial_y: SplineSpace) -> float:
+    return solution_norms(u_grid, trial_x, trial_y)[0]

@@ -18,16 +18,15 @@ square system directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import assembly
-from .assembly import Coefficient1D, apply_dirichlet, line_rule
-from .banded import BandedMatrix
+from .assembly import apply_dirichlet
 from .exceptions import ParameterError
-from .kron import BandedLU, KronSystem, OpCounter, SaddleFactor, kron_matvec, kron_solve
-from .splines import SplineSpace
+from .kron import BandedLU, OpCounter, SaddleFactor, kron_matvec, kron_solve
+from .splines import SplineSpace, eval_matrix, gauss_rule
 
 __all__ = ["SolutionState", "DirectionalOperator", "LoadAssembler",
            "build_directional", "substep", "residual_norms"]
@@ -46,17 +45,19 @@ class LoadAssembler:
     """Caches quadrature data for load grids  L[k,l] = (f(.,.,t), phi_k psi_l)."""
 
     def __init__(self, space_x: SplineSpace, space_y: SplineSpace):
-        rx = line_rule(space_x, space_x.degree + 1)
-        ry = line_rule(space_y, space_y.degree + 1)
-        self.px, self.py = rx.points, ry.points
-        # weights folded into the basis matrices; boundary functions eliminated
-        self.wx = (rx.weights[:, None] * rx.values)[:, 1:-1]
-        self.wy = (ry.weights[:, None] * ry.values)[:, 1:-1]
+        self.px, self.wx = _weighted_basis(space_x)
+        self.py, self.wy = _weighted_basis(space_y)
 
     def load(self, f, t: float) -> np.ndarray:
         vals = np.asarray(f(self.px[:, None], self.py[None, :], t), dtype=float)
         vals = np.broadcast_to(vals, (self.px.size, self.py.size))
         return self.wx.T @ vals @ self.wy
+
+
+def _weighted_basis(space: SplineSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss points, degree+1 per element, and the weighted interior basis values."""
+    points, weights = gauss_rule(space, space.degree + 1)
+    return points, (weights[:, None] * eval_matrix(space, points)[0])[:, 1:-1]
 
 
 class DirectionalOperator:
@@ -68,6 +69,8 @@ class DirectionalOperator:
       a_split = test Gram (m_test + k_test) in the split direction,
       m_other/k_other/g_other  square trial blocks in the orthogonal direction.
     rhs_ops holds the precombined matrices the schemes' right-hand sides use.
+    split_factor factors b_split (with a_split when stabilized) along the
+    split direction; other_lu factors m_other.
     """
 
     def __init__(self, direction, dt_eff, stabilized, trial_split, test_split,
@@ -87,10 +90,9 @@ class DirectionalOperator:
             "rect_minus": self.m_rect - dt_eff * (self.k_rect + self.g_rect),
             "other_minus": self.m_other - dt_eff * (self.k_other + self.g_other),
         }
-        split_factor = (SaddleFactor(self.a_split, self.b_split, counter)
-                        if stabilized else BandedLU(self.b_split, counter))
-        self.system = KronSystem(split_factor, BandedLU(self.m_other, counter),
-                                 direction)
+        self.split_factor = (SaddleFactor(self.a_split, self.b_split, counter)
+                             if stabilized else BandedLU(self.b_split, counter))
+        self.other_lu = BandedLU(self.m_other, counter)
         if direction == "x":
             self.loads = LoadAssembler(test_split, trial_other)
         else:
@@ -128,10 +130,8 @@ def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace
         test_split = trial_split
 
     axis = 0 if direction == "x" else 1
-    eps_split = Coefficient1D.wrap(diffusion[axis])
-    eps_other = Coefficient1D.wrap(diffusion[1 - axis])
-    beta_split = Coefficient1D.wrap(velocity[axis])
-    beta_other = Coefficient1D.wrap(velocity[1 - axis])
+    eps_split, eps_other = diffusion[axis], diffusion[1 - axis]
+    beta_split, beta_other = velocity[axis], velocity[1 - axis]
 
     def rect(kind, coef):
         return apply_dirichlet(kind(trial_split, test_split, coef), test_split, trial_split)
@@ -157,15 +157,15 @@ def substep(op: DirectionalOperator, rhs_grid: np.ndarray) -> SolutionState:
     """Solve one substep for the given tested load grid; returns (u, r)."""
     rhs_grid = np.asarray(rhs_grid, dtype=float)
     if not op.stabilized:
-        u = kron_solve(op.system, rhs_grid)
+        u = kron_solve(op.split_factor, op.other_lu, op.direction, rhs_grid)
         return SolutionState(u=u, r=None)
     m = op.m_split
     if op.direction == "x":
         stacked = np.vstack([rhs_grid, np.zeros((op.n_split, rhs_grid.shape[1]))])
-        out = kron_solve(op.system, stacked)
+        out = kron_solve(op.split_factor, op.other_lu, op.direction, stacked)
         return SolutionState(u=out[m:], r=out[:m])
     stacked = np.hstack([rhs_grid, np.zeros((rhs_grid.shape[0], op.n_split))])
-    out = kron_solve(op.system, stacked)
+    out = kron_solve(op.split_factor, op.other_lu, op.direction, stacked)
     return SolutionState(u=out[:, m:], r=out[:, :m])
 
 

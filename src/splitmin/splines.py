@@ -15,12 +15,14 @@ a point together with their first derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import DomainError, ParameterError
 
-__all__ = ["SplineSpace", "BasisEval", "make_space", "eval_basis", "eval_matrix"]
+__all__ = ["SplineSpace", "ElementTable", "make_space", "active_basis",
+           "eval_matrix", "gauss_rule", "element_table"]
 
 
 @dataclass(frozen=True)
@@ -40,15 +42,6 @@ class SplineSpace:
     def breakpoints(self) -> np.ndarray:
         a, b = self.interval
         return np.linspace(a, b, self.n_elements + 1)
-
-
-@dataclass(frozen=True)
-class BasisEval:
-    """Nonzero basis values at one point: functions first_index .. first_index+p."""
-
-    first_index: int
-    values: np.ndarray
-    derivatives: np.ndarray
 
 
 def make_space(degree: int, continuity: int, n_elements: int,
@@ -75,75 +68,82 @@ def make_space(degree: int, continuity: int, n_elements: int,
     return SplineSpace(p, c, n_elements, (a, b), knots)
 
 
-def dim(space: SplineSpace) -> int:
-    return space.dim
-
-
-def _find_span(space: SplineSpace, x: float) -> int:
+def _find_spans(space: SplineSpace, xs: np.ndarray) -> np.ndarray:
     """Last knot index i with knots[i] <= x, restricted to nonempty spans.
 
     The element convention is half-open, closed on the right end of the
     domain, so x = b maps into the last element.
     """
     a, b = space.interval
-    if x < a or x > b:
-        raise DomainError(f"x={x} outside [{a}, {b}]")
-    i = int(np.searchsorted(space.knots, x, side="right")) - 1
-    return min(max(i, space.degree), space.dim - 1)
+    outside = (xs < a) | (xs > b)
+    if np.any(outside):
+        raise DomainError(f"x={xs[outside][0]} outside [{a}, {b}]")
+    spans = np.searchsorted(space.knots, xs, side="right") - 1
+    return np.clip(spans, space.degree, space.dim - 1)
 
 
-def eval_basis(space: SplineSpace, x: float) -> BasisEval:
-    """Values and first derivatives of the p+1 active basis functions at x.
+def active_basis(space: SplineSpace, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First active index, values and first derivatives of the p+1 active functions.
 
-    Values come from the Cox-de Boor recursion run in place over one knot
-    span; derivatives combine the degree p-1 values with the standard
-    degree-reduction formula.
+    Returns arrays shaped (n,), (n, p+1) and (n, p+1) for n points.  Values
+    come from the Cox-de Boor recursion over each point's knot span, run for
+    all points at once (Piegl & Tiller, A2.2); derivatives combine the degree
+    p-1 values with the degree-reduction formula (A2.3).  Every knot
+    difference below spans the nonempty interval containing x, so none is 0.
     """
-    span = _find_span(space, x)
-    p = space.degree
-    knots = space.knots
-
-    values = np.ones(1)
-    lower = values  # degree p-1 row, needed for derivatives
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    spans = _find_spans(space, xs)
+    p, knots, x = space.degree, space.knots, xs[:, None]
+    values = np.ones((xs.size, 1))
     for j in range(1, p + 1):
-        lower = values
-        nxt = np.empty(j + 1)
-        saved = 0.0
-        for r in range(j):
-            # denominator spans the (nonempty) interval containing x, never zero
-            denom = knots[span + r + 1] - knots[span + r + 1 - j]
-            temp = lower[r] / denom
-            nxt[r] = saved + (knots[span + r + 1] - x) * temp
-            saved = (x - knots[span + r + 1 - j]) * temp
-        nxt[j] = saved
-        values = nxt
-
-    derivatives = np.zeros(p + 1)
+        r = spans[:, None] + np.arange(1, j + 1)
+        temp = values / (knots[r] - knots[r - j])
+        values = np.zeros((xs.size, j + 1))
+        values[:, :j] += (knots[r] - x) * temp
+        values[:, 1:] += (x - knots[r - j]) * temp
+    derivatives = np.zeros((xs.size, p + 1))
     if p > 0:
-        for r in range(p + 1):
-            ell = span - p + r
-            acc = 0.0
-            if r >= 1:
-                d = knots[ell + p] - knots[ell]
-                if d > 0.0:
-                    acc += lower[r - 1] / d
-            if r <= p - 1:
-                d = knots[ell + p + 1] - knots[ell + 1]
-                if d > 0.0:
-                    acc -= lower[r] / d
-            derivatives[r] = p * acc
-
-    return BasisEval(span - p, values, derivatives)
+        # the last temp holds the degree p-1 values over the knot differences of A2.3
+        derivatives[:, 1:] += temp
+        derivatives[:, :-1] -= temp
+        derivatives *= p
+    return spans - p, values, derivatives
 
 
 def eval_matrix(space: SplineSpace, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense (len(xs), dim) matrices of basis values and first derivatives."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    vals = np.zeros((xs.size, space.dim))
-    ders = np.zeros((xs.size, space.dim))
-    for row, x in enumerate(xs):
-        be = eval_basis(space, float(x))
-        sl = slice(be.first_index, be.first_index + space.degree + 1)
-        vals[row, sl] = be.values
-        ders[row, sl] = be.derivatives
+    first, values, derivatives = active_basis(space, xs)
+    rows = np.arange(first.size)[:, None]
+    cols = first[:, None] + np.arange(space.degree + 1)
+    vals = np.zeros((first.size, space.dim))
+    ders = np.zeros((first.size, space.dim))
+    vals[rows, cols] = values
+    ders[rows, cols] = derivatives
     return vals, ders
+
+
+def gauss_rule(space: SplineSpace, nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """nq-point Gauss-Legendre nodes and weights on each element, element by element."""
+    ref_x, ref_w = np.polynomial.legendre.leggauss(nq)
+    breaks = space.breakpoints
+    lo, h = breaks[:-1, None], np.diff(breaks)[:, None]
+    return (lo + 0.5 * h * (ref_x + 1.0)).ravel(), (0.5 * h * ref_w).ravel()
+
+
+class ElementTable(NamedTuple):
+    """A Gauss rule on every element with the local basis values there."""
+
+    points: np.ndarray       # (n_elements, nq)
+    weights: np.ndarray      # (n_elements, nq)
+    values: np.ndarray       # (n_elements, nq, degree+1)
+    derivatives: np.ndarray  # (n_elements, nq, degree+1)
+    firsts: np.ndarray       # (n_elements,) first active basis index
+
+
+def element_table(space: SplineSpace, nq: int) -> ElementTable:
+    """The nq-point Gauss rule of every element and the active basis there."""
+    points, weights = gauss_rule(space, nq)
+    first, values, derivatives = active_basis(space, points)
+    shape = (space.n_elements, nq, space.degree + 1)
+    return ElementTable(points.reshape(shape[:2]), weights.reshape(shape[:2]),
+                        values.reshape(shape), derivatives.reshape(shape), first[::nq])

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from splitmin.assembly import apply_dirichlet, mass
 from splitmin.banded import BandedMatrix
+from splitmin.splines import make_space
 
 
 def _random_banded_dense(rng, m, n, lb, ub):
@@ -34,6 +36,17 @@ def test_apply_matches_dense_product():
         np.testing.assert_allclose(banded.apply(vec), dense @ vec, atol=1e-13)
         block = rng.standard_normal((n, 3))
         np.testing.assert_allclose(banded.apply(block), dense @ block, atol=1e-13)
+
+
+def test_rectangular_block_apply_to_transposed_grid():
+    # a trial-to-test block stores a slanted band, mostly zero slots
+    trial = make_space(2, 1, 32, (0.0, 1.0))
+    test = make_space(3, 0, 32, (0.0, 1.0))
+    block = apply_dirichlet(mass(trial, test), test, trial)
+    grid = np.random.default_rng(17).standard_normal((7, trial.dim - 2)).T
+    assert not grid.flags.c_contiguous
+    np.testing.assert_allclose(block.apply(grid), block.to_dense() @ grid,
+                               atol=1e-14)
 
 
 def test_apply_dimension_mismatch():

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from splitmin.assembly import advection, gauss_points, mass, stiffness
+from splitmin.assembly import advection, mass, stiffness
 from splitmin.exceptions import ParameterError, SingularMatrixError
 from splitmin.full2d import (RotatingFlowStepper, Space2D, assemble_2d_load,
                              assemble_2d_operators, assemble_2d_saddle,
-                             sparse_lu, sparse_lu_solve,
+                             sparse_lu,
                              _assemble_advection_2d)
 from splitmin.problems import get_problem
 from splitmin.resmin import SolutionState
-from splitmin.splines import eval_matrix, make_space
+from splitmin.splines import eval_matrix, gauss_rule, make_space
 
 
 def _space2d(pc, n, interval=(0.0, 1.0)):
@@ -33,8 +33,8 @@ def test_space2d_dimensions():
 
 def _dense_advection_reference(trial, test, beta, n_points):
     """Global tensor-quadrature assembly without per-element compaction."""
-    px, wx = gauss_points(trial.x.breakpoints, n_points)
-    py, wy = gauss_points(trial.y.breakpoints, n_points)
+    px, wx = gauss_rule(trial.x, n_points)
+    py, wy = gauss_rule(trial.y, n_points)
     tvx, tdx = eval_matrix(trial.x, px)
     tvy, tdy = eval_matrix(trial.y, py)
     svx, _ = eval_matrix(test.x, px)
@@ -122,8 +122,8 @@ def test_load_grid_matches_dense_quadrature():
     test = _space2d((2, 1), 3)
     f = lambda x, y, t: np.sin(x + t) * (1.0 + y)
     got = assemble_2d_load(test, f, 0.25)
-    px, wx = gauss_points(test.x.breakpoints, 9)
-    py, wy = gauss_points(test.y.breakpoints, 9)
+    px, wx = gauss_rule(test.x, 9)
+    py, wy = gauss_rule(test.y, 9)
     vx = eval_matrix(test.x, px)[0][:, 1:-1]
     vy = eval_matrix(test.y, py)[0][:, 1:-1]
     fv = f(px[:, None], py[None, :], 0.25)
@@ -137,7 +137,7 @@ def test_sparse_lu_matches_dense_solve():
     system = assemble_2d_saddle(trial, test, 0.01, lambda x, y: (y, -x), 0.05)
     rng = np.random.default_rng(90)
     rhs = rng.standard_normal(system.matrix.shape[0])
-    got = sparse_lu_solve(system.matrix, rhs)
+    got = sparse_lu(system.matrix).solve(rhs)
     ref = np.linalg.solve(system.matrix.toarray(), rhs)
     np.testing.assert_allclose(got, ref, atol=1e-9)
 

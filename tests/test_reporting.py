@@ -1,5 +1,6 @@
 """Run artifacts, error evaluation, studies, and field export."""
 
+import dataclasses
 import json
 import math
 
@@ -91,6 +92,21 @@ def test_run_writes_expected_artifacts(tmp_path):
     assert (out / "field_step000004.vtk").exists()
     assert (out / "field_step000004.csv").exists()
     assert not (out / "field_step000000.vtk").exists()
+
+
+@pytest.mark.parametrize("config,factor_ops,solve_ops", [
+    (RunConfig(mesh=(16, 16), trial=(3, 2), test=(4, 0), scheme="strang-cn",
+               tau=0.01, n_steps=20), 88_776, 6_643_950),
+    (RunConfig(mesh=(16, 16), trial=(2, 1), test=(2, 1), scheme="be",
+               stabilized=False, tau=0.01, n_steps=20), 1_566, 258_464),
+], ids=["strang-cn", "be-galerkin"])
+def test_run_counted_operations_are_pinned(tmp_path, config, factor_ops,
+                                           solve_ops):
+    # the counts follow from the bandwidths assembly hands to the factors
+    run(dataclasses.replace(config, out_dir=str(tmp_path)))
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert (meta["factor_ops"], meta["solve_ops"]) == (factor_ops, solve_ops)
+    assert meta["total_ops"] == factor_ops + solve_ops
 
 
 def test_run_snapshot_stride(tmp_path):

@@ -10,7 +10,7 @@ from splitmin.exceptions import ParameterError
 from splitmin.kron import OpCounter
 from splitmin.resmin import (LoadAssembler, build_directional, residual_norms,
                              substep)
-from splitmin.splines import eval_matrix, make_space
+from splitmin.splines import eval_matrix, gauss_rule, make_space
 
 
 def _spaces(n_el=4, trial_pc=(2, 1), test_pc=(3, 0)):
@@ -151,9 +151,8 @@ def test_load_assembler_separable_integrand():
     loads = LoadAssembler(sx, sy)
     got = loads.load(lambda x, y, t: np.sin(x) * (2.0 + y) * (1.0 + t), 0.5)
     # separable f factors into two 1D integrals per basis pair
-    from splitmin.assembly import gauss_points
-    px, wx = gauss_points(sx.breakpoints, 8)
-    py, wy = gauss_points(sy.breakpoints, 8)
+    px, wx = gauss_rule(sx, 8)
+    py, wy = gauss_rule(sy, 8)
     ix = (wx * np.sin(px)) @ eval_matrix(sx, px)[0][:, 1:-1]
     iy = (wy * (2.0 + py)) @ eval_matrix(sy, py)[0][:, 1:-1]
     np.testing.assert_allclose(got, 1.5 * np.outer(ix, iy), atol=1e-9)

@@ -9,7 +9,7 @@ import pytest
 from scipy.interpolate import BSpline
 
 from splitmin.exceptions import DomainError, ParameterError
-from splitmin.splines import eval_basis, eval_matrix, make_space
+from splitmin.splines import element_table, eval_matrix, make_space
 
 
 def test_knot_vector_linear_c0_two_elements():
@@ -40,21 +40,16 @@ def test_eval_quadratic_hand_values():
     # degree 2, C^1, two elements on [0,1]; at x=0.25 the active functions
     # are 0,1,2 with values (1/4, 5/8, 1/8) and derivatives (-2, 1, 1)
     space = make_space(2, 1, 2, (0.0, 1.0))
-    be = eval_basis(space, 0.25)
-    assert be.first_index == 0
-    np.testing.assert_allclose(be.values, [0.25, 0.625, 0.125], atol=1e-15)
-    np.testing.assert_allclose(be.derivatives, [-2.0, 1.0, 1.0], atol=1e-14)
+    vals, ders = eval_matrix(space, 0.25)
+    np.testing.assert_allclose(vals[0], [0.25, 0.625, 0.125, 0.0], atol=1e-15)
+    np.testing.assert_allclose(ders[0], [-2.0, 1.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_eval_at_domain_endpoints_is_interpolatory():
     space = make_space(3, 2, 5, (0.0, 1.0))
-    left = eval_basis(space, 0.0)
-    right = eval_basis(space, 1.0)
+    vals, _ = eval_matrix(space, [0.0, 1.0])
     # clamped ends: exactly the first/last function takes value 1 there
-    assert left.first_index == 0
-    np.testing.assert_allclose(left.values, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-    assert right.first_index + space.degree == space.dim - 1
-    np.testing.assert_allclose(right.values, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(vals, np.eye(space.dim)[[0, -1]], atol=1e-15)
 
 
 @pytest.mark.parametrize("p,c,n_el", [
@@ -138,6 +133,33 @@ def test_discontinuous_basis_jumps_at_breakpoint():
     assert np.max(np.abs(dl - dr)) > 1.0
 
 
+def test_element_table_shapes_and_weights():
+    space = make_space(2, 1, 5, (0.0, 1.0))
+    table = element_table(space, 3)
+    assert table.points.shape == table.weights.shape == (5, 3)
+    assert table.values.shape == table.derivatives.shape == (5, 3, 3)
+    np.testing.assert_array_equal(table.firsts, np.arange(5))
+    np.testing.assert_allclose(table.weights.sum(axis=1), 0.2, atol=1e-15)
+    bks = space.breakpoints
+    assert np.all((table.points > bks[:-1, None]) & (table.points < bks[1:, None]))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+def test_element_table_values_equal_eval_matrix(p):
+    # for every continuity C^-1 .. C^(p-1) the local columns hold every
+    # nonzero of the dense rows, bit for bit
+    for c in range(-1, p):
+        space = make_space(p, c, 4, (0.0, 2.0))
+        table = element_table(space, p + 2)
+        vals, ders = eval_matrix(space, table.points.ravel())
+        rows = np.arange(vals.shape[0]).reshape(4, p + 2, 1)
+        cols = table.firsts[:, None, None] + np.arange(p + 1)
+        for dense, local in ((vals, table.values), (ders, table.derivatives)):
+            scattered = np.zeros_like(dense)
+            scattered[rows, cols] = local
+            np.testing.assert_array_equal(scattered, dense)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(degree=-1, continuity=-1, n_elements=2, interval=(0.0, 1.0)),
     dict(degree=2, continuity=2, n_elements=2, interval=(0.0, 1.0)),
@@ -154,6 +176,6 @@ def test_invalid_space_parameters_rejected(kwargs):
 def test_evaluation_outside_interval_rejected():
     space = make_space(2, 1, 2, (0.0, 1.0))
     with pytest.raises(DomainError):
-        eval_basis(space, -0.01)
+        eval_matrix(space, [0.5, -0.01])
     with pytest.raises(DomainError):
-        eval_basis(space, 1.01)
+        eval_matrix(space, 1.01)
