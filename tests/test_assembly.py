@@ -151,10 +151,19 @@ def test_apply_dirichlet_validates_shapes():
 
 
 def test_mismatched_intervals_rejected():
-    # trial and test spaces must share one mesh: same interval, same elements
     a = make_space(2, 1, 4, (0.0, 1.0))
-    for b in (make_space(2, 1, 4, (0.0, 2.0)), make_space(2, 1, 5, (0.0, 1.0))):
-        with pytest.raises(ParameterError):
-            mass(a, b)
-        with pytest.raises(ParameterError):
-            advection(b, a)
+    b = make_space(2, 1, 4, (0.0, 2.0))
+    with pytest.raises(ParameterError):
+        mass(a, b)
+    with pytest.raises(ParameterError):
+        advection(b, a)
+
+
+def test_different_element_counts_rejected():
+    # same interval, different breakpoints: trial and test must share one mesh
+    trial = make_space(1, 0, 2, (0.0, 1.0))
+    test = make_space(1, 0, 3, (0.0, 1.0))
+    with pytest.raises(ParameterError):
+        mass(trial, test)
+    with pytest.raises(ParameterError):
+        advection(test, trial)
