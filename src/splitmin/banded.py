@@ -85,16 +85,6 @@ class BandedMatrix:
                 out[i0:i1] += self.data[i0:i1, t:t + 1] * x[i0 + d:i1 + d]
         return out[:, 0] if single else out
 
-    def transpose(self) -> "BandedMatrix":
-        lb, ub = self.upper_bandwidth, self.lower_bandwidth
-        data = np.zeros((self.n_cols, lb + ub + 1))
-        for t in range(self.data.shape[1]):
-            d = t - self.lower_bandwidth
-            i0, i1 = max(0, -d), min(self.n_rows, self.n_cols - d)
-            if i1 > i0:
-                data[np.arange(i0, i1) + d, -d + lb] = self.data[i0:i1, t]
-        return BandedMatrix(data, lb, ub, self.n_rows)
-
     def interior(self) -> "BandedMatrix":
         """Drop the first and last row and column (Dirichlet elimination).
 

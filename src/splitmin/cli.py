@@ -149,7 +149,7 @@ def build_run_config(args) -> RunConfig:
         "mesh": _parse_mesh(args.mesh) if args.mesh else None,
         "trial": _parse_space(args.trial) if args.trial else None,
         "test": _parse_space(args.test) if args.test else None,
-        "scheme": args.scheme,
+        "scheme": getattr(args, "scheme", None),
         "tau": args.tau,
         "n_steps": args.steps,
         "out_dir": args.out,
@@ -171,16 +171,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mesh", help="elements per direction, N or NxM")
     parser.add_argument("--trial", help="trial space as degree,continuity")
     parser.add_argument("--test", help="test space as degree,continuity")
-    parser.add_argument("--scheme",
-                        choices=("pr", "strang-be", "strang-cn", "be"),
-                        help="time integrator (split path)")
     parser.add_argument("--tau", type=float, help="time step")
     parser.add_argument("--steps", type=int, help="number of time steps")
     parser.add_argument("--galerkin", action="store_true",
                         help="disable residual-minimization stabilization")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for study points")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,13 +187,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one simulation")
     _add_common(p_run)
+    p_run.add_argument("--scheme",
+                       choices=("pr", "strang-be", "strang-cn", "be"),
+                       help="time integrator (split path)")
     p_run.add_argument("--snapshot-stride", type=int, dest="snapshot_stride",
                        help="write a field snapshot every k steps (0: final only)")
     p_run.add_argument("--resolution", type=int,
                        help="snapshot sampling resolution per direction")
 
-    p_conv = sub.add_parser("converge", help="error-vs-tau study")
+    # no abbreviations: --scheme must not pass for --schemes
+    p_conv = sub.add_parser("converge", help="error-vs-tau study",
+                            allow_abbrev=False)
     _add_common(p_conv)
+    p_conv.add_argument("--jobs", type=int, default=1,
+                        help="parallel workers for study points")
     p_conv.add_argument("--taus", required=True,
                         help="comma-separated time steps, e.g. 0.02,0.01,0.005")
     p_conv.add_argument("--schemes", default="pr,strang-be,strang-cn,be",
@@ -210,7 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "on a fixed mesh)")
 
     p_time = sub.add_parser("timing", help="solver cost table")
-    _add_common(p_time)
+    p_time.add_argument("--out", default=RunConfig.out_dir,
+                        help="output directory")
     p_time.add_argument("--meshes", default="8,16,32,64",
                         help="comma-separated mesh sizes")
     p_time.add_argument("--pairs", default="2,1:3,0",
@@ -247,17 +250,15 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_timing(args) -> int:
-    config = build_run_config(args)
     rows = timing_study(_parse_ints(args.meshes), _parse_pairs(args.pairs),
-                        out_dir=config.out_dir,
-                        include_general=not args.no_general)
+                        out_dir=args.out, include_general=not args.no_general)
     for row in rows:
         extra = (f", general {row['general_time_ms']:.1f} ms"
                  if "general_time_ms" in row else "")
         print(f"{row['space']} n={row['n']}: dofs={row['dofs']}, "
               f"split ops={row['split_total_ops']}"
               f" ({row['split_time_ms']:.1f} ms){extra}")
-    print(f"wrote timing.csv to {config.out_dir}")
+    print(f"wrote timing.csv to {args.out}")
     return 0
 
 

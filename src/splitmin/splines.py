@@ -15,6 +15,7 @@ a point together with their first derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -122,9 +123,17 @@ def eval_matrix(space: SplineSpace, xs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return vals, ders
 
 
+@lru_cache(maxsize=32)
+def _reference_gauss(nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """nq-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(nq)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_rule(space: SplineSpace, nq: int) -> tuple[np.ndarray, np.ndarray]:
     """nq-point Gauss-Legendre nodes and weights on each element, element by element."""
-    ref_x, ref_w = np.polynomial.legendre.leggauss(nq)
+    ref_x, ref_w = _reference_gauss(nq)
     breaks = space.breakpoints
     lo, h = breaks[:-1, None], np.diff(breaks)[:, None]
     return (lo + 0.5 * h * (ref_x + 1.0)).ravel(), (0.5 * h * ref_w).ravel()

@@ -55,13 +55,6 @@ def test_apply_dimension_mismatch():
         banded.apply(np.ones(5))
 
 
-def test_transpose_matches_dense():
-    rng = np.random.default_rng(8)
-    dense = _random_banded_dense(rng, 6, 9, 1, 3)
-    banded = BandedMatrix.from_dense(dense)
-    np.testing.assert_allclose(banded.transpose().to_dense(), dense.T, atol=0.0)
-
-
 def test_interior_drops_first_and_last_row_and_column():
     rng = np.random.default_rng(21)
     dense = _random_banded_dense(rng, 7, 7, 2, 2)

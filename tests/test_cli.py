@@ -154,6 +154,15 @@ def test_bad_scheme_choice_is_rejected_by_argparse():
         main(["run", "--scheme", "leapfrog"])
 
 
+@pytest.mark.parametrize("argv", (["timing", "--tau", "0.5"],
+                                  ["run", "--jobs", "2"],
+                                  ["converge", "--taus", "0.1", "--scheme", "be"]))
+def test_options_a_subcommand_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_verify_single_criterion(capsys):
     code = main(["verify", "--criteria", "1"])
     out = capsys.readouterr().out

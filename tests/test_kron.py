@@ -2,6 +2,9 @@
 
 Dense numpy solves are the oracle throughout; operation counts are checked
 for linear growth in size and exact proportionality in right-hand sides.
+The LAPACK-backed ``BandedLU`` is also checked against ``LoopBandedLU``, a
+row-by-row band elimination that counts its operations as it goes: same
+pivots, same counts, same solutions.
 """
 
 import numpy as np
@@ -13,6 +16,87 @@ from splitmin.exceptions import SingularMatrixError
 from splitmin.kron import (BandedLU, OpCounter, SaddleFactor, kron_matvec,
                            kron_solve)
 from splitmin.splines import make_space
+
+
+class LoopBandedLU:
+    """Reference banded LU: band-restricted partial pivoting, one row at a time."""
+
+    def __init__(self, matrix: BandedMatrix, counter: OpCounter | None = None):
+        if matrix.n_rows != matrix.n_cols:
+            raise ValueError("banded LU requires a square matrix")
+        self.n = matrix.n_rows
+        self.lb = matrix.lower_bandwidth
+        # row swaps during elimination widen U by at most lb
+        self.ub = matrix.upper_bandwidth + matrix.lower_bandwidth
+        self.counter = counter
+        self._factor(matrix)
+
+    def _factor(self, matrix: BandedMatrix) -> None:
+        n, lb, ub = self.n, self.lb, self.ub
+        width = lb + ub + 1
+        w = np.zeros((n, width))
+        w[:, :matrix.data.shape[1]] = matrix.data  # same lb; extra ub slots zero
+        mult = np.zeros((n, lb))
+        ipiv = np.arange(n)
+        ops = 0
+        for k in range(n):
+            rb = min(lb, n - 1 - k)
+            # column k of rows k..k+rb sits on the anti-diagonal of the storage
+            rows = np.arange(k, k + rb + 1)
+            col = w[rows, lb - np.arange(rb + 1)]
+            p = int(np.argmax(np.abs(col)))
+            if col[p] == 0.0:
+                raise SingularMatrixError(f"zero pivot at elimination step {k}")
+            if p:
+                ipiv[k] = k + p
+                # swap the active segments (columns k .. k+ub); the trailing
+                # padded slots are zero on both sides so fixed-width is safe
+                tmp = w[k, lb:].copy()
+                w[k, lb:] = w[k + p, lb - p:width - p]
+                w[k + p, lb - p:width - p] = tmp
+            piv = w[k, lb]
+            for j in range(1, rb + 1):
+                m = w[k + j, lb - j] / piv
+                mult[k, j - 1] = m
+                w[k + j, lb - j] = 0.0
+                if m != 0.0:
+                    w[k + j, lb - j + 1:width - j] -= m * w[k, lb + 1:]
+            ops += rb * (1 + 2 * (width - lb - 1))
+        self._w = w
+        self._mult = mult
+        self._ipiv = ipiv
+        if self.counter is not None:
+            self.counter.factor_ops += ops
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs for a vector or a stack of columns."""
+        b = np.array(rhs, dtype=float)
+        single = b.ndim == 1
+        if single:
+            b = b[:, None]
+        if b.shape[0] != self.n:
+            raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.n}")
+        n, lb, ub = self.n, self.lb, self.ub
+        w, mult, ipiv = self._w, self._mult, self._ipiv
+        ncols = b.shape[1]
+        ops = 0
+        for k in range(n):
+            if ipiv[k] != k:
+                b[[k, ipiv[k]]] = b[[ipiv[k], k]]
+            rb = min(lb, n - 1 - k)
+            if rb:
+                b[k + 1:k + 1 + rb] -= mult[k, :rb, None] * b[k]
+                ops += 2 * rb * ncols
+        for i in range(n - 1, -1, -1):
+            ell = min(ub, n - 1 - i)
+            if ell:
+                b[i] -= w[i, lb + 1:lb + 1 + ell] @ b[i + 1:i + 1 + ell]
+                ops += (2 * ell + 1) * ncols
+            b[i] /= w[i, lb]
+        ops += n * ncols
+        if self.counter is not None:
+            self.counter.solve_ops += ops
+        return b[:, 0] if single else b
 
 
 def _tridiag(n, lo, di, up):
@@ -81,6 +165,74 @@ def test_solve_ops_proportional_to_rhs_columns():
         lu.solve(np.ones((50, ncols)))
         ops[ncols] = counter.solve_ops
     assert ops[4] == 4 * ops[1]
+
+
+# (n, lb, ub): a single row, bands wider than the matrix, no lower band,
+# no upper band, and ordinary bands up to the widest the solver meets
+_ORACLE_SHAPES = ((1, 0, 0), (1, 2, 1), (3, 5, 2), (4, 4, 0), (10, 0, 3),
+                  (10, 3, 0), (12, 1, 1), (20, 2, 3), (57, 5, 4), (80, 9, 7),
+                  (200, 3, 2))
+# the row swaps need two rows and a band on both sides of the diagonal
+_PIVOTING_SHAPES = ((2, 1, 1),) + tuple(
+    (n, lb, ub) for n, lb, ub in _ORACLE_SHAPES if n > 1 and lb > 0 and ub > 0)
+
+
+def _oracle_matrix(n, lb, ub, pivoting, rng):
+    """A random banded matrix that is diagonally dominant up to row swaps.
+
+    With ``pivoting`` the dominant entry of each row pair (2k, 2k+1) sits
+    on the other row and the diagonal is scaled by 1e-3, so elimination
+    swaps rows; the condition number stays that of a dominant matrix.
+    Slots outside the matrix hold values too; no LU may read them.
+    """
+    data = rng.standard_normal((n, lb + ub + 1))
+    dominant = 2.0 * (lb + ub + 1)
+    if not pivoting:
+        data[:, lb] += dominant
+        return BandedMatrix(data, lb, ub, n)
+    data[:, lb] *= 1e-3
+    pairs = np.arange(n // 2 * 2)
+    data[pairs, lb + np.where(pairs % 2, -1, 1)] += dominant
+    if n % 2:
+        data[-1, lb] += dominant
+    return BandedMatrix(data, lb, ub, n)
+
+
+@pytest.mark.parametrize("ncols", (1, 7))
+@pytest.mark.parametrize("n,lb,ub,pivoting",
+                         [s + (False,) for s in _ORACLE_SHAPES]
+                         + [s + (True,) for s in _PIVOTING_SHAPES])
+def test_lu_matches_loop_reference(n, lb, ub, pivoting, ncols):
+    rng = np.random.default_rng(1000 * n + 10 * lb + ub)
+    matrix = _oracle_matrix(n, lb, ub, pivoting, rng)
+    assert np.linalg.cond(matrix.to_dense()) <= 1e4
+
+    counter, ref_counter = OpCounter(), OpCounter()
+    lu = BandedLU(matrix, counter)
+    ref = LoopBandedLU(matrix, ref_counter)
+    np.testing.assert_array_equal(lu._piv, ref._ipiv)
+    assert np.any(ref._ipiv != np.arange(n)) == pivoting
+    assert (lu.lb, lu.ub) == (ref.lb, ref.ub)
+    assert counter.factor_ops == ref_counter.factor_ops
+
+    rhs = rng.standard_normal(n) if ncols == 1 else rng.standard_normal((n, ncols))
+    before = rhs.copy()
+    x, x_ref = lu.solve(rhs), ref.solve(rhs)
+    np.testing.assert_array_equal(rhs, before)
+    assert x.shape == rhs.shape
+    assert counter.solve_ops == ref_counter.solve_ops
+    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+
+@pytest.mark.parametrize("dense", ([[1.0] * 3] * 3, [[0.0] * 4] * 4,
+                                   [[1.0, 2.0], [2.0, 4.0]]))
+def test_lu_singular_step_matches_loop_reference(dense):
+    matrix = BandedMatrix.from_dense(np.array(dense))
+    with pytest.raises(SingularMatrixError) as ref_exc:
+        LoopBandedLU(matrix)
+    with pytest.raises(SingularMatrixError) as exc:
+        BandedLU(matrix)
+    assert str(exc.value) == str(ref_exc.value)
 
 
 def _spline_saddle_blocks(n_el, trial_pc=(2, 1), test_pc=(3, 0)):
