@@ -156,6 +156,9 @@ def build_run_config(args) -> RunConfig:
         "snapshot_stride": getattr(args, "snapshot_stride", None),
         "snapshot_resolution": getattr(args, "resolution", None),
     }
+    if "scheme" in values and not hasattr(args, "scheme"):
+        raise ParameterError(f"config key 'scheme' is not read by {args.command}; "
+                             "pass the schemes with --schemes")
     values.update({k: v for k, v in overrides.items() if v is not None})
     if getattr(args, "galerkin", False):
         values["stabilized"] = False

@@ -47,7 +47,6 @@ class ProblemDefinition:
     diffusion_y: Callable
     separable: bool
     velocity_time_dependent: bool
-    velocity_space_constant: bool
     initial: Callable
     velocity_x: Optional[Callable] = None
     velocity_y: Optional[Callable] = None
@@ -100,7 +99,6 @@ def manufactured() -> ProblemDefinition:
                                       value=_MANUFACTURED_ALPHA),
         separable=True,
         velocity_time_dependent=False,
-        velocity_space_constant=True,
         velocity_x=_manufactured_velocity_x,
         velocity_y=_manufactured_velocity_y,
         forcing=_manufactured_forcing,
@@ -167,7 +165,6 @@ def pollution(p0: tuple[float, float] = (1500.0, 1500.0)) -> ProblemDefinition:
         diffusion_y=_pollution_diffusion_y,
         separable=True,
         velocity_time_dependent=True,
-        velocity_space_constant=True,
         velocity_x=_pollution_velocity_x,
         velocity_y=_pollution_velocity_y,
         forcing=functools.partial(_pollution_forcing, p0=p0),
@@ -206,7 +203,6 @@ def circular_wind(center: tuple[float, float] = (0.0, -0.5),
                                       value=_CIRCULAR_ALPHA),
         separable=False,
         velocity_time_dependent=False,
-        velocity_space_constant=False,
         velocity_field=_circular_velocity_field,
         initial=functools.partial(_circular_initial, center=center,
                                   sigma=sigma),

@@ -126,6 +126,14 @@ def make_stepper(problem, config: RunConfig, counter: OpCounter | None = None):
                               stabilized=config.stabilized)
         return Stepper(problem, config.mesh, config.trial, config.test, loop,
                        counter)
+    ignored = [name for name, set_ in (("--galerkin", not config.stabilized),
+                                       ("scheme", config.scheme != "pr"),
+                                       ("t0", config.t0 != 0.0)) if set_]
+    if ignored:
+        raise ParameterError(
+            f"{', '.join(ignored)} not supported for the non-separable problem "
+            f"{problem.name!r}: the general path runs stabilized monolithic "
+            "Crank-Nicolson from the problem's start time")
     return RotatingFlowStepper(problem, config.mesh, config.trial, config.test,
                                config.tau)
 

@@ -14,6 +14,9 @@ keeps the Kronecker structure  [[A_s, B_s],[B_s^T, 0]] (x) M_other  and is
 solved by two banded sweeps.  With test = trial the same substep reduces to
 the plain Galerkin ADI update (and r = 0); the unstabilized path solves the
 square system directly.
+
+A DirectionalOperator is built once per direction; only its wind changes in
+time, and set_wind reassembles the advection blocks and refactors the saddle.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ def _weighted_basis(space: SplineSpace) -> tuple[np.ndarray, np.ndarray]:
     return points, (weights[:, None] * eval_matrix(space, points)[0])[:, 1:-1]
 
 
+def _block(kind, trial: SplineSpace, test: SplineSpace, coef=None):
+    return apply_dirichlet(kind(trial, test, coef), test, trial)
+
+
 class DirectionalOperator:
     """Assembled blocks and factors for one split direction.
 
@@ -68,35 +75,55 @@ class DirectionalOperator:
       b_split = m_rect + dt_eff*(k_rect + g_rect),
       a_split = test Gram (m_test + k_test) in the split direction,
       m_other/k_other/g_other  square trial blocks in the orthogonal direction.
-    rhs_ops holds the precombined matrices the schemes' right-hand sides use.
+    rhs_ops holds the explicit blocks the schemes' right-hand sides use.
     split_factor factors b_split (with a_split when stabilized) along the
     split direction; other_lu factors m_other.
+
+    The constructor builds everything the wind does not enter: the mass,
+    stiffness and Gram blocks, other_lu and the loads.  set_wind does the
+    rest for one wind: g_rect, g_other, b_split, rhs_ops and split_factor.
     """
 
     def __init__(self, direction, dt_eff, stabilized, trial_split, test_split,
-                 trial_other, blocks, counter):
+                 trial_other, diffusion, counter):
         self.direction = direction
+        self.axis = 0 if direction == "x" else 1
         self.dt_eff = dt_eff
         self.stabilized = stabilized
         self.trial_split = trial_split
         self.test_split = test_split
         self.trial_other = trial_other
         self.counter = counter
-        for name, mat in blocks.items():
-            setattr(self, name, mat)
-        self.b_split = self.m_rect + dt_eff * (self.k_rect + self.g_rect)
+        self.m_rect = _block(assembly.mass, trial_split, test_split)
+        self.k_rect = _block(assembly.stiffness, trial_split, test_split, diffusion[self.axis])
+        self.m_test = _block(assembly.mass, test_split, test_split)
+        self.k_test = _block(assembly.stiffness, test_split, test_split)
         self.a_split = self.m_test + self.k_test
-        self.rhs_ops = {
-            "rect_minus": self.m_rect - dt_eff * (self.k_rect + self.g_rect),
-            "other_minus": self.m_other - dt_eff * (self.k_other + self.g_other),
-        }
-        self.split_factor = (SaddleFactor(self.a_split, self.b_split, counter)
-                             if stabilized else BandedLU(self.b_split, counter))
+        self.m_other = _block(assembly.mass, trial_other, trial_other)
+        self.k_other = _block(assembly.stiffness, trial_other, trial_other,
+                              diffusion[1 - self.axis])
         self.other_lu = BandedLU(self.m_other, counter)
         if direction == "x":
             self.loads = LoadAssembler(test_split, trial_other)
         else:
             self.loads = LoadAssembler(trial_other, test_split)
+
+    def set_wind(self, velocity) -> None:
+        """Assemble the advection blocks of an (x, y) wind pair and refactor."""
+        dt_eff = self.dt_eff
+        self.g_rect = _block(assembly.advection, self.trial_split, self.test_split,
+                             velocity[self.axis])
+        self.g_other = _block(assembly.advection, self.trial_other, self.trial_other,
+                              velocity[1 - self.axis])
+        self.b_split = self.m_rect + dt_eff * (self.k_rect + self.g_rect)
+        self.rhs_ops = {
+            "m_rect": self.m_rect,
+            "m_other": self.m_other,
+            "rect_minus": self.m_rect - dt_eff * (self.k_rect + self.g_rect),
+            "other_minus": self.m_other - dt_eff * (self.k_other + self.g_other),
+        }
+        self.split_factor = (SaddleFactor(self.a_split, self.b_split, self.counter)
+                             if self.stabilized else BandedLU(self.b_split, self.counter))
 
     @property
     def n_split(self) -> int:
@@ -105,9 +132,6 @@ class DirectionalOperator:
     @property
     def m_split(self) -> int:
         return self.b_split.n_rows
-
-    def load(self, f, t: float) -> np.ndarray:
-        return self.loads.load(f, t)
 
 
 def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace,
@@ -128,29 +152,10 @@ def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace
             f"{trial_split.degree} in the split direction")
     if not stabilized:
         test_split = trial_split
-
-    axis = 0 if direction == "x" else 1
-    eps_split, eps_other = diffusion[axis], diffusion[1 - axis]
-    beta_split, beta_other = velocity[axis], velocity[1 - axis]
-
-    def rect(kind, coef):
-        return apply_dirichlet(kind(trial_split, test_split, coef), test_split, trial_split)
-
-    def square(kind, coef):
-        return apply_dirichlet(kind(trial_other, trial_other, coef), trial_other, trial_other)
-
-    blocks = {
-        "m_rect": rect(assembly.mass, None),
-        "k_rect": rect(assembly.stiffness, eps_split),
-        "g_rect": rect(assembly.advection, beta_split),
-        "m_test": apply_dirichlet(assembly.mass(test_split, test_split), test_split, test_split),
-        "k_test": apply_dirichlet(assembly.stiffness(test_split, test_split), test_split, test_split),
-        "m_other": square(assembly.mass, None),
-        "k_other": square(assembly.stiffness, eps_other),
-        "g_other": square(assembly.advection, beta_other),
-    }
-    return DirectionalOperator(direction, dt_eff, stabilized, trial_split,
-                               test_split, trial_other, blocks, counter)
+    op = DirectionalOperator(direction, dt_eff, stabilized, trial_split,
+                             test_split, trial_other, diffusion, counter)
+    op.set_wind(velocity)
+    return op
 
 
 def substep(op: DirectionalOperator, rhs_grid: np.ndarray) -> SolutionState:

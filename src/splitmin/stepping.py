@@ -1,8 +1,8 @@
 """Direction-split time integrators.
 
-Four schemes over the substep machinery, written in the transposed grid
-algebra  result = Ax @ U @ Ay^T  (grids indexed (x, y), all blocks
-Dirichlet-eliminated):
+Each scheme is one table of implicit directional substeps (_SUBSTEPS), run
+by split_step in the transposed grid algebra  result = Ax @ U @ Ay^T  (grids
+indexed (x, y), all blocks Dirichlet-eliminated):
 
   pr          two substeps, dt_eff = tau/2 in both directions, forcing at
               t + tau/2; second order.
@@ -28,7 +28,7 @@ from .resmin import (LoadAssembler, SolutionState, build_directional,
 from .splines import SplineSpace, make_space
 
 __all__ = ["SchemeKind", "TimeLoopConfig", "Stepper", "project_initial",
-           "pr_step", "strang_be_step", "strang_cn_step", "be_split_step"]
+           "split_step"]
 
 
 class SchemeKind(Enum):
@@ -69,70 +69,45 @@ class TimeLoopConfig:
     record_residuals: bool = True
 
 
-def pr_step(state, x_op, y_op, forcing, tau):
-    th = state.time + 0.5 * tau
-    rhs = kron_matvec(x_op.m_rect, x_op.rhs_ops["other_minus"], state.u)
-    if forcing is not None:
-        rhs += x_op.dt_eff * x_op.load(forcing, th)
-    mid = substep(x_op, rhs)
-    rhs = kron_matvec(y_op.rhs_ops["other_minus"], y_op.m_rect, mid.u)
-    if forcing is not None:
-        rhs += y_op.dt_eff * y_op.load(forcing, th)
-    out = substep(y_op, rhs)
-    return [(x_op, mid), (y_op, out)]
-
-
-def strang_be_step(state, x_op, y_op, forcing, tau):
-    th, t1 = state.time + 0.5 * tau, state.time + tau
-    rhs = kron_matvec(x_op.m_rect, x_op.m_other, state.u)
-    if forcing is not None:
-        rhs += x_op.dt_eff * x_op.load(forcing, th)
-    s1 = substep(x_op, rhs)
-    s2 = substep(y_op, kron_matvec(y_op.m_other, y_op.m_rect, s1.u))
-    rhs = kron_matvec(x_op.m_rect, x_op.m_other, s2.u)
-    if forcing is not None:
-        rhs += x_op.dt_eff * x_op.load(forcing, t1)
-    s3 = substep(x_op, rhs)
-    return [(x_op, s1), (y_op, s2), (x_op, s3)]
-
-
-def strang_cn_step(state, x_op, y_op, forcing, tau):
-    t0, th, t1 = state.time, state.time + 0.5 * tau, state.time + tau
-    rhs = kron_matvec(x_op.rhs_ops["rect_minus"], x_op.m_other, state.u)
-    if forcing is not None:
-        rhs += x_op.dt_eff * (x_op.load(forcing, th) + x_op.load(forcing, t0))
-    s1 = substep(x_op, rhs)
-    s2 = substep(y_op, kron_matvec(y_op.m_other, y_op.rhs_ops["rect_minus"], s1.u))
-    rhs = kron_matvec(x_op.rhs_ops["rect_minus"], x_op.m_other, s2.u)
-    if forcing is not None:
-        rhs += x_op.dt_eff * (x_op.load(forcing, t1) + x_op.load(forcing, th))
-    s3 = substep(x_op, rhs)
-    return [(x_op, s1), (y_op, s2), (x_op, s3)]
-
-
-def be_split_step(state, x_op, y_op, forcing, tau):
-    rhs = kron_matvec(x_op.m_rect, x_op.m_other, state.u)
-    if forcing is not None:
-        rhs += x_op.dt_eff * x_op.load(forcing, state.time + tau)
-    s1 = substep(x_op, rhs)
-    s2 = substep(y_op, kron_matvec(y_op.m_other, y_op.m_rect, s1.u))
-    return [(x_op, s1), (y_op, s2)]
-
-
-_STEP_FUNCTIONS = {
-    SchemeKind.PEACEMAN_RACHFORD: pr_step,
-    SchemeKind.STRANG_BE: strang_be_step,
-    SchemeKind.STRANG_CN: strang_cn_step,
-    SchemeKind.BE_SPLIT: be_split_step,
+# One row per implicit substep: direction, the explicit blocks (rhs_ops keys)
+# in the split and in the other direction, and the forcing times as fractions
+# of tau (loads summed in this order).
+_SUBSTEPS = {
+    SchemeKind.PEACEMAN_RACHFORD: (("x", "m_rect", "other_minus", (0.5,)),
+                                   ("y", "m_rect", "other_minus", (0.5,))),
+    SchemeKind.STRANG_BE: (("x", "m_rect", "m_other", (0.5,)),
+                           ("y", "m_rect", "m_other", ()),
+                           ("x", "m_rect", "m_other", (1.0,))),
+    SchemeKind.STRANG_CN: (("x", "rect_minus", "m_other", (0.5, 0.0)),
+                           ("y", "rect_minus", "m_other", ()),
+                           ("x", "rect_minus", "m_other", (1.0, 0.5))),
+    SchemeKind.BE_SPLIT: (("x", "m_rect", "m_other", (1.0,)),
+                          ("y", "m_rect", "m_other", ())),
 }
+
+
+def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau):
+    """One step of the scheme's substep table; returns the last (op, state)."""
+    ops = {"x": x_op, "y": y_op}
+    u = state.u
+    for direction, split_block, other_block, fractions in _SUBSTEPS[scheme]:
+        op = ops[direction]
+        split, other = op.rhs_ops[split_block], op.rhs_ops[other_block]
+        rhs = (kron_matvec(split, other, u) if direction == "x"
+               else kron_matvec(other, split, u))
+        if forcing is not None and fractions:
+            loads = [op.loads.load(forcing, state.time + a * tau) for a in fractions]
+            rhs += op.dt_eff * sum(loads[1:], loads[0])
+        out = substep(op, rhs)
+        u = out.u
+    return op, out
 
 
 class Stepper:
     """Owns the spaces and directional operators for one problem run.
 
-    Operators are rebuilt each step only when the velocity field is
-    time-dependent (the pollution wind); otherwise assembly and factorization
-    happen once.
+    Operators are assembled and factored once.  For a time-dependent wind
+    each step first moves both to the wind at its start time (set_wind).
     """
 
     def __init__(self, problem, mesh: tuple[int, int], trial: tuple[int, int],
@@ -152,39 +127,28 @@ class Stepper:
         q, cq = test if loop.stabilized else trial
         self.test_x = make_space(q, cq, mesh[0], (x0, x1))
         self.test_y = make_space(q, cq, mesh[1], (y0, y1))
-        self._step_fn = _STEP_FUNCTIONS[loop.scheme]
-        self._ops_time = None
         self.last_residual_norms = (0.0, 0.0)
-        self._build_ops(loop.t0)
+        diffusion = (problem.diffusion_x, problem.diffusion_y)
+        fx, fy = loop.scheme.dt_factors()
+        self._wind_time = loop.t0
+        wind = self._wind(loop.t0)
+        self.x_op, self.y_op = (
+            build_directional(d, self.trial_x, self.trial_y, test, diffusion, wind,
+                              f * loop.tau, loop.stabilized, self.counter)
+            for d, test, f in (("x", self.test_x, fx), ("y", self.test_y, fy)))
 
-    def _build_ops(self, t: float) -> None:
-        if self._ops_time == t:
-            return
+    def _wind(self, t: float):
         pr = self.problem
-        fx, fy = self.loop.scheme.dt_factors()
-        tau = self.loop.tau
-
-        def vx(x):
-            return pr.velocity_x(x, t)
-
-        def vy(y):
-            return pr.velocity_y(y, t)
-
-        diffusion = (pr.diffusion_x, pr.diffusion_y)
-        self.x_op = build_directional("x", self.trial_x, self.trial_y, self.test_x,
-                                      diffusion, (vx, vy), fx * tau,
-                                      self.loop.stabilized, self.counter)
-        self.y_op = build_directional("y", self.trial_x, self.trial_y, self.test_y,
-                                      diffusion, (vx, vy), fy * tau,
-                                      self.loop.stabilized, self.counter)
-        self._ops_time = t
+        return (lambda x: pr.velocity_x(x, t)), (lambda y: pr.velocity_y(y, t))
 
     def step(self, state: SolutionState) -> SolutionState:
-        if self.problem.velocity_time_dependent:
-            self._build_ops(state.time)
-        states = self._step_fn(state, self.x_op, self.y_op,
-                               self.problem.forcing, self.loop.tau)
-        final_op, final = states[-1]
+        if self.problem.velocity_time_dependent and state.time != self._wind_time:
+            wind = self._wind(state.time)
+            self.x_op.set_wind(wind)
+            self.y_op.set_wind(wind)
+            self._wind_time = state.time
+        final_op, final = split_step(self.loop.scheme, state, self.x_op, self.y_op,
+                                     self.problem.forcing, self.loop.tau)
         final.time = state.time + self.loop.tau
         if self.loop.stabilized and self.loop.record_residuals:
             self.last_residual_norms = residual_norms(final_op, final.r)

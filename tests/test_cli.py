@@ -197,6 +197,35 @@ def test_converge_rejects_non_dividing_tau(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
+def test_converge_rejects_scheme_from_config(tmp_path, capsys):
+    path = tmp_path / "conv.ini"
+    path.write_text("[run]\nscheme = be\n")
+    code = main(["converge", "--config", str(path), "--mesh", "6",
+                 "--tau", "0.04", "--steps", "5", "--taus", "0.04,0.02",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "--schemes" in err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("option,extra", (
+    ("--galerkin", ["--galerkin"]),
+    ("scheme", ["--scheme", "be"]),
+    ("t0", ["--config", "t0.ini"]),
+))
+def test_run_general_path_rejects_options_it_ignores(tmp_path, monkeypatch,
+                                                     capsys, option, extra):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t0.ini").write_text("t0 = 0.5\n")
+    code = main(["run", "--problem", "circular-wind", "--mesh", "4",
+                 "--tau", "0.1", "--steps", "1", "--out", "out", *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and option in err
+    assert not (tmp_path / "out" / "metadata.json").exists()
+
+
 def test_timing_subcommand_smoke(tmp_path, capsys):
     code = main(["timing", "--meshes", "4,8", "--pairs", "2,1:3,0",
                  "--no-general", "--out", str(tmp_path)])

@@ -97,7 +97,6 @@ def test_pollution_diffusion_ranges():
 def test_pollution_metadata():
     pr = pollution()
     assert pr.separable and pr.velocity_time_dependent
-    assert pr.velocity_space_constant
     assert pr.domain == ((0.0, 5000.0), (0.0, 5000.0))
 
 

@@ -10,7 +10,7 @@ from splitmin.reporting import (RunConfig, compute_errors, convergence_study,
 from splitmin.resmin import build_directional
 from splitmin.splines import eval_matrix, make_space
 from splitmin.stepping import (SchemeKind, Stepper, TimeLoopConfig,
-                               pr_step, project_initial)
+                               project_initial, split_step)
 
 
 def test_scheme_parsing_and_catalog():
@@ -101,7 +101,8 @@ def test_pure_diffusion_norm_decays_monotonically():
         lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), tx, ty)
     norms = [solution_l2_norm(state.u, tx, ty)]
     for _ in range(30):
-        state = pr_step(state, x_op, y_op, None, tau)[-1][1]
+        state = split_step(SchemeKind.PEACEMAN_RACHFORD, state, x_op, y_op,
+                           None, tau)[1]
         norms.append(solution_l2_norm(state.u, tx, ty))
     diffs = np.diff(norms)
     assert np.all(diffs <= 1e-12)
@@ -135,18 +136,65 @@ def test_residual_norms_recorded_only_when_stabilized():
     assert l2 > 0.0 and h1 >= l2
 
 
+def _wind(problem, t):
+    return (lambda x: problem.velocity_x(x, t),
+            lambda y: problem.velocity_y(y, t))
+
+
 def test_time_dependent_wind_rebuilds_operators():
     problem = get_problem("pollution")
-    loop = TimeLoopConfig(tau=0.5, n_steps=2,
+    tau = 0.5
+    loop = TimeLoopConfig(tau=tau, n_steps=2,
                           scheme=SchemeKind.PEACEMAN_RACHFORD,
                           record_residuals=False)
     stepper = Stepper(problem, (8, 8), (2, 1), (3, 0), loop)
-    state = stepper.initial_state()
-    first_ops = stepper.x_op
-    state = stepper.step(state)
-    state = stepper.step(state)
-    assert stepper.x_op is not first_ops
+    x_op = stepper.x_op
+    built = {name: getattr(x_op, name)
+             for name in ("m_rect", "a_split", "other_lu", "loads")}
+    state = stepper.step(stepper.step(stepper.initial_state()))
+    fresh = build_directional(
+        "x", stepper.trial_x, stepper.trial_y, stepper.test_x,
+        (problem.diffusion_x, problem.diffusion_y), _wind(problem, tau),
+        0.5 * tau)
+    assert stepper.x_op is x_op
+    assert np.array_equal(x_op.g_rect.to_dense(), fresh.g_rect.to_dense())
+    for name, obj in built.items():
+        assert getattr(x_op, name) is obj
     assert np.all(np.isfinite(state.u))
+
+
+class _RebuildingStepper(Stepper):
+    """Builds both directional operators afresh at every step's start time."""
+
+    def step(self, state):
+        problem, loop = self.problem, self.loop
+        fx, fy = loop.scheme.dt_factors()
+        diffusion = (problem.diffusion_x, problem.diffusion_y)
+        wind = _wind(problem, state.time)
+        x_op, y_op = (
+            build_directional(d, self.trial_x, self.trial_y, test, diffusion,
+                              wind, f * loop.tau, loop.stabilized, self.counter)
+            for d, test, f in (("x", self.test_x, fx), ("y", self.test_y, fy)))
+        final = split_step(loop.scheme, state, x_op, y_op, problem.forcing,
+                           loop.tau)[1]
+        final.time = state.time + loop.tau
+        return final
+
+
+@pytest.mark.parametrize("stabilized", (True, False))
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_wind_update_matches_full_rebuild(scheme, stabilized):
+    problem = get_problem("pollution")
+    loop = TimeLoopConfig(tau=1.0, n_steps=5, scheme=scheme,
+                          stabilized=stabilized)
+    finals = []
+    for cls in (Stepper, _RebuildingStepper):
+        stepper = cls(problem, (8, 8), (2, 1), (3, 0), loop)
+        state = stepper.initial_state()
+        for _ in range(loop.n_steps):
+            state = stepper.step(state)
+        finals.append(state.u)
+    assert np.array_equal(finals[0], finals[1])
 
 
 def test_steady_wind_keeps_factorizations():
