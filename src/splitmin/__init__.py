@@ -9,7 +9,8 @@ reporting CLI.
 
 from .assembly import advection, apply_dirichlet, gram, mass, stiffness
 from .banded import BandedMatrix
-from .exceptions import DomainError, ParameterError, SingularMatrixError
+from .exceptions import (DomainError, NonFiniteStateError, ParameterError,
+                         SingularMatrixError)
 from .full2d import RotatingFlowStepper, Space2D, assemble_2d_saddle, sparse_lu
 from .kron import BandedLU, OpCounter, SaddleFactor, kron_matvec, kron_solve
 from .problems import (ProblemDefinition, circular_wind, get_problem,
@@ -25,7 +26,8 @@ from .stepping import SchemeKind, Stepper, TimeLoopConfig, project_initial
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandedLU", "BandedMatrix", "DomainError", "OpCounter", "ParameterError",
+    "BandedLU", "BandedMatrix", "DomainError", "NonFiniteStateError",
+    "OpCounter", "ParameterError",
     "ProblemDefinition", "RotatingFlowStepper", "RunConfig", "SaddleFactor",
     "SchemeKind", "SingularMatrixError", "SolutionState", "Space2D",
     "SplineSpace", "Stepper", "TimeLoopConfig", "advection", "apply_dirichlet",

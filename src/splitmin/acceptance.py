@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import advection, apply_dirichlet, gram, mass, stiffness
+from .full2d import RotatingFlowStepper
 from .kron import OpCounter
 from .problems import get_problem
 from .reporting import (RunConfig, compute_errors, convergence_study,
@@ -65,8 +66,7 @@ def criterion_1_oracle_equivalence() -> tuple[bool, str]:
                     op = build_directional(
                         direction, trial_x, trial_y, test_split,
                         (problem.diffusion_x, problem.diffusion_y),
-                        (lambda x: problem.velocity_x(x, 0.0),
-                         lambda y: problem.velocity_y(y, 0.0)),
+                        problem.wind.pair(0.0),
                         dt_eff=0.01, stabilized=True, counter=OpCounter())
                     if direction == "x":
                         shape = (op.m_split, trial_y.dim - 2)
@@ -201,7 +201,6 @@ def criterion_7_stability() -> tuple[bool, str]:
         return False, f"pollution max|u| {max_seen:.3e} exceeds bound {bound:.3e}"
 
     circ = get_problem("circular-wind")
-    from .full2d import RotatingFlowStepper
     rot = RotatingFlowStepper(circ, (32, 32), (4, 3), (5, 0), tau=0.1)
     state = rot.initial_state()
     norm0 = solution_l2_norm(state.u, rot.trial_x, rot.trial_y)
@@ -262,9 +261,8 @@ def criterion_8_property_suite() -> tuple[bool, str]:
     op = build_directional(
         "x", make_space(2, 1, 8, (0.0, 1.0)), make_space(2, 1, 8, (0.0, 1.0)),
         make_space(3, 0, 8, (0.0, 1.0)),
-        (problem.diffusion_x, problem.diffusion_y),
-        (lambda x: problem.velocity_x(x, 0.0),
-         lambda y: problem.velocity_y(y, 0.0)), dt_eff=0.01)
+        (problem.diffusion_x, problem.diffusion_y), problem.wind.pair(0.0),
+        dt_eff=0.01)
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal((op.m_split, op.m_other.shape[0]))
     state = substep(op, rhs)

@@ -24,7 +24,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .exceptions import DomainError, ParameterError, SingularMatrixError
+from .exceptions import (DomainError, NonFiniteStateError, ParameterError,
+                         SingularMatrixError)
 from .reporting import RunConfig, convergence_study, run, timing_study
 
 __all__ = ["main"]
@@ -293,7 +294,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, DomainError) as exc:
+    except (SingularMatrixError, NonFiniteStateError, DomainError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

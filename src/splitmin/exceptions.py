@@ -11,3 +11,7 @@ class DomainError(ValueError):
 
 class SingularMatrixError(RuntimeError):
     """A factorization hit an exactly singular pivot."""
+
+
+class NonFiniteStateError(RuntimeError):
+    """A time step left a non-finite solution coefficient."""

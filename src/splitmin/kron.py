@@ -54,10 +54,6 @@ class OpCounter:
     def total(self) -> int:
         return self.factor_ops + self.solve_ops
 
-    def reset(self) -> None:
-        self.factor_ops = 0
-        self.solve_ops = 0
-
 
 class BandedLU:
     """LU of a square BandedMatrix with band-restricted pivoting (LAPACK dgbtrf/dgbtrs)."""
@@ -150,19 +146,6 @@ class SaddleFactor:
         sol = self._lu.solve(perm)
         out = sol[self._pos]
         return out[:, 0] if single else out
-
-    def solve_blocks(self, F: np.ndarray, G: np.ndarray | None = None):
-        """Solve with RHS (F, G) (G defaults to zero); returns (r, u)."""
-        F = np.asarray(F, dtype=float)
-        cols = F.shape[1] if F.ndim > 1 else 1
-        stacked = np.zeros((self.m + self.n, cols))
-        stacked[:self.m] = F.reshape(self.m, cols)
-        if G is not None:
-            stacked[self.m:] = np.asarray(G, dtype=float).reshape(self.n, cols)
-        out = self.solve(stacked)
-        if F.ndim == 1:
-            return out[:self.m, 0], out[self.m:, 0]
-        return out[:self.m], out[self.m:]
 
 
 def _band_entries(mat: BandedMatrix):

@@ -3,17 +3,19 @@
 Three built-in advection-diffusion benchmarks:
 
   manufactured    exact solution sin(pi x) sin(pi y) sin(pi t) on [0,1]^2 with
-                  alpha = 1e-2 and wind (1, 0); forcing chosen so the PDE
+                  diffusion 1e-2 and wind (1, 0); forcing chosen so the PDE
                   holds exactly.  Used for convergence studies.
   pollution       chimney source on [0,5000]^2 with a slowly rotating,
                   space-constant wind of unit magnitude and per-direction
                   variable diffusion.  Separable, so the direction-split
-                  solver applies with operator rebuilds each step.
+                  solver applies with a wind update each step.
   circular-wind   rigid rotation beta = (y, -x) on [-1,1]^2 around the origin
-                  with alpha = 1e-6 and a Gaussian initial bump.  The wind
-                  couples directions, so only the general 2D solver applies.
+                  with diffusion 1e-6 and a Gaussian initial bump.  The wind
+                  couples directions, so the general 2D solver applies.
 
-All solvers impose homogeneous Dirichlet conditions on the full boundary.
+Each wind component is a product s(t) a(x) b(y) of 1D factors (Wind); the
+solvers assemble it from 1D blocks.  All solvers impose homogeneous
+Dirichlet conditions on the full boundary.
 """
 
 from __future__ import annotations
@@ -26,18 +28,66 @@ import numpy as np
 
 from .exceptions import ParameterError
 
-__all__ = ["ProblemDefinition", "manufactured", "pollution", "circular_wind",
-           "get_problem", "PROBLEMS", "wind_angle"]
+__all__ = ["ProblemDefinition", "Wind", "WindComponent", "manufactured",
+           "pollution", "circular_wind", "get_problem", "PROBLEMS", "wind_angle"]
+
+
+@dataclass(frozen=True)
+class WindComponent:
+    """One wind component s(t) a(x) b(y); a None factor is 1."""
+
+    s: Optional[Callable] = None
+    a: Optional[Callable] = None
+    b: Optional[Callable] = None
+
+
+def _scaled(s, factor, t):
+    """The 1D coefficient s(t) * factor (None means 1)."""
+    if s is None:
+        return factor
+    st = s(t)
+    return st if factor is None else (lambda z: st * factor(z))
+
+
+@dataclass(frozen=True)
+class Wind:
+    """The wind (beta_x, beta_y); a None component is no wind."""
+
+    x: Optional[WindComponent] = None
+    y: Optional[WindComponent] = None
+
+    @property
+    def separable(self) -> bool:
+        """beta_x is free of y and beta_y of x: the direction split applies."""
+        return ((self.x is None or self.x.b is None)
+                and (self.y is None or self.y.a is None))
+
+    @property
+    def time_dependent(self) -> bool:
+        return any(c is not None and c.s is not None for c in (self.x, self.y))
+
+    def factors(self, t: float):
+        """((a_x, b_x), (a_y, b_y)) at t: beta_x = a_x(x) b_x(y), beta_y = a_y(x) b_y(y).
+
+        s(t) joins the factor of the direction the component differentiates,
+        where no wind gives 0; None means 1.
+        """
+        bx, by = self.x, self.y
+        return ((0.0, None) if bx is None else (_scaled(bx.s, bx.a, t), bx.b),
+                (None, 0.0) if by is None else (by.a, _scaled(by.s, by.b, t)))
+
+    def pair(self, t: float):
+        """The split path's (beta_x of x, beta_y of y) at t, for a separable wind."""
+        (ax, _), (_, by) = self.factors(t)
+        return ax, by
 
 
 @dataclass(frozen=True)
 class ProblemDefinition:
     """Coefficients, data, and metadata for one benchmark.
 
-    For separable problems the wind is given componentwise as
-    velocity_x(x, t) and velocity_y(y, t); for non-separable ones as
-    velocity_field(x, y) -> (bx, by).  Diffusion is always componentwise,
-    each a function of its own coordinate.
+    Diffusion is componentwise, each a function of its own coordinate; the
+    wind is one Wind, read by both solver paths.
     """
 
     name: str
@@ -45,16 +95,11 @@ class ProblemDefinition:
     time_interval: tuple[float, float]
     diffusion_x: Callable
     diffusion_y: Callable
-    separable: bool
-    velocity_time_dependent: bool
     initial: Callable
-    velocity_x: Optional[Callable] = None
-    velocity_y: Optional[Callable] = None
-    velocity_field: Optional[Callable] = None
+    wind: Wind = Wind()
     forcing: Optional[Callable] = None
     exact: Optional[Callable] = None
     exact_grad: Optional[Callable] = None
-    alpha: Optional[float] = None
 
 
 # -- manufactured -----------------------------------------------------------
@@ -97,24 +142,12 @@ def manufactured() -> ProblemDefinition:
                                       value=_MANUFACTURED_ALPHA),
         diffusion_y=functools.partial(_constant_coefficient,
                                       value=_MANUFACTURED_ALPHA),
-        separable=True,
-        velocity_time_dependent=False,
-        velocity_x=_manufactured_velocity_x,
-        velocity_y=_manufactured_velocity_y,
+        wind=Wind(x=WindComponent()),
         forcing=_manufactured_forcing,
         initial=_manufactured_initial,
         exact=_manufactured_exact,
         exact_grad=_manufactured_exact_grad,
-        alpha=_MANUFACTURED_ALPHA,
     )
-
-
-def _manufactured_velocity_x(x, t):
-    return np.full_like(np.asarray(x, dtype=float), 1.0)
-
-
-def _manufactured_velocity_y(y, t):
-    return np.full_like(np.asarray(y, dtype=float), 0.0)
 
 
 # -- pollution --------------------------------------------------------------
@@ -128,14 +161,6 @@ def wind_angle(t):
     """Wind direction angle: slow oscillation around 3 pi / 8."""
     s = np.asarray(t, dtype=float) / 150.0
     return np.pi / 3.0 * (np.sin(s) + 0.5 * np.sin(2.3 * s)) + 3.0 * np.pi / 8.0
-
-
-def _pollution_velocity_x(x, t):
-    return np.full_like(np.asarray(x, dtype=float), np.cos(wind_angle(t)))
-
-
-def _pollution_velocity_y(y, t):
-    return np.full_like(np.asarray(y, dtype=float), np.sin(wind_angle(t)))
 
 
 def _pollution_diffusion_x(x):
@@ -163,10 +188,8 @@ def pollution(p0: tuple[float, float] = (1500.0, 1500.0)) -> ProblemDefinition:
         time_interval=(0.0, 10.0),
         diffusion_x=_pollution_diffusion_x,
         diffusion_y=_pollution_diffusion_y,
-        separable=True,
-        velocity_time_dependent=True,
-        velocity_x=_pollution_velocity_x,
-        velocity_y=_pollution_velocity_y,
+        wind=Wind(x=WindComponent(s=lambda t: np.cos(wind_angle(t))),
+                  y=WindComponent(s=lambda t: np.sin(wind_angle(t)))),
         forcing=functools.partial(_pollution_forcing, p0=p0),
         initial=_pollution_initial,
     )
@@ -175,10 +198,6 @@ def pollution(p0: tuple[float, float] = (1500.0, 1500.0)) -> ProblemDefinition:
 # -- circular wind ----------------------------------------------------------
 
 _CIRCULAR_ALPHA = 1e-6
-
-
-def _circular_velocity_field(x, y):
-    return y, -x
 
 
 def _circular_initial(x, y, center, sigma):
@@ -201,12 +220,10 @@ def circular_wind(center: tuple[float, float] = (0.0, -0.5),
                                       value=_CIRCULAR_ALPHA),
         diffusion_y=functools.partial(_constant_coefficient,
                                       value=_CIRCULAR_ALPHA),
-        separable=False,
-        velocity_time_dependent=False,
-        velocity_field=_circular_velocity_field,
+        wind=Wind(x=WindComponent(b=lambda y: y),
+                  y=WindComponent(a=lambda x: -x)),
         initial=functools.partial(_circular_initial, center=center,
                                   sigma=sigma),
-        alpha=_CIRCULAR_ALPHA,
     )
 
 

@@ -45,15 +45,6 @@ class SchemeKind(Enum):
         raise ParameterError(f"unknown scheme {name!r}; expected one of "
                              f"{[k.value for k in cls]}")
 
-    def dt_factors(self) -> tuple[float, float]:
-        """Effective-dt multipliers of tau for the (x, y) substeps."""
-        return {
-            SchemeKind.PEACEMAN_RACHFORD: (0.5, 0.5),
-            SchemeKind.STRANG_BE: (0.5, 1.0),
-            SchemeKind.STRANG_CN: (0.25, 0.5),
-            SchemeKind.BE_SPLIT: (1.0, 1.0),
-        }[self]
-
     @property
     def order(self) -> int:
         return 2 if self in (SchemeKind.PEACEMAN_RACHFORD, SchemeKind.STRANG_CN) else 1
@@ -69,28 +60,31 @@ class TimeLoopConfig:
     record_residuals: bool = True
 
 
-# One row per implicit substep: direction, the explicit blocks (rhs_ops keys)
-# in the split and in the other direction, and the forcing times as fractions
-# of tau (loads summed in this order).
+# One row per implicit substep: direction, dt_eff as a fraction of tau, the
+# explicit blocks (rhs_ops keys) in the split and in the other direction, and
+# the forcing times as fractions of tau (loads summed in this order).
 _SUBSTEPS = {
-    SchemeKind.PEACEMAN_RACHFORD: (("x", "m_rect", "other_minus", (0.5,)),
-                                   ("y", "m_rect", "other_minus", (0.5,))),
-    SchemeKind.STRANG_BE: (("x", "m_rect", "m_other", (0.5,)),
-                           ("y", "m_rect", "m_other", ()),
-                           ("x", "m_rect", "m_other", (1.0,))),
-    SchemeKind.STRANG_CN: (("x", "rect_minus", "m_other", (0.5, 0.0)),
-                           ("y", "rect_minus", "m_other", ()),
-                           ("x", "rect_minus", "m_other", (1.0, 0.5))),
-    SchemeKind.BE_SPLIT: (("x", "m_rect", "m_other", (1.0,)),
-                          ("y", "m_rect", "m_other", ())),
+    SchemeKind.PEACEMAN_RACHFORD: (("x", 0.5, "m_rect", "other_minus", (0.5,)),
+                                   ("y", 0.5, "m_rect", "other_minus", (0.5,))),
+    SchemeKind.STRANG_BE: (("x", 0.5, "m_rect", "m_other", (0.5,)),
+                           ("y", 1.0, "m_rect", "m_other", ()),
+                           ("x", 0.5, "m_rect", "m_other", (1.0,))),
+    SchemeKind.STRANG_CN: (("x", 0.25, "rect_minus", "m_other", (0.5, 0.0)),
+                           ("y", 0.5, "rect_minus", "m_other", ()),
+                           ("x", 0.25, "rect_minus", "m_other", (1.0, 0.5))),
+    SchemeKind.BE_SPLIT: (("x", 1.0, "m_rect", "m_other", (1.0,)),
+                          ("y", 1.0, "m_rect", "m_other", ())),
 }
+# each direction has one operator, so all its rows share one dt_eff
+assert all(len({row[1] for row in rows if row[0] == d}) == 1
+           for rows in _SUBSTEPS.values() for d in "xy")
 
 
 def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau):
     """One step of the scheme's substep table; returns the last (op, state)."""
     ops = {"x": x_op, "y": y_op}
     u = state.u
-    for direction, split_block, other_block, fractions in _SUBSTEPS[scheme]:
+    for direction, _, split_block, other_block, fractions in _SUBSTEPS[scheme]:
         op = ops[direction]
         split, other = op.rhs_ops[split_block], op.rhs_ops[other_block]
         rhs = (kron_matvec(split, other, u) if direction == "x"
@@ -113,7 +107,7 @@ class Stepper:
     def __init__(self, problem, mesh: tuple[int, int], trial: tuple[int, int],
                  test: tuple[int, int], loop: TimeLoopConfig,
                  counter: OpCounter | None = None):
-        if not problem.separable:
+        if not problem.wind.separable:
             raise ParameterError(
                 f"problem {problem.name!r} has a non-separable velocity; "
                 "use the general 2D solver path")
@@ -129,21 +123,17 @@ class Stepper:
         self.test_y = make_space(q, cq, mesh[1], (y0, y1))
         self.last_residual_norms = (0.0, 0.0)
         diffusion = (problem.diffusion_x, problem.diffusion_y)
-        fx, fy = loop.scheme.dt_factors()
+        dt = dict(row[:2] for row in _SUBSTEPS[loop.scheme])
         self._wind_time = loop.t0
-        wind = self._wind(loop.t0)
+        wind = problem.wind.pair(loop.t0)
         self.x_op, self.y_op = (
             build_directional(d, self.trial_x, self.trial_y, test, diffusion, wind,
-                              f * loop.tau, loop.stabilized, self.counter)
-            for d, test, f in (("x", self.test_x, fx), ("y", self.test_y, fy)))
-
-    def _wind(self, t: float):
-        pr = self.problem
-        return (lambda x: pr.velocity_x(x, t)), (lambda y: pr.velocity_y(y, t))
+                              dt[d] * loop.tau, loop.stabilized, self.counter)
+            for d, test in (("x", self.test_x), ("y", self.test_y)))
 
     def step(self, state: SolutionState) -> SolutionState:
-        if self.problem.velocity_time_dependent and state.time != self._wind_time:
-            wind = self._wind(state.time)
+        if self.problem.wind.time_dependent and state.time != self._wind_time:
+            wind = self.problem.wind.pair(state.time)
             self.x_op.set_wind(wind)
             self.y_op.set_wind(wind)
             self._wind_time = state.time

@@ -1,9 +1,11 @@
 """General 2D assembly and the monolithic rotating-flow stepper.
 
-Oracles: a global dense tensor-quadrature route for the advection matrix,
-1D Kronecker products for separable coefficients, and dense numpy solves for
-the sparse factorization.
+Oracles: a global dense tensor-quadrature route for the advection and
+weighted stiffness terms, 1D Kronecker products for separable coefficients,
+and dense numpy solves for the sparse factorization.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,13 +13,14 @@ import scipy.sparse as sp
 
 from splitmin.assembly import advection, mass, stiffness
 from splitmin.exceptions import ParameterError, SingularMatrixError
-from splitmin.full2d import (RotatingFlowStepper, Space2D, assemble_2d_load,
+from splitmin.full2d import (RotatingFlowStepper, Space2D,
                              assemble_2d_operators, assemble_2d_saddle,
-                             sparse_lu,
-                             _assemble_advection_2d)
-from splitmin.problems import get_problem
-from splitmin.resmin import SolutionState
+                             sparse_lu)
+from splitmin.problems import Wind, WindComponent, circular_wind, get_problem
+from splitmin.resmin import LoadAssembler, SolutionState
 from splitmin.splines import eval_matrix, gauss_rule, make_space
+
+_ROTATION = circular_wind().wind.factors(0.0)
 
 
 def _space2d(pc, n, interval=(0.0, 1.0)):
@@ -31,42 +34,71 @@ def test_space2d_dimensions():
     assert s.interior_dim == 16
 
 
-def _dense_advection_reference(trial, test, beta, n_points):
-    """Global tensor-quadrature assembly without per-element compaction."""
+def _dense_reference(trial, test, terms, n_points):
+    """Global tensor-quadrature assembly without per-element compaction.
+
+    Returns the interior-eliminated test x trial matrix.  Each term is
+    (c(x, y), trial derivative orders (dx, dy), test derivative orders
+    (dx, dy)) of the integral of c * D u * D psi.
+    """
     px, wx = gauss_rule(trial.x, n_points)
     py, wy = gauss_rule(trial.y, n_points)
-    tvx, tdx = eval_matrix(trial.x, px)
-    tvy, tdy = eval_matrix(trial.y, py)
-    svx, _ = eval_matrix(test.x, px)
-    svy, _ = eval_matrix(test.y, py)
-    X, Y = px[:, None], py[None, :]
+    tx, ty = eval_matrix(trial.x, px), eval_matrix(trial.y, py)
+    sx, sy = eval_matrix(test.x, px), eval_matrix(test.y, py)
     W = wx[:, None] * wy[None, :]
-    bx, by = beta(X, Y)
-    bx = np.broadcast_to(np.asarray(bx, dtype=float), W.shape)
-    by = np.broadcast_to(np.asarray(by, dtype=float), W.shape)
-    t1 = np.einsum("ab,ak,bl,ai,bj->klij", W * bx, svx, svy, tdx, tvy,
-                   optimize=True)
-    t2 = np.einsum("ab,ak,bl,ai,bj->klij", W * by, svx, svy, tvx, tdy,
-                   optimize=True)
-    return (t1 + t2).reshape(test.dim, trial.dim)
+    out = 0.0
+    for c, (i, j), (k, l) in terms:
+        cw = W * np.broadcast_to(np.asarray(c(px[:, None], py[None, :]),
+                                            dtype=float), W.shape)
+        out = out + np.einsum("ab,ak,bl,ai,bj->klij", cw, sx[k], sy[l],
+                              tx[i], ty[j], optimize=True)
+    return out[1:-1, 1:-1, 1:-1, 1:-1].reshape(test.interior_dim,
+                                                trial.interior_dim)
+
+
+def _dense_advection_reference(trial, test, beta, n_points):
+    return _dense_reference(
+        trial, test, [(lambda x, y: beta(x, y)[0], (1, 0), (0, 0)),
+                      (lambda x, y: beta(x, y)[1], (0, 1), (0, 0))], n_points)
+
+
+def _advection_only(trial, test, wind):
+    return assemble_2d_operators(trial, test, (0.0, 0.0), wind.factors(0.0))[3]
 
 
 def test_advection_2d_matches_dense_quadrature_route():
     trial = _space2d((1, 0), 2)
     test = _space2d((2, 1), 2)
-    beta = lambda x, y: (x * y, 0.3 - y)
-    got = _assemble_advection_2d(trial, test, beta).toarray()
-    ref = _dense_advection_reference(trial, test, beta, 6)
+    wind = Wind(WindComponent(a=lambda x: x, b=lambda y: y),
+                WindComponent(b=lambda y: 0.3 - y))
+    got = _advection_only(trial, test, wind).toarray()
+    ref = _dense_advection_reference(trial, test, lambda x, y: (x * y, 0.3 - y), 6)
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
 def test_advection_2d_scalar_wind_components_broadcast():
     trial = _space2d((2, 1), 3)
     test = _space2d((3, 0), 3)
-    beta = lambda x, y: (1.0, -0.5)
-    got = _assemble_advection_2d(trial, test, beta).toarray()
-    ref = _dense_advection_reference(trial, test, beta, 7)
+    wind = Wind(WindComponent(), WindComponent(b=lambda y: np.full_like(y, -0.5)))
+    got = _advection_only(trial, test, wind).toarray()
+    ref = _dense_advection_reference(trial, test, lambda x, y: (1.0, -0.5), 7)
     np.testing.assert_allclose(got, ref, atol=1e-12)
+
+
+def test_variable_diffusion_enters_the_general_operator():
+    # the general path must read diffusion_x/diffusion_y, not one constant
+    problem = dataclasses.replace(circular_wind(),
+                                  diffusion_x=lambda x: 0.2 + 0.1 * x * x,
+                                  diffusion_y=lambda y: 0.3 + 0.05 * y)
+    stepper = RotatingFlowStepper(problem, (3, 3), (2, 1), (3, 0), tau=0.1)
+    ref = _dense_reference(
+        stepper.trial, stepper.test,
+        [(lambda x, y: 0.2 + 0.1 * x * x + 0.0 * y, (1, 0), (1, 0)),
+         (lambda x, y: 0.3 + 0.05 * y + 0.0 * x, (0, 1), (0, 1)),
+         (lambda x, y: y + 0.0 * x, (1, 0), (0, 0)),
+         (lambda x, y: -x + 0.0 * y, (0, 1), (0, 0))], 7)
+    np.testing.assert_allclose(stepper.system.w_rect.toarray(), ref,
+                               atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_separable_wind_reduces_to_kronecker_of_1d_blocks():
@@ -75,7 +107,7 @@ def test_separable_wind_reduces_to_kronecker_of_1d_blocks():
     alpha = 0.07
     bx0, by0 = 1.3, -0.4
     gram, m_test, m_rect, w_rect = assemble_2d_operators(
-        trial, test, alpha, lambda x, y: (bx0, by0))
+        trial, test, (alpha, alpha), ((bx0, None), (None, by0)))
 
     def interior(mat):
         return mat.interior().to_dense()
@@ -104,7 +136,7 @@ def test_separable_wind_reduces_to_kronecker_of_1d_blocks():
 def test_saddle_matrix_blocks_and_symmetry():
     trial = _space2d((2, 1), 3)
     test = _space2d((3, 0), 3)
-    system = assemble_2d_saddle(trial, test, 0.01, lambda x, y: (y, -x), 0.05)
+    system = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.05)
     m = test.interior_dim
     n = trial.interior_dim
     dense = system.matrix.toarray()
@@ -118,23 +150,10 @@ def test_saddle_matrix_blocks_and_symmetry():
         (system.m_rect + 0.05 * system.w_rect).toarray(), atol=1e-14)
 
 
-def test_load_grid_matches_dense_quadrature():
-    test = _space2d((2, 1), 3)
-    f = lambda x, y, t: np.sin(x + t) * (1.0 + y)
-    got = assemble_2d_load(test, f, 0.25)
-    px, wx = gauss_rule(test.x, 9)
-    py, wy = gauss_rule(test.y, 9)
-    vx = eval_matrix(test.x, px)[0][:, 1:-1]
-    vy = eval_matrix(test.y, py)[0][:, 1:-1]
-    fv = f(px[:, None], py[None, :], 0.25)
-    ref = vx.T @ (wx[:, None] * fv * wy[None, :]) @ vy
-    np.testing.assert_allclose(got, ref, atol=1e-9)
-
-
 def test_sparse_lu_matches_dense_solve():
     trial = _space2d((2, 1), 3)
     test = _space2d((3, 0), 3)
-    system = assemble_2d_saddle(trial, test, 0.01, lambda x, y: (y, -x), 0.05)
+    system = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.05)
     rng = np.random.default_rng(90)
     rhs = rng.standard_normal(system.matrix.shape[0])
     got = sparse_lu(system.matrix).solve(rhs)
@@ -151,7 +170,7 @@ def test_sparse_lu_raises_on_singular_matrix():
 def test_zero_dt_step_is_identity_on_representable_data():
     trial = _space2d((2, 1), 4)
     test = _space2d((3, 0), 4)
-    system = assemble_2d_saddle(trial, test, 0.01, lambda x, y: (y, -x), 0.0)
+    system = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.0)
     rng = np.random.default_rng(91)
     u0 = rng.standard_normal(trial.interior_dim)
     rhs = np.concatenate([system.m_rect @ u0, np.zeros(trial.interior_dim)])
@@ -166,7 +185,7 @@ def test_mesh_mismatch_rejected():
     test = Space2D(make_space(3, 0, 5, (0.0, 1.0)),
                    make_space(3, 0, 4, (0.0, 1.0)))
     with pytest.raises(ParameterError):
-        assemble_2d_operators(trial, test, 0.01, None)
+        assemble_2d_operators(trial, test, (0.01, 0.01), Wind().factors(0.0))
 
 
 def test_rotating_stepper_single_step_matches_dense_solve():
@@ -199,24 +218,30 @@ def test_rotating_stepper_conserves_mass_norm_approximately():
     assert np.all(np.isfinite(state.u))
 
 
-def test_rotating_stepper_requires_a_2d_wind():
-    with pytest.raises(ParameterError):
-        RotatingFlowStepper(get_problem("manufactured"), (4, 4), (2, 1),
+def test_rotating_stepper_requires_a_steady_wind():
+    with pytest.raises(ParameterError, match="time-dependent wind"):
+        RotatingFlowStepper(get_problem("pollution"), (4, 4), (2, 1),
                             (3, 0), tau=0.1)
+    # a steady separable wind runs on the general path too, as timing does
+    stepper = RotatingFlowStepper(get_problem("manufactured"), (4, 4), (2, 1),
+                                  (3, 0), tau=0.1)
+    state = stepper.step(stepper.initial_state())
+    assert state.time == pytest.approx(0.1)
+    assert np.all(np.isfinite(state.u)) and np.any(state.u != 0.0)
 
 
 def test_forced_monolithic_step_uses_trapezoidal_loads():
     # pollution has a separable wind, so fake a steady rotating variant by
     # checking the forcing path with the circular problem plus a source
     problem = get_problem("circular-wind")
-    import dataclasses
     forced = dataclasses.replace(problem,
                                  forcing=lambda x, y, t: (1.0 + t) + 0.0 * x)
     stepper = RotatingFlowStepper(forced, (4, 4), (2, 1), (3, 0), tau=0.2)
     state = SolutionState(u=np.zeros(stepper.trial.interior_shape), time=0.0)
     out = stepper.step(state)
-    load0 = assemble_2d_load(stepper.test, forced.forcing, 0.0)
-    load1 = assemble_2d_load(stepper.test, forced.forcing, 0.2)
+    loads = LoadAssembler(stepper.test.x, stepper.test.y)
+    load0 = loads.load(forced.forcing, 0.0)
+    load1 = loads.load(forced.forcing, 0.2)
     rhs = np.concatenate([0.5 * 0.2 * (load0 + load1).ravel(),
                           np.zeros(stepper.trial.interior_dim)])
     ref = np.linalg.solve(stepper.system.matrix.toarray(), rhs)

@@ -9,8 +9,19 @@ import numpy as np
 import pytest
 
 from splitmin.exceptions import ParameterError
-from splitmin.problems import (PROBLEMS, circular_wind, get_problem,
-                               manufactured, pollution, wind_angle)
+from splitmin.problems import (PROBLEMS, Wind, WindComponent, circular_wind,
+                               get_problem, manufactured, pollution, wind_angle)
+
+
+def _wind_at(wind, x, y, t):
+    """(beta_x, beta_y) at points, multiplied out from Wind.factors."""
+    def value(factor, z):
+        if factor is None:
+            return np.ones_like(z)
+        return factor(z) if callable(factor) else np.full_like(z, factor)
+
+    (ax, bx), (ay, by) = wind.factors(t)
+    return value(ax, x) * value(bx, y), value(ay, x) * value(by, y)
 
 
 def test_registry_contains_the_three_benchmarks():
@@ -34,7 +45,11 @@ def test_manufactured_forcing_closes_the_pde():
     u_t = np.pi * ct * sx * sy
     u_x = np.pi * st * cx * sy
     lap = -2.0 * np.pi ** 2 * st * sx * sy
-    alpha = pr.alpha
+    alpha = pr.diffusion_x(0.5)
+    np.testing.assert_allclose(pr.diffusion_y(y), alpha, atol=0.0)
+    bx, by = _wind_at(pr.wind, x, y, t)
+    np.testing.assert_array_equal(bx, 1.0)
+    np.testing.assert_array_equal(by, 0.0)
     f_ref = u_t + 1.0 * u_x - alpha * lap
     np.testing.assert_allclose(pr.forcing(x, y, t), f_ref, atol=1e-12)
 
@@ -63,14 +78,19 @@ def test_manufactured_initial_state_is_zero():
 def test_wind_angle_baseline_and_unit_speed():
     assert wind_angle(0.0) == pytest.approx(3.0 * np.pi / 8.0)
     pr = pollution()
+    rng = np.random.default_rng(63)
+    x = rng.uniform(0.0, 5000.0, 7)
+    y = rng.uniform(0.0, 5000.0, 7)
     for t in (0.0, 1.0, 5.0, 10.0, 123.0):
-        bx = pr.velocity_x(np.zeros(3), t)
-        by = pr.velocity_y(np.zeros(3), t)
+        bx, by = _wind_at(pr.wind, x, y, t)
+        np.testing.assert_array_equal(bx, np.cos(wind_angle(t)))
+        np.testing.assert_array_equal(by, np.sin(wind_angle(t)))
         np.testing.assert_allclose(np.hypot(bx, by), 1.0, atol=1e-14)
-    np.testing.assert_allclose(pr.velocity_x(0.0, 0.0),
-                               np.cos(3.0 * np.pi / 8.0), atol=1e-14)
-    np.testing.assert_allclose(pr.velocity_y(0.0, 0.0),
-                               np.sin(3.0 * np.pi / 8.0), atol=1e-14)
+        # the split path reads the same components as 1D coefficients
+        assert pr.wind.pair(t) == (np.cos(wind_angle(t)), np.sin(wind_angle(t)))
+    np.testing.assert_allclose(_wind_at(pr.wind, 0.0, 0.0, 0.0),
+                               (np.cos(3.0 * np.pi / 8.0),
+                                np.sin(3.0 * np.pi / 8.0)), atol=1e-14)
 
 
 def test_pollution_source_profile():
@@ -96,22 +116,45 @@ def test_pollution_diffusion_ranges():
 
 def test_pollution_metadata():
     pr = pollution()
-    assert pr.separable and pr.velocity_time_dependent
+    assert pr.wind.separable and pr.wind.time_dependent
     assert pr.domain == ((0.0, 5000.0), (0.0, 5000.0))
 
 
 def test_circular_wind_is_rigid_rotation():
     pr = circular_wind()
-    assert not pr.separable and pr.velocity_field is not None
+    assert not pr.wind.separable and not pr.wind.time_dependent
     rng = np.random.default_rng(62)
     x = rng.uniform(-1.0, 1.0, 100)
     y = rng.uniform(-1.0, 1.0, 100)
-    bx, by = pr.velocity_field(x, y)
-    np.testing.assert_allclose(bx, y, atol=0.0)
-    np.testing.assert_allclose(by, -x, atol=0.0)
+    bx, by = _wind_at(pr.wind, x, y, 0.0)
+    np.testing.assert_array_equal(bx, y)
+    np.testing.assert_array_equal(by, -x)
     # speed grows with the radius; the field is divergence free analytically
     np.testing.assert_allclose(np.hypot(bx, by), np.hypot(x, y), atol=1e-14)
-    assert pr.velocity_field(0.0, 0.0) == (0.0, -0.0)
+    np.testing.assert_array_equal(_wind_at(pr.wind, 0.5, 0.25, 9.0),
+                                  _wind_at(pr.wind, 0.5, 0.25, 0.0))
+
+
+def test_wind_separability_and_time_dependence_are_derived():
+    f = lambda z: z
+    s = lambda t: 1.0 + t
+    assert Wind().separable and not Wind().time_dependent
+    assert Wind(x=WindComponent(a=f)).separable
+    assert Wind(y=WindComponent(b=f, s=s)).separable
+    assert not Wind(x=WindComponent(b=f)).separable
+    assert not Wind(y=WindComponent(a=f)).separable
+    assert Wind(x=WindComponent(a=f), y=WindComponent(b=f)).separable
+    assert Wind(x=WindComponent(s=s)).time_dependent
+    assert not Wind(x=WindComponent(a=f, b=f)).time_dependent
+    # no wind is a zero coefficient in the differentiated direction; s(t)
+    # joins that direction's factor
+    assert Wind().factors(0.0) == ((0.0, None), (None, 0.0))
+    (ax, bx), (ay, by) = Wind(x=WindComponent(s=s, a=f, b=f),
+                              y=WindComponent(s=s)).factors(2.0)
+    assert ax(4.0) == 12.0 and bx is f and ay is None and by == 3.0
+    assert manufactured().wind.pair(0.7) == (None, 0.0)
+    assert manufactured().wind.separable
+    assert not manufactured().wind.time_dependent
 
 
 def test_circular_initial_bump_location_and_width():

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from splitmin.exceptions import ParameterError
-from splitmin.problems import get_problem
+import splitmin.reporting as reporting
+from splitmin.cli import main
+from splitmin.exceptions import NonFiniteStateError, ParameterError
+from splitmin.problems import get_problem, manufactured
 from splitmin.reporting import (ErrorEvaluator, RunConfig, compute_errors,
                                 convergence_study, export_field,
                                 full_dof_count, run, sample_field,
@@ -147,6 +149,21 @@ def test_run_non_separable_uses_monolithic_path(tmp_path):
     assert meta["effective_scheme"] == "monolithic-cn"
     assert not (tmp_path / "errors.csv").exists()  # no closed form
     assert (tmp_path / "residuals.csv").exists()
+
+
+def test_non_finite_step_stops_the_run_before_any_table(tmp_path, monkeypatch):
+    poisoned = dataclasses.replace(
+        manufactured(), forcing=lambda x, y, t: np.where(t > 0, np.nan, 0.0) + 0.0 * x)
+    monkeypatch.setattr(reporting, "get_problem", lambda name: poisoned)
+    config = RunConfig(problem="manufactured", mesh=(6, 6), tau=0.05,
+                       n_steps=3, out_dir=str(tmp_path / "run"))
+    with pytest.raises(NonFiniteStateError, match=r"step 1 \(t = 0\.05\)"):
+        run(config)
+    for name in ("errors.csv", "residuals.csv", "metadata.json"):
+        assert not (tmp_path / "run" / name).exists()
+    assert main(["run", "--mesh", "6", "--tau", "0.05", "--steps", "3",
+                 "--out", str(tmp_path / "cli")]) == 3
+    assert not (tmp_path / "cli" / "errors.csv").exists()
 
 
 def test_galerkin_run_skips_residual_table(tmp_path):

@@ -9,8 +9,13 @@ from splitmin.reporting import (RunConfig, compute_errors, convergence_study,
                                 solution_l2_norm)
 from splitmin.resmin import build_directional
 from splitmin.splines import eval_matrix, make_space
-from splitmin.stepping import (SchemeKind, Stepper, TimeLoopConfig,
+from splitmin.stepping import (_SUBSTEPS, SchemeKind, Stepper, TimeLoopConfig,
                                project_initial, split_step)
+
+
+def _dt_fractions(scheme):
+    """Each direction's dt_eff as a fraction of tau, read from the substep table."""
+    return {direction: fraction for direction, fraction, *_ in _SUBSTEPS[scheme]}
 
 
 def test_scheme_parsing_and_catalog():
@@ -18,10 +23,10 @@ def test_scheme_parsing_and_catalog():
     assert SchemeKind.parse("strang-cn") is SchemeKind.STRANG_CN
     with pytest.raises(ParameterError):
         SchemeKind.parse("rk4")
-    assert SchemeKind.PEACEMAN_RACHFORD.dt_factors() == (0.5, 0.5)
-    assert SchemeKind.STRANG_BE.dt_factors() == (0.5, 1.0)
-    assert SchemeKind.STRANG_CN.dt_factors() == (0.25, 0.5)
-    assert SchemeKind.BE_SPLIT.dt_factors() == (1.0, 1.0)
+    assert _dt_fractions(SchemeKind.PEACEMAN_RACHFORD) == {"x": 0.5, "y": 0.5}
+    assert _dt_fractions(SchemeKind.STRANG_BE) == {"x": 0.5, "y": 1.0}
+    assert _dt_fractions(SchemeKind.STRANG_CN) == {"x": 0.25, "y": 0.5}
+    assert _dt_fractions(SchemeKind.BE_SPLIT) == {"x": 1.0, "y": 1.0}
     assert SchemeKind.PEACEMAN_RACHFORD.order == 2
     assert SchemeKind.STRANG_CN.order == 2
     assert SchemeKind.STRANG_BE.order == 1
@@ -136,11 +141,6 @@ def test_residual_norms_recorded_only_when_stabilized():
     assert l2 > 0.0 and h1 >= l2
 
 
-def _wind(problem, t):
-    return (lambda x: problem.velocity_x(x, t),
-            lambda y: problem.velocity_y(y, t))
-
-
 def test_time_dependent_wind_rebuilds_operators():
     problem = get_problem("pollution")
     tau = 0.5
@@ -154,7 +154,7 @@ def test_time_dependent_wind_rebuilds_operators():
     state = stepper.step(stepper.step(stepper.initial_state()))
     fresh = build_directional(
         "x", stepper.trial_x, stepper.trial_y, stepper.test_x,
-        (problem.diffusion_x, problem.diffusion_y), _wind(problem, tau),
+        (problem.diffusion_x, problem.diffusion_y), problem.wind.pair(tau),
         0.5 * tau)
     assert stepper.x_op is x_op
     assert np.array_equal(x_op.g_rect.to_dense(), fresh.g_rect.to_dense())
@@ -168,13 +168,13 @@ class _RebuildingStepper(Stepper):
 
     def step(self, state):
         problem, loop = self.problem, self.loop
-        fx, fy = loop.scheme.dt_factors()
+        dt = _dt_fractions(loop.scheme)
         diffusion = (problem.diffusion_x, problem.diffusion_y)
-        wind = _wind(problem, state.time)
+        wind = problem.wind.pair(state.time)
         x_op, y_op = (
             build_directional(d, self.trial_x, self.trial_y, test, diffusion,
-                              wind, f * loop.tau, loop.stabilized, self.counter)
-            for d, test, f in (("x", self.test_x, fx), ("y", self.test_y, fy)))
+                              wind, dt[d] * loop.tau, loop.stabilized, self.counter)
+            for d, test in (("x", self.test_x), ("y", self.test_y)))
         final = split_step(loop.scheme, state, x_op, y_op, problem.forcing,
                            loop.tau)[1]
         final.time = state.time + loop.tau
