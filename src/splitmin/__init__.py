@@ -15,13 +15,12 @@ from .full2d import RotatingFlowStepper, Space2D, assemble_2d_saddle, sparse_lu
 from .kron import BandedLU, OpCounter, SaddleFactor, kron_matvec, kron_solve
 from .problems import (ProblemDefinition, circular_wind, get_problem,
                        manufactured, pollution)
-from .reporting import (RunConfig, compute_errors, convergence_study,
-                        export_field, run, sample_field, solution_l2_norm,
-                        timing_study)
+from .reporting import (compute_errors, convergence_study, export_field, run,
+                        sample_field, solution_l2_norm, timing_study)
 from .resmin import (SolutionState, build_directional, residual_norms,
                      substep)
 from .splines import SplineSpace, eval_matrix, make_space
-from .stepping import SchemeKind, Stepper, TimeLoopConfig, project_initial
+from .stepping import RunConfig, SchemeKind, Stepper, project_initial
 
 __version__ = "0.1.0"
 
@@ -30,7 +29,7 @@ __all__ = [
     "OpCounter", "ParameterError",
     "ProblemDefinition", "RotatingFlowStepper", "RunConfig", "SaddleFactor",
     "SchemeKind", "SingularMatrixError", "SolutionState", "Space2D",
-    "SplineSpace", "Stepper", "TimeLoopConfig", "advection", "apply_dirichlet",
+    "SplineSpace", "Stepper", "advection", "apply_dirichlet",
     "assemble_2d_saddle", "build_directional", "circular_wind",
     "compute_errors", "convergence_study", "eval_matrix", "export_field",
     "get_problem", "gram", "kron_matvec", "kron_solve", "make_space",

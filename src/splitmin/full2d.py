@@ -40,8 +40,8 @@ from .banded import BandedMatrix
 from .exceptions import ParameterError, SingularMatrixError
 from .kron import OpCounter
 from .resmin import LoadAssembler, SolutionState
-from .splines import SplineSpace, make_space
-from .stepping import project_initial
+from .splines import SplineSpace
+from .stepping import RunConfig, StepperBase
 
 __all__ = ["Space2D", "SaddleSystem", "assemble_2d_operators",
            "assemble_2d_saddle", "sparse_lu", "RotatingFlowStepper"]
@@ -133,7 +133,7 @@ def sparse_lu(matrix) -> _SparseFactor:
     return _SparseFactor(matrix)
 
 
-class RotatingFlowStepper:
+class RotatingFlowStepper(StepperBase):
     """Monolithic Crank-Nicolson stepping of the full 2D saddle system.
 
     dt_eff = tau / 2 enters the one-step operator; the right side uses the
@@ -143,54 +143,32 @@ class RotatingFlowStepper:
     LU is not counted.
     """
 
-    def __init__(self, problem, mesh: tuple[int, int], trial: tuple[int, int],
-                 test: tuple[int, int], tau: float,
+    def __init__(self, problem, config: RunConfig,
                  counter: OpCounter | None = None):
         if problem.wind.time_dependent:
             raise ParameterError(
                 f"problem {problem.name!r} has a time-dependent wind; the "
                 "general path reuses one factorization and needs a steady wind")
-        (x0, x1), (y0, y1) = problem.domain
-        p, c = trial
-        q, cq = test
-        self.trial = Space2D(make_space(p, c, mesh[0], (x0, x1)),
-                             make_space(p, c, mesh[1], (y0, y1)))
-        self.test = Space2D(make_space(q, cq, mesh[0], (x0, x1)),
-                            make_space(q, cq, mesh[1], (y0, y1)))
-        self.problem = problem
-        self.tau = tau
-        self.counter = counter
+        super().__init__(problem, config, counter)
+        self.trial = Space2D(self.trial_x, self.trial_y)
+        self.test = Space2D(self.test_x, self.test_y)
+        tau = config.tau
         system = assemble_2d_saddle(self.trial, self.test,
                                     (problem.diffusion_x, problem.diffusion_y),
-                                    problem.wind.factors(problem.time_interval[0]),
-                                    0.5 * tau)
+                                    problem.wind.factors(config.t0), 0.5 * tau)
         self.system = system
         self.b_rhs = (system.m_rect - 0.5 * tau * system.w_rect).tocsr()
         self.factor = sparse_lu(system.matrix)
-        self.loads = LoadAssembler(self.test.x, self.test.y)
+        self.loads = LoadAssembler(self.test_x, self.test_y)
         self._m_test = system.test_shape[0] * system.test_shape[1]
-        self.last_residual_norms = (0.0, 0.0)
-
-    @property
-    def trial_x(self) -> SplineSpace:
-        return self.trial.x
-
-    @property
-    def trial_y(self) -> SplineSpace:
-        return self.trial.y
-
-    def initial_state(self) -> SolutionState:
-        state = project_initial(self.problem.initial, self.trial.x, self.trial.y,
-                                self.counter)
-        state.time = self.problem.time_interval[0]
-        return state
 
     def step(self, state: SolutionState) -> SolutionState:
+        tau = self.config.tau
         rhs_top = self.b_rhs @ state.u.ravel()
         if self.problem.forcing is not None:
             load = (self.loads.load(self.problem.forcing, state.time)
-                    + self.loads.load(self.problem.forcing, state.time + self.tau))
-            rhs_top = rhs_top + 0.5 * self.tau * load.ravel()
+                    + self.loads.load(self.problem.forcing, state.time + tau))
+            rhs_top = rhs_top + 0.5 * tau * load.ravel()
         rhs = np.concatenate([rhs_top, np.zeros(self.trial.interior_dim)])
         sol = self.factor.solve(rhs)
         rvec = sol[:self._m_test]
@@ -199,4 +177,4 @@ class RotatingFlowStepper:
         self.last_residual_norms = (
             float(np.sqrt(max(rvec @ (self.system.m_test @ rvec), 0.0))),
             float(np.sqrt(max(rvec @ (self.system.gram @ rvec), 0.0))))
-        return SolutionState(u=u, r=r, time=state.time + self.tau)
+        return SolutionState(u=u, r=r, time=state.time + tau)

@@ -92,7 +92,6 @@ class ProblemDefinition:
 
     name: str
     domain: tuple[tuple[float, float], tuple[float, float]]
-    time_interval: tuple[float, float]
     diffusion_x: Callable
     diffusion_y: Callable
     initial: Callable
@@ -137,7 +136,6 @@ def manufactured() -> ProblemDefinition:
     return ProblemDefinition(
         name="manufactured",
         domain=((0.0, 1.0), (0.0, 1.0)),
-        time_interval=(0.0, 2.0),
         diffusion_x=functools.partial(_constant_coefficient,
                                       value=_MANUFACTURED_ALPHA),
         diffusion_y=functools.partial(_constant_coefficient,
@@ -185,7 +183,6 @@ def pollution(p0: tuple[float, float] = (1500.0, 1500.0)) -> ProblemDefinition:
     return ProblemDefinition(
         name="pollution",
         domain=((0.0, _POLLUTION_SIDE), (0.0, _POLLUTION_SIDE)),
-        time_interval=(0.0, 10.0),
         diffusion_x=_pollution_diffusion_x,
         diffusion_y=_pollution_diffusion_y,
         wind=Wind(x=WindComponent(s=lambda t: np.cos(wind_angle(t))),
@@ -215,7 +212,6 @@ def circular_wind(center: tuple[float, float] = (0.0, -0.5),
     return ProblemDefinition(
         name="circular-wind",
         domain=((-1.0, 1.0), (-1.0, 1.0)),
-        time_interval=(0.0, 2.0 * np.pi),
         diffusion_x=functools.partial(_constant_coefficient,
                                       value=_CIRCULAR_ALPHA),
         diffusion_y=functools.partial(_constant_coefficient,

@@ -11,41 +11,25 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .assembly import _nq, apply_dirichlet, mass, stiffness
-from .exceptions import NonFiniteStateError, ParameterError
+from .exceptions import ParameterError
 from .full2d import RotatingFlowStepper
 from .kron import OpCounter, kron_matvec
 from .problems import get_problem
-from .splines import SplineSpace, eval_matrix, gauss_rule, make_space
-from .stepping import SchemeKind, Stepper, TimeLoopConfig
+from .splines import SplineSpace, eval_matrix, gauss_rule
+from .stepping import RunConfig, Stepper, march, spaces
 
 __all__ = ["RunConfig", "ErrorRow", "ErrorEvaluator", "compute_errors",
            "make_stepper", "run", "convergence_study", "timing_study",
            "export_field", "sample_field", "solution_norms", "solution_l2_norm"]
 
 _ZERO_NORM_GUARD = 1e-14
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    problem: str = "manufactured"
-    mesh: tuple[int, int] = (16, 16)
-    trial: tuple[int, int] = (2, 1)
-    test: tuple[int, int] = (3, 0)
-    scheme: str = "pr"
-    tau: float = 0.01
-    n_steps: int = 50
-    stabilized: bool = True
-    out_dir: str = "out"
-    snapshot_stride: int = 0
-    snapshot_resolution: int = 65
-    t0: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -120,22 +104,15 @@ def compute_errors(state, problem, trial_x: SplineSpace, trial_y: SplineSpace,
 
 def make_stepper(problem, config: RunConfig, counter: OpCounter | None = None):
     if problem.wind.separable:
-        loop = TimeLoopConfig(tau=config.tau, n_steps=config.n_steps,
-                              t0=config.t0,
-                              scheme=SchemeKind.parse(config.scheme),
-                              stabilized=config.stabilized)
-        return Stepper(problem, config.mesh, config.trial, config.test, loop,
-                       counter)
+        return Stepper(problem, config, counter)
     ignored = [name for name, set_ in (("--galerkin", not config.stabilized),
-                                       ("scheme", config.scheme != "pr"),
-                                       ("t0", config.t0 != 0.0)) if set_]
+                                       ("scheme", config.scheme != "pr")) if set_]
     if ignored:
         raise ParameterError(
             f"{', '.join(ignored)} not supported for the non-separable problem "
             f"{problem.name!r}: the general path runs stabilized monolithic "
-            "Crank-Nicolson from the problem's start time")
-    return RotatingFlowStepper(problem, config.mesh, config.trial, config.test,
-                               config.tau, counter)
+            "Crank-Nicolson")
+    return RotatingFlowStepper(problem, config, counter)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -161,29 +138,19 @@ def run(config: RunConfig):
         evaluator = ErrorEvaluator(trial_x, trial_y, problem.exact,
                                    problem.exact_grad)
 
-    state = stepper.initial_state()
     error_rows, residual_rows = [], []
-    if evaluator is not None:
-        error_rows.append(evaluator.errors(state.u, state.time))
 
     def snapshot(state, step_index):
         base = out / f"field_step{step_index:06d}"
         export_field(state.u, trial_x, trial_y, config.snapshot_resolution,
                      base, title=f"{problem.name} t={state.time}")
 
-    if config.snapshot_stride > 0:
-        snapshot(state, 0)
     started = time.perf_counter()
-    for k in range(1, config.n_steps + 1):
-        state = stepper.step(state)
-        if not np.all(np.isfinite(state.u)):
-            raise NonFiniteStateError(f"step {k} (t = {state.time!r}) left a "
-                                      "non-finite coefficient")
+    for k, state in march(stepper, config.n_steps):
         if evaluator is not None:
             error_rows.append(evaluator.errors(state.u, state.time))
-        if config.stabilized:
-            l2r, h1r = stepper.last_residual_norms
-            residual_rows.append((state.time, l2r, h1r))
+        if config.stabilized and k > 0:
+            residual_rows.append((state.time, *stepper.last_residual_norms))
         if config.snapshot_stride > 0 and k % config.snapshot_stride == 0:
             snapshot(state, k)
     elapsed = time.perf_counter() - started
@@ -212,26 +179,11 @@ def run(config: RunConfig):
     return state
 
 
-def _study_point(args) -> tuple[str, float, np.ndarray]:
-    cfg_dict, scheme, tau, n_steps = args
-    config = RunConfig(**cfg_dict)
-    problem = get_problem(config.problem)
-    loop = TimeLoopConfig(tau=tau, n_steps=n_steps, t0=config.t0,
-                          scheme=SchemeKind.parse(scheme),
-                          stabilized=config.stabilized,
-                          record_residuals=False)
-    stepper = Stepper(problem, config.mesh, config.trial, config.test, loop)
-    state = stepper.initial_state()
-    for _ in range(n_steps):
-        state = stepper.step(state)
-    return scheme, tau, state.u
-
-
-def _trial_spaces(problem, config: RunConfig) -> tuple[SplineSpace, SplineSpace]:
-    (x0, x1), (y0, y1) = problem.domain
-    p, c = config.trial
-    return (make_space(p, c, config.mesh[0], (x0, x1)),
-            make_space(p, c, config.mesh[1], (y0, y1)))
+def _study_point(config: RunConfig) -> tuple[str, float, np.ndarray]:
+    stepper = Stepper(get_problem(config.problem), config)
+    for _, state in march(stepper, config.n_steps):
+        pass
+    return config.scheme, config.tau, state.u
 
 
 def convergence_study(config: RunConfig, taus: Sequence[float],
@@ -253,21 +205,29 @@ def convergence_study(config: RunConfig, taus: Sequence[float],
         raise ParameterError("convergence study needs at least 3 tau values")
     if reference not in ("exact", "self"):
         raise ParameterError(f"unknown reference {reference!r}")
+    problem = get_problem(config.problem)
+    if reference == "exact" and problem.exact is None:
+        raise ParameterError(f"problem {problem.name!r} has no closed-form "
+                             "solution; use the self reference")
     horizon = config.tau * config.n_steps
     steps_of = {}
     for tau in taus:
+        if not tau > 0:
+            raise ParameterError(f"tau={tau} is not positive")
         steps = horizon / tau
         if abs(steps - round(steps)) > 1e-9:
             raise ParameterError(
                 f"tau={tau} does not divide the horizon {horizon}")
         steps_of[float(tau)] = int(round(steps))
-    tasks = [(asdict(config), scheme, float(tau), steps_of[float(tau)])
+    tasks = [replace(config, scheme=scheme, tau=float(tau),
+                     n_steps=steps_of[float(tau)])
              for scheme in schemes for tau in taus]
     tau_ref = None
     if reference == "self":
         tau_min = float(min(taus))
         tau_ref = tau_min / 8.0
-        tasks += [(asdict(config), scheme, tau_ref, 8 * steps_of[tau_min])
+        tasks += [replace(config, scheme=scheme, tau=tau_ref,
+                          n_steps=8 * steps_of[tau_min])
                   for scheme in schemes]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -276,8 +236,7 @@ def convergence_study(config: RunConfig, taus: Sequence[float],
         results = [_study_point(t) for t in tasks]
     grids = {(s, t): u for s, t, u in results}
 
-    problem = get_problem(config.problem)
-    trial_x, trial_y = _trial_spaces(problem, config)
+    trial_x, trial_y = spaces(problem.domain, config.mesh, config.trial)
     points = {}
     if reference == "exact":
         evaluator = ErrorEvaluator(trial_x, trial_y, problem.exact,
@@ -323,11 +282,8 @@ def _space_pair_label(trial, test) -> str:
 def full_dof_count(mesh: tuple[int, int], trial: tuple[int, int],
                    test: tuple[int, int], domain=((0.0, 1.0), (0.0, 1.0))) -> int:
     """Saddle unknown count: full (uneliminated) 2D test dim + trial dim."""
-    (x0, x1), (y0, y1) = domain
-    tx = make_space(trial[0], trial[1], mesh[0], (x0, x1))
-    ty = make_space(trial[0], trial[1], mesh[1], (y0, y1))
-    sx = make_space(test[0], test[1], mesh[0], (x0, x1))
-    sy = make_space(test[0], test[1], mesh[1], (y0, y1))
+    tx, ty = spaces(domain, mesh, trial)
+    sx, sy = spaces(domain, mesh, test)
     return tx.dim * ty.dim + sx.dim * sy.dim
 
 
@@ -343,17 +299,17 @@ def timing_study(meshes: Sequence[int],
     projecting the initial data and taking one step on the same spaces.  dofs
     column counts full test + trial dimensions.
     """
+    if not meshes or not pairs:
+        raise ParameterError("timing study needs a mesh and a space pair")
     problem = get_problem("manufactured")
     rows = []
     for trial, test in pairs:
         for n in meshes:
-            mesh = (n, n)
+            config = RunConfig(mesh=(n, n), trial=trial, test=test, tau=tau,
+                               n_steps=1)
             counter = OpCounter()
             started = time.perf_counter()
-            loop = TimeLoopConfig(tau=tau, n_steps=1,
-                                  scheme=SchemeKind.PEACEMAN_RACHFORD,
-                                  stabilized=True, record_residuals=False)
-            stepper = Stepper(problem, mesh, trial, test, loop, counter)
+            stepper = Stepper(problem, config, counter)
             factor_ops, solve_ops0 = counter.factor_ops, counter.solve_ops
             state = stepper.initial_state()
             counter.solve_ops = solve_ops0
@@ -362,7 +318,7 @@ def timing_study(meshes: Sequence[int],
             row = {
                 "space": _space_pair_label(trial, test),
                 "n": n,
-                "dofs": full_dof_count(mesh, trial, test, problem.domain),
+                "dofs": full_dof_count(config.mesh, trial, test, problem.domain),
                 "split_factor_ops": factor_ops,
                 "split_solve_ops": counter.solve_ops,
                 "split_total_ops": factor_ops + counter.solve_ops,
@@ -370,7 +326,7 @@ def timing_study(meshes: Sequence[int],
             }
             if include_general:
                 started = time.perf_counter()
-                general = RotatingFlowStepper(problem, mesh, trial, test, tau)
+                general = RotatingFlowStepper(problem, config)
                 general.step(general.initial_state())
                 row["general_time_ms"] = 1e3 * (time.perf_counter() - started)
             rows.append(row)

@@ -20,15 +20,44 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .assembly import apply_dirichlet, mass
-from .exceptions import ParameterError
+from .exceptions import NonFiniteStateError, ParameterError
 from .kron import BandedLU, OpCounter, kron_matvec
 from .resmin import (LoadAssembler, SolutionState, build_directional,
                      residual_norms, substep)
 from .splines import SplineSpace, make_space
 
-__all__ = ["SchemeKind", "TimeLoopConfig", "Stepper", "project_initial",
-           "split_step"]
+__all__ = ["RunConfig", "SchemeKind", "StepperBase", "Stepper", "march",
+           "project_initial", "spaces", "split_step"]
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run of one problem, on either solver path."""
+
+    problem: str = "manufactured"
+    mesh: tuple[int, int] = (16, 16)
+    trial: tuple[int, int] = (2, 1)
+    test: tuple[int, int] = (3, 0)
+    scheme: str = "pr"
+    tau: float = 0.01
+    n_steps: int = 50
+    stabilized: bool = True
+    out_dir: str = "out"
+    snapshot_stride: int = 0
+    snapshot_resolution: int = 65
+    t0: float = 0.0
+
+    def __post_init__(self):
+        for name, ok, expected in (
+                ("tau", self.tau > 0, "positive"),
+                ("n_steps", self.n_steps >= 0, "non-negative"),
+                ("snapshot_stride", self.snapshot_stride >= 0, "non-negative"),
+                ("snapshot_resolution", self.snapshot_resolution >= 1, "at least 1")):
+            if not ok:
+                raise ParameterError(f"{name} must be {expected}, got {getattr(self, name)!r}")
 
 
 class SchemeKind(Enum):
@@ -48,16 +77,6 @@ class SchemeKind(Enum):
     @property
     def order(self) -> int:
         return 2 if self in (SchemeKind.PEACEMAN_RACHFORD, SchemeKind.STRANG_CN) else 1
-
-
-@dataclass
-class TimeLoopConfig:
-    tau: float
-    n_steps: int
-    t0: float = 0.0
-    scheme: SchemeKind = SchemeKind.PEACEMAN_RACHFORD
-    stabilized: bool = True
-    record_residuals: bool = True
 
 
 # One row per implicit substep: direction, dt_eff as a fraction of tau, the
@@ -97,38 +116,56 @@ def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau):
     return op, out
 
 
-class Stepper:
-    """Owns the spaces and directional operators for one problem run.
+def spaces(domain, mesh, pair) -> tuple[SplineSpace, SplineSpace]:
+    """The x and y spaces of one (degree, continuity) pair on the mesh."""
+    return tuple(make_space(*pair, n, interval)
+                 for n, interval in zip(mesh, domain))
+
+
+class StepperBase:
+    """The spaces, initial state at config.t0 and residual norms both paths share."""
+
+    def __init__(self, problem, config: RunConfig,
+                 counter: OpCounter | None = None):
+        self.problem = problem
+        self.config = config
+        self.counter = counter if counter is not None else OpCounter()
+        self.trial_x, self.trial_y = spaces(problem.domain, config.mesh,
+                                            config.trial)
+        self.test_x, self.test_y = spaces(
+            problem.domain, config.mesh,
+            config.test if config.stabilized else config.trial)
+        self.last_residual_norms = (0.0, 0.0)
+
+    def initial_state(self) -> SolutionState:
+        state = project_initial(self.problem.initial, self.trial_x, self.trial_y,
+                                self.counter)
+        state.time = self.config.t0
+        return state
+
+
+class Stepper(StepperBase):
+    """Owns the directional operators for one split-path run.
 
     Operators are assembled and factored once.  For a time-dependent wind
     each step first moves both to the wind at its start time (set_wind).
     """
 
-    def __init__(self, problem, mesh: tuple[int, int], trial: tuple[int, int],
-                 test: tuple[int, int], loop: TimeLoopConfig,
+    def __init__(self, problem, config: RunConfig,
                  counter: OpCounter | None = None):
         if not problem.wind.separable:
             raise ParameterError(
                 f"problem {problem.name!r} has a non-separable velocity; "
                 "use the general 2D solver path")
-        self.problem = problem
-        self.loop = loop
-        self.counter = counter if counter is not None else OpCounter()
-        (x0, x1), (y0, y1) = problem.domain
-        p, c = trial
-        self.trial_x = make_space(p, c, mesh[0], (x0, x1))
-        self.trial_y = make_space(p, c, mesh[1], (y0, y1))
-        q, cq = test if loop.stabilized else trial
-        self.test_x = make_space(q, cq, mesh[0], (x0, x1))
-        self.test_y = make_space(q, cq, mesh[1], (y0, y1))
-        self.last_residual_norms = (0.0, 0.0)
+        self.scheme = SchemeKind.parse(config.scheme)
+        super().__init__(problem, config, counter)
         diffusion = (problem.diffusion_x, problem.diffusion_y)
-        dt = dict(row[:2] for row in _SUBSTEPS[loop.scheme])
-        self._wind_time = loop.t0
-        wind = problem.wind.pair(loop.t0)
+        dt = dict(row[:2] for row in _SUBSTEPS[self.scheme])
+        self._wind_time = config.t0
+        wind = problem.wind.pair(config.t0)
         self.x_op, self.y_op = (
             build_directional(d, self.trial_x, self.trial_y, test, diffusion, wind,
-                              dt[d] * loop.tau, loop.stabilized, self.counter)
+                              dt[d] * config.tau, config.stabilized, self.counter)
             for d, test in (("x", self.test_x), ("y", self.test_y)))
 
     def step(self, state: SolutionState) -> SolutionState:
@@ -137,18 +174,29 @@ class Stepper:
             self.x_op.set_wind(wind)
             self.y_op.set_wind(wind)
             self._wind_time = state.time
-        final_op, final = split_step(self.loop.scheme, state, self.x_op, self.y_op,
-                                     self.problem.forcing, self.loop.tau)
-        final.time = state.time + self.loop.tau
-        if self.loop.stabilized and self.loop.record_residuals:
+        tau = self.config.tau
+        final_op, final = split_step(self.scheme, state, self.x_op, self.y_op,
+                                     self.problem.forcing, tau)
+        final.time = state.time + tau
+        if self.config.stabilized:
             self.last_residual_norms = residual_norms(final_op, final.r)
         return final
 
-    def initial_state(self) -> SolutionState:
-        state = project_initial(self.problem.initial, self.trial_x, self.trial_y,
-                                self.counter)
-        state.time = self.loop.t0
-        return state
+
+def march(stepper, n_steps: int):
+    """Yield (0, initial state), then (k, state) after each of n_steps steps.
+
+    Calls initial_state and step on the instance; raises NonFiniteStateError
+    at the first step that leaves a non-finite coefficient.
+    """
+    state = stepper.initial_state()
+    yield 0, state
+    for k in range(1, n_steps + 1):
+        state = stepper.step(state)
+        if not np.all(np.isfinite(state.u)):
+            raise NonFiniteStateError(f"step {k} (t = {state.time!r}) left a "
+                                      "non-finite coefficient")
+        yield k, state
 
 
 def project_initial(u0, trial_x: SplineSpace, trial_y: SplineSpace,

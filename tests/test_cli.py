@@ -1,14 +1,18 @@
 """Argument parsing, config files, exit codes, and subcommand smoke runs."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import splitmin.reporting as reporting
 from splitmin.cli import (_build_parser, _parse_bool, _parse_floats,
                           _parse_ints, _parse_mesh, _parse_pairs,
                           _parse_space, build_run_config, load_config_file,
                           main)
 from splitmin.exceptions import DomainError, ParameterError, SingularMatrixError
+from splitmin.reporting import RunConfig, run
 
 
 # ---------------------------------------------------------------- parsers
@@ -212,18 +216,51 @@ def test_converge_rejects_scheme_from_config(tmp_path, capsys):
 @pytest.mark.parametrize("option,extra", (
     ("--galerkin", ["--galerkin"]),
     ("scheme", ["--scheme", "be"]),
-    ("t0", ["--config", "t0.ini"]),
 ))
 def test_run_general_path_rejects_options_it_ignores(tmp_path, monkeypatch,
                                                      capsys, option, extra):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "t0.ini").write_text("t0 = 0.5\n")
     code = main(["run", "--problem", "circular-wind", "--mesh", "4",
                  "--tau", "0.1", "--steps", "1", "--out", "out", *extra])
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err and option in err
     assert not (tmp_path / "out" / "metadata.json").exists()
+
+
+def test_run_general_path_starts_at_t0(tmp_path):
+    # circular-wind has a steady wind and no forcing: t0 only shifts the clock
+    config = RunConfig(problem="circular-wind", mesh=(6, 6), tau=0.1, n_steps=4)
+    start = run(replace(config, out_dir=str(tmp_path / "t0")))
+    later = run(replace(config, t0=0.5, out_dir=str(tmp_path / "t05")))
+    assert later.time == pytest.approx(0.5 + 4 * 0.1)
+    assert np.array_equal(later.u, start.u)
+
+
+_CONVERGE = ["converge", "--mesh", "6", "--tau", "0.04", "--steps", "5",
+             "--schemes", "pr"]
+
+
+@pytest.mark.parametrize("argv", (
+    ["timing", "--meshes", ",", "--no-general"],
+    [*_CONVERGE, "--taus", "0.04,0,0.02"],
+    [*_CONVERGE, "--taus", "0.04,-0.02,0.01"],
+    ["run", "--resolution", "0"],
+    ["run", "--tau", "-0.5"],
+    ["run", "--snapshot-stride", "-2"],
+    [*_CONVERGE, "--problem", "pollution", "--taus", "0.04,0.02,0.01"],
+), ids=["empty-meshes", "zero-tau", "negative-tau", "zero-resolution",
+        "negative-run-tau", "negative-stride", "no-closed-form"])
+def test_invalid_input_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                               argv):
+    def no_run(*args):
+        raise AssertionError("a time loop ran on invalid input")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(reporting, "march", no_run)
+    assert main([*argv, "--out", "out"]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_timing_subcommand_smoke(tmp_path, capsys):

@@ -19,8 +19,15 @@ from splitmin.full2d import (RotatingFlowStepper, Space2D,
 from splitmin.problems import Wind, WindComponent, circular_wind, get_problem
 from splitmin.resmin import LoadAssembler, SolutionState
 from splitmin.splines import eval_matrix, gauss_rule, make_space
+from splitmin.stepping import RunConfig
 
 _ROTATION = circular_wind().wind.factors(0.0)
+
+
+def _general(problem, n, tau):
+    """The general-path stepper on n x n elements, trial (2,1), test (3,0)."""
+    return RotatingFlowStepper(problem, RunConfig(mesh=(n, n), trial=(2, 1),
+                                                  test=(3, 0), tau=tau))
 
 
 def _space2d(pc, n, interval=(0.0, 1.0)):
@@ -90,7 +97,7 @@ def test_variable_diffusion_enters_the_general_operator():
     problem = dataclasses.replace(circular_wind(),
                                   diffusion_x=lambda x: 0.2 + 0.1 * x * x,
                                   diffusion_y=lambda y: 0.3 + 0.05 * y)
-    stepper = RotatingFlowStepper(problem, (3, 3), (2, 1), (3, 0), tau=0.1)
+    stepper = _general(problem, 3, tau=0.1)
     ref = _dense_reference(
         stepper.trial, stepper.test,
         [(lambda x, y: 0.2 + 0.1 * x * x + 0.0 * y, (1, 0), (1, 0)),
@@ -190,7 +197,7 @@ def test_mesh_mismatch_rejected():
 
 def test_rotating_stepper_single_step_matches_dense_solve():
     problem = get_problem("circular-wind")
-    stepper = RotatingFlowStepper(problem, (4, 4), (2, 1), (3, 0), tau=0.1)
+    stepper = _general(problem, 4, tau=0.1)
     state = stepper.initial_state()
     dense = stepper.system.matrix.toarray()
     rhs = np.concatenate([stepper.b_rhs @ state.u.ravel(),
@@ -207,7 +214,7 @@ def test_rotating_stepper_single_step_matches_dense_solve():
 
 def test_rotating_stepper_conserves_mass_norm_approximately():
     problem = get_problem("circular-wind")
-    stepper = RotatingFlowStepper(problem, (12, 12), (2, 1), (3, 0), tau=0.1)
+    stepper = _general(problem, 12, tau=0.1)
     state = stepper.initial_state()
     from splitmin.reporting import solution_l2_norm
     n0 = solution_l2_norm(state.u, stepper.trial_x, stepper.trial_y)
@@ -220,23 +227,19 @@ def test_rotating_stepper_conserves_mass_norm_approximately():
 
 def test_rotating_stepper_requires_a_steady_wind():
     with pytest.raises(ParameterError, match="time-dependent wind"):
-        RotatingFlowStepper(get_problem("pollution"), (4, 4), (2, 1),
-                            (3, 0), tau=0.1)
+        _general(get_problem("pollution"), 4, tau=0.1)
     # a steady separable wind runs on the general path too, as timing does
-    stepper = RotatingFlowStepper(get_problem("manufactured"), (4, 4), (2, 1),
-                                  (3, 0), tau=0.1)
+    stepper = _general(get_problem("manufactured"), 4, tau=0.1)
     state = stepper.step(stepper.initial_state())
     assert state.time == pytest.approx(0.1)
     assert np.all(np.isfinite(state.u)) and np.any(state.u != 0.0)
 
 
 def test_forced_monolithic_step_uses_trapezoidal_loads():
-    # pollution has a separable wind, so fake a steady rotating variant by
-    # checking the forcing path with the circular problem plus a source
     problem = get_problem("circular-wind")
     forced = dataclasses.replace(problem,
                                  forcing=lambda x, y, t: (1.0 + t) + 0.0 * x)
-    stepper = RotatingFlowStepper(forced, (4, 4), (2, 1), (3, 0), tau=0.2)
+    stepper = _general(forced, 4, tau=0.2)
     state = SolutionState(u=np.zeros(stepper.trial.interior_shape), time=0.0)
     out = stepper.step(state)
     loads = LoadAssembler(stepper.test.x, stepper.test.y)
@@ -245,7 +248,6 @@ def test_forced_monolithic_step_uses_trapezoidal_loads():
     rhs = np.concatenate([0.5 * 0.2 * (load0 + load1).ravel(),
                           np.zeros(stepper.trial.interior_dim)])
     ref = np.linalg.solve(stepper.system.matrix.toarray(), rhs)
-    m = stepper.trial.interior_dim
     np.testing.assert_allclose(out.u.ravel(),
                                ref[stepper.system.m_test.shape[0]:],
                                atol=1e-10)

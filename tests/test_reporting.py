@@ -151,10 +151,15 @@ def test_run_non_separable_uses_monolithic_path(tmp_path):
     assert (tmp_path / "residuals.csv").exists()
 
 
-def test_non_finite_step_stops_the_run_before_any_table(tmp_path, monkeypatch):
+def _serve_nan_forcing(monkeypatch):
+    """Make every problem lookup return manufactured with NaN forcing for t > 0."""
     poisoned = dataclasses.replace(
         manufactured(), forcing=lambda x, y, t: np.where(t > 0, np.nan, 0.0) + 0.0 * x)
     monkeypatch.setattr(reporting, "get_problem", lambda name: poisoned)
+
+
+def test_non_finite_step_stops_the_run_before_any_table(tmp_path, monkeypatch):
+    _serve_nan_forcing(monkeypatch)
     config = RunConfig(problem="manufactured", mesh=(6, 6), tau=0.05,
                        n_steps=3, out_dir=str(tmp_path / "run"))
     with pytest.raises(NonFiniteStateError, match=r"step 1 \(t = 0\.05\)"):
@@ -164,6 +169,17 @@ def test_non_finite_step_stops_the_run_before_any_table(tmp_path, monkeypatch):
     assert main(["run", "--mesh", "6", "--tau", "0.05", "--steps", "3",
                  "--out", str(tmp_path / "cli")]) == 3
     assert not (tmp_path / "cli" / "errors.csv").exists()
+
+
+def test_non_finite_step_stops_the_convergence_study(tmp_path, monkeypatch):
+    _serve_nan_forcing(monkeypatch)
+    with pytest.raises(NonFiniteStateError, match=r"step 1 \(t = 0\.04\)"):
+        convergence_study(RunConfig(mesh=(6, 6), tau=0.04, n_steps=5),
+                          taus=(0.04, 0.02, 0.01), schemes=("pr",))
+    assert main(["converge", "--mesh", "6", "--tau", "0.04", "--steps", "5",
+                 "--taus", "0.04,0.02,0.01", "--schemes", "pr",
+                 "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "convergence.csv").exists()
 
 
 def test_galerkin_run_skips_residual_table(tmp_path):

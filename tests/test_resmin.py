@@ -5,7 +5,9 @@ The oracle is a dense assembled 2D block solve of the same saddle system.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from splitmin.acceptance import _dense_substep
 from splitmin.exceptions import ParameterError
 from splitmin.kron import OpCounter
 from splitmin.resmin import (LoadAssembler, build_directional, residual_norms,
@@ -72,6 +74,43 @@ def test_substep_matches_dense_saddle_solve(direction):
     state = substep(op, rhs)
     np.testing.assert_allclose(state.u, u_ref, atol=1e-10)
     np.testing.assert_allclose(state.r, r_ref, atol=1e-10)
+
+
+@st.composite
+def _substep_cases(draw):
+    """A substep on random spaces and coefficients whose test space holds the trial space."""
+    p = draw(st.integers(1, 3))
+    c = draw(st.integers(0, p - 1))
+    q = draw(st.sampled_from((p, p + 1)))
+    cq = draw(st.integers(0, min(c, q - 1)))
+    mesh = (draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+    intervals = ((x0 := draw(st.floats(-2.0, 2.0)), x0 + draw(st.floats(0.5, 1.5))),
+                 (y0 := draw(st.floats(-2.0, 2.0)), y0 + draw(st.floats(2.0, 4.0))))
+    tx, ty = (make_space(p, c, n, iv) for n, iv in zip(mesh, intervals))
+    direction = draw(st.sampled_from(("x", "y")))
+    axis = "xy".index(direction)
+    test = make_space(q, cq, mesh[axis], intervals[axis])
+    d0, d1, w0, w1 = (draw(st.floats(lo, hi)) for lo, hi in
+                      ((1e-3, 1.0), (0.0, 1.0), (-2.0, 2.0), (-1.0, 1.0)))
+    diffusion = (lambda x: d0 + d1 * x * x, lambda y: d1 + d0 * y * y)
+    wind = (lambda x: w0 + w1 * x, lambda y: w1 - w0 * 0.5 * y)
+    op = build_directional(direction, tx, ty, test, diffusion, wind,
+                           draw(st.floats(1e-3, 1.0)), True, OpCounter())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = ((op.m_split, ty.dim - 2) if direction == "x"
+             else (tx.dim - 2, op.m_split))
+    return op, rng.standard_normal(shape)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_substep_cases())
+def test_substep_matches_dense_solve_on_random_spaces(case):
+    # criterion 1's check and tolerance, over the space pairs, meshes, dt and
+    # coefficients the fixed grid of criterion 1 does not reach
+    op, rhs = case
+    dense = _dense_substep(op, rhs)
+    rel = np.linalg.norm(substep(op, rhs).u - dense) / np.linalg.norm(dense)
+    assert rel <= 1e-9
 
 
 @pytest.mark.parametrize("direction", ["x", "y"])

@@ -9,7 +9,7 @@ from splitmin.reporting import (RunConfig, compute_errors, convergence_study,
                                 solution_l2_norm)
 from splitmin.resmin import build_directional
 from splitmin.splines import eval_matrix, make_space
-from splitmin.stepping import (_SUBSTEPS, SchemeKind, Stepper, TimeLoopConfig,
+from splitmin.stepping import (_SUBSTEPS, SchemeKind, Stepper, march,
                                project_initial, split_step)
 
 
@@ -80,12 +80,11 @@ def test_temporal_orders_by_richardson_self_reference():
 
 def test_forced_run_tracks_exact_solution():
     problem = get_problem("manufactured")
-    loop = TimeLoopConfig(tau=0.01, n_steps=10,
-                          scheme=SchemeKind.PEACEMAN_RACHFORD)
-    stepper = Stepper(problem, (16, 16), (2, 1), (3, 0), loop)
-    state = stepper.initial_state()
-    for _ in range(loop.n_steps):
-        state = stepper.step(state)
+    config = RunConfig(mesh=(16, 16), trial=(2, 1), test=(3, 0), tau=0.01,
+                       n_steps=10)
+    stepper = Stepper(problem, config)
+    for _, state in march(stepper, config.n_steps):
+        pass
     assert state.time == pytest.approx(0.1)
     row = compute_errors(state, problem, stepper.trial_x, stepper.trial_y)
     assert row.relative
@@ -118,13 +117,12 @@ def test_stabilized_equals_plain_galerkin_when_test_is_trial():
     problem = get_problem("manufactured")
     results = {}
     for stabilized in (True, False):
-        loop = TimeLoopConfig(tau=0.02, n_steps=5,
-                              scheme=SchemeKind.STRANG_CN,
-                              stabilized=stabilized)
-        stepper = Stepper(problem, (8, 8), (2, 1), (2, 1), loop)
-        state = stepper.initial_state()
-        for _ in range(loop.n_steps):
-            state = stepper.step(state)
+        config = RunConfig(mesh=(8, 8), trial=(2, 1), test=(2, 1),
+                           scheme="strang-cn", tau=0.02, n_steps=5,
+                           stabilized=stabilized)
+        stepper = Stepper(problem, config)
+        for _, state in march(stepper, config.n_steps):
+            pass
         results[stabilized] = state.u
     diff = np.linalg.norm(results[True] - results[False])
     assert diff / np.linalg.norm(results[False]) < 1e-10
@@ -132,9 +130,8 @@ def test_stabilized_equals_plain_galerkin_when_test_is_trial():
 
 def test_residual_norms_recorded_only_when_stabilized():
     problem = get_problem("manufactured")
-    loop = TimeLoopConfig(tau=0.02, n_steps=1,
-                          scheme=SchemeKind.PEACEMAN_RACHFORD, stabilized=True)
-    stepper = Stepper(problem, (8, 8), (2, 1), (3, 0), loop)
+    stepper = Stepper(problem, RunConfig(mesh=(8, 8), trial=(2, 1),
+                                         test=(3, 0), tau=0.02, n_steps=1))
     state = stepper.initial_state()
     stepper.step(state)
     l2, h1 = stepper.last_residual_norms
@@ -144,10 +141,8 @@ def test_residual_norms_recorded_only_when_stabilized():
 def test_time_dependent_wind_rebuilds_operators():
     problem = get_problem("pollution")
     tau = 0.5
-    loop = TimeLoopConfig(tau=tau, n_steps=2,
-                          scheme=SchemeKind.PEACEMAN_RACHFORD,
-                          record_residuals=False)
-    stepper = Stepper(problem, (8, 8), (2, 1), (3, 0), loop)
+    stepper = Stepper(problem, RunConfig(mesh=(8, 8), trial=(2, 1),
+                                         test=(3, 0), tau=tau, n_steps=2))
     x_op = stepper.x_op
     built = {name: getattr(x_op, name)
              for name in ("m_rect", "a_split", "other_lu", "loads")}
@@ -167,17 +162,18 @@ class _RebuildingStepper(Stepper):
     """Builds both directional operators afresh at every step's start time."""
 
     def step(self, state):
-        problem, loop = self.problem, self.loop
-        dt = _dt_fractions(loop.scheme)
+        problem, config = self.problem, self.config
+        dt = _dt_fractions(self.scheme)
         diffusion = (problem.diffusion_x, problem.diffusion_y)
         wind = problem.wind.pair(state.time)
         x_op, y_op = (
             build_directional(d, self.trial_x, self.trial_y, test, diffusion,
-                              wind, dt[d] * loop.tau, loop.stabilized, self.counter)
+                              wind, dt[d] * config.tau, config.stabilized,
+                              self.counter)
             for d, test in (("x", self.test_x), ("y", self.test_y)))
-        final = split_step(loop.scheme, state, x_op, y_op, problem.forcing,
-                           loop.tau)[1]
-        final.time = state.time + loop.tau
+        final = split_step(self.scheme, state, x_op, y_op, problem.forcing,
+                           config.tau)[1]
+        final.time = state.time + config.tau
         return final
 
 
@@ -185,23 +181,22 @@ class _RebuildingStepper(Stepper):
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_wind_update_matches_full_rebuild(scheme, stabilized):
     problem = get_problem("pollution")
-    loop = TimeLoopConfig(tau=1.0, n_steps=5, scheme=scheme,
-                          stabilized=stabilized)
+    config = RunConfig(mesh=(8, 8), trial=(2, 1), test=(3, 0),
+                       scheme=scheme.value, tau=1.0, n_steps=5,
+                       stabilized=stabilized)
     finals = []
     for cls in (Stepper, _RebuildingStepper):
-        stepper = cls(problem, (8, 8), (2, 1), (3, 0), loop)
-        state = stepper.initial_state()
-        for _ in range(loop.n_steps):
-            state = stepper.step(state)
+        stepper = cls(problem, config)
+        for _, state in march(stepper, config.n_steps):
+            pass
         finals.append(state.u)
     assert np.array_equal(finals[0], finals[1])
 
 
 def test_steady_wind_keeps_factorizations():
     problem = get_problem("manufactured")
-    loop = TimeLoopConfig(tau=0.01, n_steps=2,
-                          scheme=SchemeKind.PEACEMAN_RACHFORD)
-    stepper = Stepper(problem, (8, 8), (2, 1), (3, 0), loop)
+    stepper = Stepper(problem, RunConfig(mesh=(8, 8), trial=(2, 1),
+                                         test=(3, 0), tau=0.01, n_steps=2))
     state = stepper.initial_state()
     first_ops = stepper.x_op
     stepper.step(stepper.step(state))
@@ -210,6 +205,6 @@ def test_steady_wind_keeps_factorizations():
 
 def test_non_separable_problem_rejected_by_split_stepper():
     problem = get_problem("circular-wind")
-    loop = TimeLoopConfig(tau=0.1, n_steps=1)
     with pytest.raises(ParameterError):
-        Stepper(problem, (8, 8), (4, 3), (5, 0), loop)
+        Stepper(problem, RunConfig(mesh=(8, 8), trial=(4, 3), test=(5, 0),
+                                   tau=0.1, n_steps=1))

@@ -1,33 +1,53 @@
-"""The benchmark tracer finds every layer entry point it wraps.
+"""The benchmark's hooks into the program still apply.
 
-perfbench/spans.py wraps program functions by name; a renamed or deleted
-layer would only print a warning during a traced benchmark run.  This test
-installs the tracer on the imported package and requires that nothing is
-missing.
+perfbench/spans.py wraps program functions by name, and perfbench/bench.py
+hooks each stepper's initial_state and step through the instance.  A renamed
+layer would only print a warning during a traced benchmark run, and a time
+loop that bypassed the instance would only show up as failed benchmark
+rounds; these tests catch both on the imported package.
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-import splitmin  # noqa: F401  (the tracer wraps the loaded splitmin modules)
+import numpy as np
+import pytest
+
+import splitmin.reporting as reporting
+from splitmin.reporting import RunConfig
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _import_spans():
+def _import_perfbench(name):
     sys.path.insert(0, str(_PERFBENCH))
     try:
-        import spans
+        return __import__(name)
     finally:
         sys.path.remove(str(_PERFBENCH))
-    return spans
 
 
 def test_tracer_finds_every_layer():
-    spans = _import_spans()
+    spans = _import_perfbench("spans")
     tracer = spans.Tracer()
     try:
         tracer.install()
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("config", (
+    RunConfig(problem="pollution", mesh=(8, 8), tau=1.0, n_steps=5),
+    RunConfig(problem="circular-wind", mesh=(6, 6), tau=0.1, n_steps=4),
+), ids=["pollution", "circular-wind"])
+def test_benchmark_round_hooks_see_every_step(tmp_path, monkeypatch, config):
+    rnd = _import_perfbench("bench").Round(keep_every=1)
+    monkeypatch.setattr(reporting, "make_stepper",
+                        rnd.make_stepper(reporting.make_stepper))
+    final = reporting.run(replace(config, out_dir=str(tmp_path)))
+    assert len(rnd.step_s) == config.n_steps
+    assert rnd.setup_s > 0.0
+    assert len(rnd.states) == config.n_steps + 1
+    assert np.array_equal(rnd.states[-1][1], final.u)
