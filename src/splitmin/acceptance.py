@@ -218,13 +218,13 @@ def criterion_8_property_suite() -> tuple[bool, str]:
 
     space = make_space(3, 2, 8, (0.0, 1.0))
     xs = np.linspace(0.0, 1.0, 301)
-    vals, ders = eval_matrix(space, xs)
+    vals = eval_matrix(space, xs)[0].toarray()
     checks.append(("partition of unity",
                    float(np.max(np.abs(vals.sum(axis=1) - 1.0))) < 1e-12))
     h = 1e-6
     inner = xs[(xs > 2 * h) & (xs < 1 - 2 * h)]
-    fd = (eval_matrix(space, inner + h)[0] - eval_matrix(space, inner - h)[0]) / (2 * h)
-    dmid = eval_matrix(space, inner)[1]
+    fd = (eval_matrix(space, inner + h)[0] - eval_matrix(space, inner - h)[0]).toarray() / (2 * h)
+    dmid = eval_matrix(space, inner)[1].toarray()
     checks.append(("derivative vs finite difference",
                    float(np.max(np.abs(fd - dmid))) < 1e-5))
 

@@ -62,29 +62,25 @@ class ErrorEvaluator:
         nqy = _nq(trial_y.degree, trial_y.degree) + 1
         self.px, self.wx = gauss_rule(trial_x, nqx)
         self.py, self.wy = gauss_rule(trial_y, nqy)
-        vx, dx = eval_matrix(trial_x, self.px)
-        vy, dy = eval_matrix(trial_y, self.py)
-        self.vx, self.dx = vx[:, 1:-1], dx[:, 1:-1]
-        self.vy, self.dy = vy[:, 1:-1], dy[:, 1:-1]
-        self.w2 = self.wx[:, None] * self.wy[None, :]
+        self.vx, self.dx = eval_matrix(trial_x, self.px)
+        self.vy, self.dy = eval_matrix(trial_y, self.py)
         self._grid = (self.px[:, None], self.py[None, :])
+
+    def _squares(self, exact, vx, u_grid, vy) -> tuple[float, float]:
+        """Integrals of (exact - vx u vy^T)^2 and exact^2 over the Gauss grid."""
+        exact = np.broadcast_to(np.asarray(exact, dtype=float), (self.px.size, self.py.size))
+        diff = _on_grid(vx, u_grid, vy)
+        np.square(np.subtract(exact, diff, out=diff), out=diff)
+        return float(self.wx @ diff @ self.wy), float(self.wx @ np.square(exact) @ self.wy)
 
     def errors(self, u_grid: np.ndarray, t: float) -> ErrorRow:
         X, Y = self._grid
-        shape = self.w2.shape
-        uh = self.vx @ u_grid @ self.vy.T
-        ue = np.broadcast_to(np.asarray(self.exact(X, Y, t), dtype=float), shape)
-        l2_err2 = float(np.sum(self.w2 * (ue - uh) ** 2))
-        l2_ref2 = float(np.sum(self.w2 * ue ** 2))
-        h1_err2, h1_ref2 = l2_err2, l2_ref2
+        l2_err2, l2_ref2 = self._squares(self.exact(X, Y, t), self.vx, u_grid, self.vy)
         if self.exact_grad is not None:
             gx, gy = self.exact_grad(X, Y, t)
-            gx = np.broadcast_to(np.asarray(gx, dtype=float), shape)
-            gy = np.broadcast_to(np.asarray(gy, dtype=float), shape)
-            dhx = self.dx @ u_grid @ self.vy.T
-            dhy = self.vx @ u_grid @ self.dy.T
-            h1_err2 += float(np.sum(self.w2 * ((gx - dhx) ** 2 + (gy - dhy) ** 2)))
-            h1_ref2 += float(np.sum(self.w2 * (gx ** 2 + gy ** 2)))
+            ex2, rx2 = self._squares(gx, self.dx, u_grid, self.vy)
+            ey2, ry2 = self._squares(gy, self.vx, u_grid, self.dy)
+            h1_err2, h1_ref2 = l2_err2 + ex2 + ey2, l2_ref2 + rx2 + ry2
         else:
             h1_err2 = h1_ref2 = float("nan")
         l2_err, l2_ref = np.sqrt(l2_err2), np.sqrt(l2_ref2)
@@ -205,6 +201,10 @@ def convergence_study(config: RunConfig, taus: Sequence[float],
         raise ParameterError("convergence study needs at least 3 tau values")
     if reference not in ("exact", "self"):
         raise ParameterError(f"unknown reference {reference!r}")
+    if not schemes:
+        raise ParameterError("convergence study needs at least one scheme")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be at least 1, got {jobs}")
     problem = get_problem(config.problem)
     if reference == "exact" and problem.exact is None:
         raise ParameterError(f"problem {problem.name!r} has no closed-form "
@@ -343,9 +343,18 @@ def sample_field(u_grid: np.ndarray, trial_x: SplineSpace, trial_y: SplineSpace,
                  resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xs = np.linspace(*trial_x.interval, resolution)
     ys = np.linspace(*trial_y.interval, resolution)
-    vx = eval_matrix(trial_x, xs)[0][:, 1:-1]
-    vy = eval_matrix(trial_y, ys)[0][:, 1:-1]
-    return xs, ys, vx @ u_grid @ vy.T
+    vx, vy = eval_matrix(trial_x, xs)[0], eval_matrix(trial_y, ys)[0]
+    return xs, ys, _on_grid(vx, u_grid, vy)
+
+
+def _on_grid(vx, u_grid: np.ndarray, vy) -> np.ndarray:
+    """Values vx u vy^T at a tensor grid of points, C-ordered.
+
+    u is u_grid, the interior coefficients, padded with the zero Dirichlet ones.
+    """
+    u = np.zeros((vx.shape[1], vy.shape[1]))
+    u[1:-1, 1:-1] = u_grid
+    return vx @ (vy @ u.T).T
 
 
 def export_field(u_grid: np.ndarray, trial_x: SplineSpace, trial_y: SplineSpace,

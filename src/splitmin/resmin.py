@@ -54,13 +54,15 @@ class LoadAssembler:
     def load(self, f, t: float) -> np.ndarray:
         vals = np.asarray(f(self.px[:, None], self.py[None, :], t), dtype=float)
         vals = np.broadcast_to(vals, (self.px.size, self.py.size))
-        return self.wx.T @ vals @ self.wy
+        return (self.wx.T @ vals @ self.wy)[1:-1, 1:-1]
 
 
-def _weighted_basis(space: SplineSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss points, degree+1 per element, and the weighted interior basis values."""
+def _weighted_basis(space: SplineSpace):
+    """Gauss points, degree+1 per element, and the weighted basis values (CSR)."""
     points, weights = gauss_rule(space, space.degree + 1)
-    return points, (weights[:, None] * eval_matrix(space, points)[0])[:, 1:-1]
+    values = eval_matrix(space, points)[0]
+    values.data *= np.repeat(weights, space.degree + 1)  # degree+1 entries per row
+    return points, values
 
 
 def _block(kind, trial: SplineSpace, test: SplineSpace, coef=None):

@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import DomainError, ParameterError
 
@@ -111,16 +112,19 @@ def active_basis(space: SplineSpace, xs) -> tuple[np.ndarray, np.ndarray, np.nda
     return spans - p, values, derivatives
 
 
-def eval_matrix(space: SplineSpace, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (len(xs), dim) matrices of basis values and first derivatives."""
+def eval_matrix(space: SplineSpace, xs) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Sparse (len(xs), dim) CSR matrices of basis values and first derivatives.
+
+    Row i holds the p+1 active functions at xs[i] in columns first + 0..p, so
+    a contraction through them costs O((p+1) len(xs)) rather than O(len(xs) dim).
+    """
     first, values, derivatives = active_basis(space, xs)
-    rows = np.arange(first.size)[:, None]
-    cols = first[:, None] + np.arange(space.degree + 1)
-    vals = np.zeros((first.size, space.dim))
-    ders = np.zeros((first.size, space.dim))
-    vals[rows, cols] = values
-    ders[rows, cols] = derivatives
-    return vals, ders
+    width = space.degree + 1
+    indices = (first[:, None] + np.arange(width)).ravel()
+    indptr = np.arange(0, indices.size + 1, width)
+    shape = (first.size, space.dim)
+    return (sp.csr_matrix((values.ravel(), indices, indptr), shape=shape),
+            sp.csr_matrix((derivatives.ravel(), indices, indptr), shape=shape))
 
 
 @lru_cache(maxsize=32)

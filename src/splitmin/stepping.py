@@ -52,7 +52,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name, ok, expected in (
-                ("tau", self.tau > 0, "positive"),
+                ("tau", 0 < self.tau < np.inf, "positive and finite"),
                 ("n_steps", self.n_steps >= 0, "non-negative"),
                 ("snapshot_stride", self.snapshot_stride >= 0, "non-negative"),
                 ("snapshot_resolution", self.snapshot_resolution >= 1, "at least 1")):

@@ -129,8 +129,8 @@ def test_quadrature_rule_is_exact_for_polynomial_terms():
     test = make_space(4, 0, 3, (0.0, 1.0))
     base = mass(trial, test).to_dense()
     pts, wts = gauss_rule(trial, _nq(3, 4) + 3)
-    tv, _ = eval_matrix(trial, pts)
-    sv, _ = eval_matrix(test, pts)
+    tv = eval_matrix(trial, pts)[0].toarray()
+    sv = eval_matrix(test, pts)[0].toarray()
     refined = sv.T @ (wts[:, None] * tv)
     np.testing.assert_allclose(base, refined, atol=1e-14)
 

@@ -249,8 +249,13 @@ _CONVERGE = ["converge", "--mesh", "6", "--tau", "0.04", "--steps", "5",
     ["run", "--tau", "-0.5"],
     ["run", "--snapshot-stride", "-2"],
     [*_CONVERGE, "--problem", "pollution", "--taus", "0.04,0.02,0.01"],
+    [*_CONVERGE[:-1], ",", "--taus", "0.04,0.02,0.01"],
+    [*_CONVERGE, "--taus", "0.04,0.02,0.01", "--jobs", "0"],
+    [*_CONVERGE, "--taus", "0.04,0.02,0.01", "--jobs", "-3"],
+    ["run", "--tau", "inf", "--steps", "2"],
 ), ids=["empty-meshes", "zero-tau", "negative-tau", "zero-resolution",
-        "negative-run-tau", "negative-stride", "no-closed-form"])
+        "negative-run-tau", "negative-stride", "no-closed-form", "empty-schemes",
+        "zero-jobs", "negative-jobs", "infinite-tau"])
 def test_invalid_input_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                argv):
     def no_run(*args):

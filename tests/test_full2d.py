@@ -50,8 +50,9 @@ def _dense_reference(trial, test, terms, n_points):
     """
     px, wx = gauss_rule(trial.x, n_points)
     py, wy = gauss_rule(trial.y, n_points)
-    tx, ty = eval_matrix(trial.x, px), eval_matrix(trial.y, py)
-    sx, sy = eval_matrix(test.x, px), eval_matrix(test.y, py)
+    tx, ty, sx, sy = ([m.toarray() for m in eval_matrix(space, pts)]
+                      for space, pts in ((trial.x, px), (trial.y, py),
+                                         (test.x, px), (test.y, py)))
     W = wx[:, None] * wy[None, :]
     out = 0.0
     for c, (i, j), (k, l) in terms:

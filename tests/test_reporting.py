@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import splitmin.reporting as reporting
+from splitmin.assembly import _nq
 from splitmin.cli import main
 from splitmin.exceptions import NonFiniteStateError, ParameterError
 from splitmin.problems import get_problem, manufactured
@@ -15,7 +17,7 @@ from splitmin.reporting import (ErrorEvaluator, RunConfig, compute_errors,
                                 convergence_study, export_field,
                                 full_dof_count, run, sample_field,
                                 solution_l2_norm, timing_study)
-from splitmin.splines import make_space
+from splitmin.splines import eval_matrix, gauss_rule, make_space
 from splitmin.stepping import project_initial
 
 
@@ -41,6 +43,75 @@ def test_vanishing_exact_norm_switches_to_absolute():
     row = ev.errors(np.zeros((tx.dim - 2, ty.dim - 2)), t=0.0)
     assert not row.relative
     assert row.l2_percent == pytest.approx(0.0, abs=1e-14)
+
+
+class DenseErrorEvaluator:
+    """ErrorEvaluator's rows through dense (points, dim) basis matrices.
+
+    Same Gauss rule; u_h and its gradient are dense grid products and the
+    squares are summed against the tensor weights w_x w_y^T.
+    """
+
+    def __init__(self, trial_x, trial_y, exact, exact_grad=None):
+        self.exact, self.exact_grad = exact, exact_grad
+        px, wx = gauss_rule(trial_x, _nq(trial_x.degree, trial_x.degree) + 1)
+        py, wy = gauss_rule(trial_y, _nq(trial_y.degree, trial_y.degree) + 1)
+        self.vx, self.dx = (m.toarray()[:, 1:-1] for m in eval_matrix(trial_x, px))
+        self.vy, self.dy = (m.toarray()[:, 1:-1] for m in eval_matrix(trial_y, py))
+        self.w2 = wx[:, None] * wy[None, :]
+        self.grid = (px[:, None], py[None, :])
+
+    def errors(self, u_grid, t):
+        X, Y = self.grid
+        uh = self.vx @ u_grid @ self.vy.T
+        ue = np.broadcast_to(np.asarray(self.exact(X, Y, t), dtype=float), self.w2.shape)
+        l2_err2 = float(np.sum(self.w2 * (ue - uh) ** 2))
+        l2_ref2 = float(np.sum(self.w2 * ue ** 2))
+        h1_err2 = h1_ref2 = float("nan")
+        if self.exact_grad is not None:
+            gx, gy = (np.broadcast_to(np.asarray(g, dtype=float), self.w2.shape)
+                      for g in self.exact_grad(X, Y, t))
+            dhx = self.dx @ u_grid @ self.vy.T
+            dhy = self.vx @ u_grid @ self.dy.T
+            h1_err2 = l2_err2 + float(np.sum(self.w2 * ((gx - dhx) ** 2 + (gy - dhy) ** 2)))
+            h1_ref2 = l2_ref2 + float(np.sum(self.w2 * (gx ** 2 + gy ** 2)))
+        if np.sqrt(l2_ref2) < 1e-14:
+            return np.sqrt(l2_err2), np.sqrt(h1_err2), False
+        return (100.0 * np.sqrt(l2_err2 / l2_ref2),
+                100.0 * np.sqrt(h1_err2 / h1_ref2), True)
+
+
+_EXACT = (  # (exact, exact_grad): with a gradient, without one, vanishing
+    (lambda x, y, t: np.sin(2.0 * x) * np.cos(y) * np.exp(-t) + 0.5,
+     lambda x, y, t: (2.0 * np.cos(2.0 * x) * np.cos(y) * np.exp(-t),
+                      -np.sin(2.0 * x) * np.sin(y) * np.exp(-t))),
+    (lambda x, y, t: x * y * (1.0 + t), None),
+    (lambda x, y, t: 0.0, lambda x, y, t: (0.0, 0.0)),
+)
+
+
+@st.composite
+def _error_cases(draw):
+    p = draw(st.integers(0, 4))
+    c = draw(st.integers(-1, p - 1))
+    mesh = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    intervals = ((x0 := draw(st.floats(-2.0, 2.0)), x0 + draw(st.floats(0.5, 1.5))),
+                 (y0 := draw(st.floats(-2.0, 2.0)), y0 + draw(st.floats(2.0, 4.0))))
+    tx, ty = (make_space(p, c, n, iv) for n, iv in zip(mesh, intervals))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.standard_normal((max(tx.dim - 2, 0), max(ty.dim - 2, 0)))
+    return tx, ty, draw(st.sampled_from(_EXACT)), u, draw(st.floats(0.0, 2.0))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_error_cases())
+def test_errors_match_dense_evaluation_on_random_spaces(case):
+    tx, ty, (exact, exact_grad), u, t = case
+    row = ErrorEvaluator(tx, ty, exact, exact_grad).errors(u, t)
+    l2, h1, relative = DenseErrorEvaluator(tx, ty, exact, exact_grad).errors(u, t)
+    assert row.t == t and row.relative == relative
+    np.testing.assert_allclose([row.l2_percent, row.h1_percent], [l2, h1],
+                               rtol=1e-13, atol=0.0)
 
 
 def test_error_evaluator_requires_exact_solution():
@@ -206,6 +277,9 @@ def test_convergence_study_validates_inputs():
     with pytest.raises(ParameterError):
         convergence_study(config, taus=(0.04, 0.02, 0.01),
                           reference="bogus")
+    for kwargs in (dict(schemes=()), dict(jobs=0), dict(jobs=-2)):
+        with pytest.raises(ParameterError):
+            convergence_study(config, taus=(0.04, 0.02, 0.01), **kwargs)
 
 
 def test_convergence_study_outputs_and_parallel_match(tmp_path):

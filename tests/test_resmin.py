@@ -1,6 +1,7 @@
-"""Directional substeps: block assembly, saddle solve, residual norms.
+"""Directional substeps: block assembly, saddle solve, residual norms, loads.
 
-The oracle is a dense assembled 2D block solve of the same saddle system.
+The oracle is a dense assembled 2D block solve of the same saddle system;
+loads are checked against the contraction with dense basis matrices.
 """
 
 import numpy as np
@@ -192,9 +193,60 @@ def test_load_assembler_separable_integrand():
     # separable f factors into two 1D integrals per basis pair
     px, wx = gauss_rule(sx, 8)
     py, wy = gauss_rule(sy, 8)
-    ix = (wx * np.sin(px)) @ eval_matrix(sx, px)[0][:, 1:-1]
-    iy = (wy * (2.0 + py)) @ eval_matrix(sy, py)[0][:, 1:-1]
+    ix = (wx * np.sin(px)) @ eval_matrix(sx, px)[0].toarray()[:, 1:-1]
+    iy = (wy * (2.0 + py)) @ eval_matrix(sy, py)[0].toarray()[:, 1:-1]
     np.testing.assert_allclose(got, 1.5 * np.outer(ix, iy), atol=1e-9)
+
+
+def _dense_load(space_x, space_y, f, t):
+    """W_x^T F W_y through dense (points, dim) basis matrices, interior block."""
+    px, wx = gauss_rule(space_x, space_x.degree + 1)
+    py, wy = gauss_rule(space_y, space_y.degree + 1)
+    bx = wx[:, None] * eval_matrix(space_x, px)[0].toarray()
+    by = wy[:, None] * eval_matrix(space_y, py)[0].toarray()
+    vals = np.broadcast_to(np.asarray(f(px[:, None], py[None, :], t), dtype=float),
+                           (px.size, py.size))
+    return (bx.T @ vals @ by)[1:-1, 1:-1]
+
+
+_FORCINGS = (lambda x, y, t: np.sin(3.0 * x - y) * (1.0 + x * y) + t,
+             lambda x, y, t: np.cos(x) * (2.0 - t),
+             lambda x, y, t: 2.5)
+
+
+@st.composite
+def _load_cases(draw):
+    """The spaces of one direction's loads: test space in x, trial space in y.
+
+    Stabilized pairs take a test space of degree p or p+1 and continuity at
+    most the trial's; Galerkin pairs test with the trial space itself.
+    """
+    p = draw(st.integers(0, 4))
+    c = draw(st.integers(-1, p - 1))
+    if draw(st.booleans()):
+        q = draw(st.integers(p, p + 1))
+        cq = draw(st.integers(-1, min(c, q - 1)))
+    else:
+        q, cq = p, c
+    mesh = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    intervals = ((x0 := draw(st.floats(-2.0, 2.0)), x0 + draw(st.floats(0.5, 1.5))),
+                 (y0 := draw(st.floats(-2.0, 2.0)), y0 + draw(st.floats(2.0, 4.0))))
+    test_x = make_space(q, cq, mesh[0], intervals[0])
+    trial_y = make_space(p, c, mesh[1], intervals[1])
+    return test_x, trial_y, draw(st.sampled_from(_FORCINGS)), draw(st.floats(0.0, 2.0))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_load_cases())
+def test_load_matches_dense_contraction_on_random_spaces(case):
+    sx, sy, f, t = case
+    loads = LoadAssembler(sx, sy)
+    # the perfbench mass balance counts degree+1 Gauss points per element
+    assert loads.px.size == (sx.degree + 1) * sx.n_elements
+    assert loads.py.size == (sy.degree + 1) * sy.n_elements
+    got, ref = loads.load(f, t), _dense_load(sx, sy, f, t)
+    assert got.shape == ref.shape == (max(sx.dim - 2, 0), max(sy.dim - 2, 0))
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * np.max(np.abs(ref), initial=0.0)
 
 
 def test_constant_load_is_positive_for_interior_functions():

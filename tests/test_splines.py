@@ -9,7 +9,12 @@ import pytest
 from scipy.interpolate import BSpline
 
 from splitmin.exceptions import DomainError, ParameterError
-from splitmin.splines import element_table, eval_matrix, make_space
+from splitmin.splines import active_basis, element_table, eval_matrix, make_space
+
+
+def _dense(space, xs):
+    """Basis values and derivatives at xs as dense (len(xs), dim) arrays."""
+    return tuple(m.toarray() for m in eval_matrix(space, xs))
 
 
 def test_knot_vector_linear_c0_two_elements():
@@ -40,14 +45,14 @@ def test_eval_quadratic_hand_values():
     # degree 2, C^1, two elements on [0,1]; at x=0.25 the active functions
     # are 0,1,2 with values (1/4, 5/8, 1/8) and derivatives (-2, 1, 1)
     space = make_space(2, 1, 2, (0.0, 1.0))
-    vals, ders = eval_matrix(space, 0.25)
+    vals, ders = _dense(space, 0.25)
     np.testing.assert_allclose(vals[0], [0.25, 0.625, 0.125, 0.0], atol=1e-15)
     np.testing.assert_allclose(ders[0], [-2.0, 1.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_eval_at_domain_endpoints_is_interpolatory():
     space = make_space(3, 2, 5, (0.0, 1.0))
-    vals, _ = eval_matrix(space, [0.0, 1.0])
+    vals, _ = _dense(space, [0.0, 1.0])
     # clamped ends: exactly the first/last function takes value 1 there
     np.testing.assert_allclose(vals, np.eye(space.dim)[[0, -1]], atol=1e-15)
 
@@ -59,7 +64,7 @@ def test_values_match_scipy_design_matrix(p, c, n_el):
     space = make_space(p, c, n_el, (0.0, 1.0))
     rng = np.random.default_rng(42)
     xs = rng.uniform(0.0, 1.0, size=40)
-    vals, _ = eval_matrix(space, xs)
+    vals, _ = _dense(space, xs)
     ref = BSpline.design_matrix(xs, space.knots, p).toarray()
     assert ref.shape == vals.shape
     np.testing.assert_allclose(vals, ref, atol=1e-13)
@@ -70,7 +75,7 @@ def test_derivatives_match_scipy_bspline(p, c, n_el):
     space = make_space(p, c, n_el, (0.0, 1.0))
     rng = np.random.default_rng(7)
     xs = rng.uniform(0.0, 1.0, size=25)
-    _, ders = eval_matrix(space, xs)
+    _, ders = _dense(space, xs)
     for i in range(space.dim):
         coeff = np.zeros(space.dim)
         coeff[i] = 1.0
@@ -83,7 +88,7 @@ def test_partition_of_unity_and_derivative_sum():
     for p, c, n_el in ((1, 0, 4), (2, 1, 8), (3, 2, 6), (5, 4, 3)):
         space = make_space(p, c, n_el, (-2.0, 3.0))
         xs = np.concatenate([rng.uniform(-2.0, 3.0, 200), [-2.0, 3.0]])
-        vals, ders = eval_matrix(space, xs)
+        vals, ders = _dense(space, xs)
         np.testing.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(ders.sum(axis=1), 0.0, atol=1e-11)
 
@@ -91,7 +96,7 @@ def test_partition_of_unity_and_derivative_sum():
 def test_values_nonnegative_and_local():
     space = make_space(3, 1, 4, (0.0, 1.0))
     xs = np.linspace(0.0, 1.0, 201)
-    vals, _ = eval_matrix(space, xs)
+    vals, _ = _dense(space, xs)
     assert vals.min() >= -1e-14
     # each basis function is supported on at most ceil((p+1)/(p-c)) elements
     h = 0.25
@@ -106,8 +111,8 @@ def test_derivative_matches_finite_difference():
     space = make_space(3, 2, 8, (0.0, 1.0))
     h = 1e-6
     xs = np.linspace(0.05, 0.95, 37)
-    fd = (eval_matrix(space, xs + h)[0] - eval_matrix(space, xs - h)[0]) / (2 * h)
-    _, ders = eval_matrix(space, xs)
+    fd = (_dense(space, xs + h)[0] - _dense(space, xs - h)[0]) / (2 * h)
+    _, ders = _dense(space, xs)
     np.testing.assert_allclose(fd, ders, atol=1e-5)
 
 
@@ -116,8 +121,8 @@ def test_continuity_across_breakpoints():
     space = make_space(2, 1, 4, (0.0, 1.0))
     eps = 1e-9
     for bp in space.breakpoints[1:-1]:
-        vl, dl = eval_matrix(space, np.array([bp - eps]))
-        vr, dr = eval_matrix(space, np.array([bp + eps]))
+        vl, dl = _dense(space, np.array([bp - eps]))
+        vr, dr = _dense(space, np.array([bp + eps]))
         np.testing.assert_allclose(vl, vr, atol=1e-7)
         np.testing.assert_allclose(dl, dr, atol=1e-5)
 
@@ -127,8 +132,8 @@ def test_discontinuous_basis_jumps_at_breakpoint():
     space = make_space(2, 0, 4, (0.0, 1.0))
     eps = 1e-9
     bp = space.breakpoints[1]
-    vl, dl = eval_matrix(space, np.array([bp - eps]))
-    vr, dr = eval_matrix(space, np.array([bp + eps]))
+    vl, dl = _dense(space, np.array([bp - eps]))
+    vr, dr = _dense(space, np.array([bp + eps]))
     np.testing.assert_allclose(vl, vr, atol=1e-7)
     assert np.max(np.abs(dl - dr)) > 1.0
 
@@ -151,13 +156,28 @@ def test_element_table_values_equal_eval_matrix(p):
     for c in range(-1, p):
         space = make_space(p, c, 4, (0.0, 2.0))
         table = element_table(space, p + 2)
-        vals, ders = eval_matrix(space, table.points.ravel())
+        vals, ders = _dense(space, table.points.ravel())
         rows = np.arange(vals.shape[0]).reshape(4, p + 2, 1)
         cols = table.firsts[:, None, None] + np.arange(p + 1)
         for dense, local in ((vals, table.values), (ders, table.derivatives)):
             scattered = np.zeros_like(dense)
             scattered[rows, cols] = local
             np.testing.assert_array_equal(scattered, dense)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+def test_eval_matrix_stores_exactly_the_active_functions(p):
+    # CSR with p+1 entries per row at columns first + 0..p, for every continuity
+    for c in range(-1, p):
+        space = make_space(p, c, 5, (-1.0, 2.0))
+        xs = np.linspace(-1.0, 2.0, 23)
+        first, values, derivatives = active_basis(space, xs)
+        for matrix, local in zip(eval_matrix(space, xs), (values, derivatives)):
+            assert matrix.format == "csr" and matrix.shape == (xs.size, space.dim)
+            np.testing.assert_array_equal(np.diff(matrix.indptr), p + 1)
+            np.testing.assert_array_equal(matrix.indices.reshape(-1, p + 1),
+                                          first[:, None] + np.arange(p + 1))
+            np.testing.assert_array_equal(matrix.data.reshape(-1, p + 1), local)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -42,8 +42,8 @@ def test_projection_reproduces_member_of_the_space():
     def u0(x, y):
         xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
         yv = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
-        vx = eval_matrix(tx, xv)[0][:, 1:-1]
-        vy = eval_matrix(ty, yv)[0][:, 1:-1]
+        vx = eval_matrix(tx, xv)[0].toarray()[:, 1:-1]
+        vy = eval_matrix(ty, yv)[0].toarray()[:, 1:-1]
         return vx @ coeff @ vy.T
 
     state = project_initial(u0, tx, ty)
@@ -58,7 +58,7 @@ def test_projection_error_shrinks_with_mesh():
         tx = make_space(2, 1, n, (0.0, 1.0))
         state = project_initial(u0, tx, tx)
         xs = np.linspace(0.1, 0.9, 33)
-        vx = eval_matrix(tx, xs)[0][:, 1:-1]
+        vx = eval_matrix(tx, xs)[0].toarray()[:, 1:-1]
         uh = vx @ state.u @ vx.T
         ue = u0(xs[:, None], xs[None, :])
         errs.append(float(np.max(np.abs(uh - ue))))
