@@ -1,19 +1,21 @@
 """Record the benchmark's end-to-end metrics as committed BENCH_<label>.json files.
 
-    python3 scripts/bench_record.py [--runs N] LABEL[=CHECKOUT] [LABEL=CHECKOUT ...]
+    python3 scripts/bench_record.py LABEL[=CHECKOUT] [LABEL=CHECKOUT ...]
 
 Each LABEL names one checkout (default: this repository).  For every workload
-in BENCHMARK.json the script makes N untraced runs of ``perfbench/run.py``
+in BENCHMARK.json the script makes ten untraced runs of ``perfbench/run.py``
 per checkout, each a fresh process of the benchmark's run length.  With two
 or more checkouts the runs alternate, and each round reverses the order, so
 machine drift hits every side alike and run i of one file pairs with run i
 of another.  Each checkout gets ``BENCH_<LABEL>.json`` at the root of this
 repository:
 
-- per workload, rounds attempted and failed, and a flag that every run's
-  correctness checks passed;
-- per end-to-end metric, its unit, median, quartiles and the value of every
-  run in run order;
+- per workload, rounds attempted and failed, and a flag that every run
+  exited 0 with its correctness checks passed (a run that exits non-zero is
+  kept as an incorrect run with its exit code, and the recording goes on);
+- per end-to-end metric, its unit, median, quartiles (``statistics.quantiles``,
+  as ``perfbench/steadiness.py`` takes them) and the value of every run in
+  run order;
 - the host's processor count, the Python, numpy and scipy versions, and the
   checkout's git SHA, with ``-dirty`` when its tree has uncommitted changes.
 """
@@ -24,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +35,7 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS = 10
 
 
 def git_sha(checkout: Path) -> str:
@@ -41,15 +45,17 @@ def git_sha(checkout: Path) -> str:
 
 
 def one_run(checkout: Path, workload: str, seconds: float) -> dict:
-    """One untraced run; its last output line is the metric record."""
+    """One untraced run: its last output line, or an incorrect record on failure."""
     # the workloads have no random inputs: the seed only names trace files
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", "1", "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        raise RuntimeError(f"{checkout}: {workload} exited {done.returncode}: "
-                           f"{done.stderr.strip()[-500:]}")
+        print(f"{checkout}: {workload} exited {done.returncode}: "
+              f"{done.stderr.strip()[-500:]}", file=sys.stderr)
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
+                "exit": done.returncode}
     return json.loads(lines[-1])
 
 
@@ -59,29 +65,28 @@ def summary(runs: list[dict], end_to_end: list[str]) -> dict:
         values = [r["metrics"][name]["value"] for r in runs if name in r["metrics"]]
         if not values:
             continue
-        q1, median, q3 = (np.percentile(values, (25, 50, 75)) if len(values) > 1
+        q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
                           else (values[0],) * 3)
-        metrics[name] = {"unit": runs[0]["metrics"][name]["unit"],
+        unit = next(r["metrics"][name]["unit"] for r in runs if name in r["metrics"])
+        metrics[name] = {"unit": unit,
                          "median": float(median), "q1": float(q1), "q3": float(q3),
                          "values": values}
     return {"runs": len(runs),
             "rounds_attempted": sum(r["attempted"] for r in runs),
             "rounds_failed": sum(r["failed"] for r in runs),
             "correct": all(r["correct"] for r in runs),
+            "failed_exits": [r["exit"] for r in runs if "exit" in r],
             "metrics": metrics}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("sides", nargs="+", metavar="LABEL[=CHECKOUT]")
-    parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     end_to_end = [m["name"] for m in spec["end_to_end"]]
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     sides, shas = [], {}
     for side in args.sides:
         label, _, checkout = side.partition("=")
@@ -89,13 +94,13 @@ def main(argv=None) -> int:
         shas[label] = git_sha(sides[-1][1])  # before the runs, which take a while
 
     results = {label: {w: [] for w in workloads} for label, _ in sides}
-    for i in range(args.runs):
+    for i in range(RUNS):
         order = sides if i % 2 == 0 else sides[::-1]
         for workload in workloads:
             for label, checkout in order:
                 record = one_run(checkout, workload, seconds)
                 results[label][workload].append(record)
-                print(f"run {i + 1}/{args.runs} {workload} {label}: "
+                print(f"run {i + 1}/{RUNS} {workload} {label}: "
                       f"{json.dumps({k: v['value'] for k, v in record['metrics'].items()})}",
                       file=sys.stderr)
 

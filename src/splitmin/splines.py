@@ -81,7 +81,7 @@ def _find_spans(space: SplineSpace, xs: np.ndarray) -> np.ndarray:
     if np.any(outside):
         raise DomainError(f"x={xs[outside][0]} outside [{a}, {b}]")
     spans = np.searchsorted(space.knots, xs, side="right") - 1
-    return np.clip(spans, space.degree, space.dim - 1)
+    return np.minimum(np.maximum(spans, space.degree), space.dim - 1)
 
 
 def active_basis(space: SplineSpace, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -95,14 +95,15 @@ def active_basis(space: SplineSpace, xs) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     spans = _find_spans(space, xs)
-    p, knots, x = space.degree, space.knots, xs[:, None]
+    p, x = space.degree, xs[:, None]
+    knots = space.knots[spans[:, None] + np.arange(1 - p, p + 1)]  # spans-p+1 .. spans+p
     values = np.ones((xs.size, 1))
     for j in range(1, p + 1):
-        r = spans[:, None] + np.arange(1, j + 1)
-        temp = values / (knots[r] - knots[r - j])
+        right, left = knots[:, p:p + j], knots[:, p - j:p]  # knots[spans+1..+j], [..-j]
+        temp = values / (right - left)
         values = np.zeros((xs.size, j + 1))
-        values[:, :j] += (knots[r] - x) * temp
-        values[:, 1:] += (x - knots[r - j]) * temp
+        values[:, :j] += (right - x) * temp
+        values[:, 1:] += (x - left) * temp
     derivatives = np.zeros((xs.size, p + 1))
     if p > 0:
         # the last temp holds the degree p-1 values over the knot differences of A2.3
@@ -120,8 +121,9 @@ def eval_matrix(space: SplineSpace, xs) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """
     first, values, derivatives = active_basis(space, xs)
     width = space.degree + 1
-    indices = (first[:, None] + np.arange(width)).ravel()
-    indptr = np.arange(0, indices.size + 1, width)
+    # int32 indices, as scipy would convert them, shared by both matrices
+    indices = (first[:, None] + np.arange(width)).ravel().astype(np.int32)
+    indptr = np.arange(0, indices.size + 1, width, dtype=np.int32)
     shape = (first.size, space.dim)
     return (sp.csr_matrix((values.ravel(), indices, indptr), shape=shape),
             sp.csr_matrix((derivatives.ravel(), indices, indptr), shape=shape))
