@@ -15,7 +15,7 @@ repository:
   kept as an incorrect run with its exit code, and the recording goes on);
 - per end-to-end metric, its unit, median, quartiles (``statistics.quantiles``,
   as ``perfbench/steadiness.py`` takes them) and the value of every run in
-  run order;
+  run order, null for a failed run;
 - the host's processor count, the Python, numpy and scipy versions, and the
   checkout's git SHA, with ``-dirty`` when its tree has uncommitted changes.
 """
@@ -62,11 +62,14 @@ def one_run(checkout: Path, workload: str, seconds: float) -> dict:
 def summary(runs: list[dict], end_to_end: list[str]) -> dict:
     metrics = {}
     for name in end_to_end:
-        values = [r["metrics"][name]["value"] for r in runs if name in r["metrics"]]
-        if not values:
+        # None for a failed run, so run i still pairs with run i of another file
+        values = [r["metrics"][name]["value"] if name in r["metrics"] else None
+                  for r in runs]
+        made = [v for v in values if v is not None]
+        if not made:
             continue
-        q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                          else (values[0],) * 3)
+        q1, median, q3 = (statistics.quantiles(made, n=4) if len(made) > 1
+                          else (made[0],) * 3)
         unit = next(r["metrics"][name]["unit"] for r in runs if name in r["metrics"])
         metrics[name] = {"unit": unit,
                          "median": float(median), "q1": float(q1), "q3": float(q3),
