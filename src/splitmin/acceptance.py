@@ -1,8 +1,8 @@
 """Acceptance gate: each criterion returns (passed, detail).
 
-`run_all()` executes every criterion in order and prints one PASS/FAIL line
-per criterion; the CLI `verify` subcommand and the test suite both call in
-here so the gate has a single implementation.
+`run_all()` executes the given criteria (all by default) in order and prints
+one PASS/FAIL line per criterion; the CLI `verify` subcommand and the test
+suite both call in here so the gate has a single implementation.
 """
 
 from __future__ import annotations
@@ -296,9 +296,9 @@ CRITERIA = (
 )
 
 
-def run_all(printer=print) -> bool:
+def run_all(printer=print, criteria=CRITERIA) -> bool:
     all_ok = True
-    for name, fn in CRITERIA:
+    for name, fn in criteria:
         ok, detail = fn()
         all_ok &= ok
         printer(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")

@@ -10,9 +10,10 @@ Entry conventions (k = test row, i = trial column):
 Coefficients are constants or callables of x (None means 1).  Trial and test
 spaces share one mesh.  The quadrature rule uses ceil((p_trial + p_test)/2) + 1
 points per element, exact for every constant-coefficient term.  Each element's
-local block is scattered straight into band storage, whose bandwidths follow
-from the element connectivity.  Homogeneous Dirichlet conditions are imposed
-by eliminating the first and last basis function of each space.
+local block is summed into band storage as (row, column, value) triplets, so
+the bandwidths follow from the element connectivity.  Homogeneous Dirichlet
+conditions are imposed by eliminating the first and last basis function of
+each space.
 """
 
 from __future__ import annotations
@@ -47,14 +48,8 @@ def _assemble(trial: SplineSpace, test: SplineSpace, coefficient,
     local = np.einsum("eq,eqk,eqi->eki", w, psi, phi)
     rows = s.firsts[:, None] + np.arange(test.degree + 1)
     cols = t.firsts[:, None] + np.arange(trial.degree + 1)
-    offsets = cols[:, None, :] - rows[:, :, None]
-    lb = max(-int(offsets.min()), 0)
-    ub = max(int(offsets.max()), 0)
-    data = np.zeros((test.dim, lb + ub + 1))
-    np.add.at(data, (np.broadcast_to(rows[:, :, None], offsets.shape), offsets + lb),
-              local)
-    return BandedMatrix(data, lb, ub, trial.dim)
-
+    return BandedMatrix.from_entries(rows[:, :, None], cols[:, None, :], local,
+                                     (test.dim, trial.dim))
 
 def mass(trial: SplineSpace, test: SplineSpace, weight=None) -> BandedMatrix:
     return _assemble(trial, test, weight, False, False)

@@ -3,14 +3,18 @@
 Row-major band layout: entry (i, j) of an n_rows x n_cols matrix with lower
 bandwidth lb and upper bandwidth ub lives at data[i, j - i + lb] for
 max(0, i-lb) <= j <= min(n_cols-1, i+ub).  Everything outside the band is
-identically zero.  The type is a plain container plus the handful of
-operations the solver needs: matrix-vector products over the diagonals,
-band-preserving linear combinations, and dense round-trips for oracles.
+identically zero.  This module is the only one that knows the layout: other
+code reads a matrix as (row, column, value) triplets of its nonzero slots
+(``entries``) or builds one from triplets (``from_entries``).  Products go
+through a CSR matrix of those triplets, so the empty slots of a slanted
+rectangular band cost nothing; band-preserving linear combinations stay on
+the storage.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = ["BandedMatrix"]
 
@@ -32,79 +36,75 @@ class BandedMatrix:
         return (self.n_rows, self.n_cols)
 
     @classmethod
+    def from_entries(cls, rows, cols, vals, shape: tuple[int, int]) -> "BandedMatrix":
+        """Sum (row, column, value) triplets into band storage.
+
+        ``rows``, ``cols`` and ``vals`` broadcast together; duplicates add up
+        in index order.  The bandwidths are the extreme offsets among the
+        given triplets, zero-valued ones included.
+        """
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        offsets = cols - rows
+        lb, ub = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+        data = np.zeros((shape[0], lb + ub + 1))
+        np.add.at(data, (rows, offsets + lb), vals)
+        return cls(data, lb, ub, shape[1])
+
+    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BandedMatrix":
         """Wrap a dense matrix, detecting bandwidths from its exact nonzeros."""
         dense = np.asarray(dense, dtype=float)
-        m, n = dense.shape
         rows, cols = np.nonzero(dense)
-        if rows.size:
-            lb = max(int(np.max(rows - cols)), 0)
-            ub = max(int(np.max(cols - rows)), 0)
-        else:
-            lb = ub = 0
-        data = np.zeros((m, lb + ub + 1))
-        for t in range(lb + ub + 1):
-            d = t - lb
-            i0, i1 = max(0, -d), min(m, n - d)
-            if i1 > i0:
-                data[i0:i1, t] = dense[np.arange(i0, i1), np.arange(i0, i1) + d]
-        return cls(data, lb, ub, n)
+        return cls.from_entries(rows, cols, dense[rows, cols], dense.shape)
+
+    def _slot_columns(self) -> np.ndarray:
+        """Column index of every stored slot, in range or not."""
+        return (np.arange(self.n_rows)[:, None] + np.arange(self.data.shape[1])
+                - self.lower_bandwidth)
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the nonzero in-range slots, row-major.
+
+        Within a row the columns ascend.  Slots that point outside the
+        matrix are skipped whatever they hold.
+        """
+        cols = self._slot_columns()
+        rows, t = np.nonzero((self.data != 0.0) & (cols >= 0) & (cols < self.n_cols))
+        return rows, cols[rows, t], self.data[rows, t]
+
+    def to_csr(self) -> sp.csr_matrix:
+        rows, cols, vals = self.entries()
+        indptr = np.searchsorted(rows, np.arange(self.n_rows + 1))
+        return sp.csr_matrix((vals, cols, indptr), shape=self.shape)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        for t in range(self.data.shape[1]):
-            d = t - self.lower_bandwidth
-            i0, i1 = max(0, -d), min(self.n_rows, self.n_cols - d)
-            if i1 > i0:
-                out[np.arange(i0, i1), np.arange(i0, i1) + d] = self.data[i0:i1, t]
+        out = np.zeros(self.shape)
+        rows, cols, vals = self.entries()
+        out[rows, cols] = vals
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a vector or a stack of columns, swept diagonal by diagonal.
+        """A @ x for a vector or a stack of columns, as one CSR product.
 
-        Each stored diagonal is swept only over the rows where it holds
-        nonzeros: a rectangular block's band is slanted, so most of its
-        stored slots are zero.
+        Each row sums its nonzero entries in ascending column order.
         """
-        x = np.ascontiguousarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[:, None]
+        x = np.asarray(x, dtype=float)
         if x.shape[0] != self.n_cols:
             raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
-        out = np.zeros((self.n_rows, x.shape[1]))
-        nonzero = self.data != 0.0
-        rows = np.arange(self.n_rows)[:, None]
-        first = np.min(np.where(nonzero, rows, self.n_rows), axis=0,
-                       initial=self.n_rows)
-        last = np.max(np.where(nonzero, rows + 1, 0), axis=0, initial=0)
-        for t in range(self.data.shape[1]):
-            d = t - self.lower_bandwidth
-            i0, i1 = max(first[t], -d), min(last[t], self.n_cols - d)
-            if i1 > i0:
-                out[i0:i1] += self.data[i0:i1, t:t + 1] * x[i0 + d:i1 + d]
-        return out[:, 0] if single else out
+        return self.to_csr() @ x
 
     def interior(self) -> "BandedMatrix":
         """Drop the first and last row and column (Dirichlet elimination).
 
-        Rows and columns shift together, so diagonal offsets are unchanged;
-        stored slots that referred to the removed columns are zeroed.
+        Rows and columns shift together, so diagonal offsets and bandwidths
+        are unchanged; stored slots that referred to the removed columns are
+        zeroed.
         """
         out = BandedMatrix(self.data[1:-1].copy(), self.lower_bandwidth,
                            self.upper_bandwidth, self.n_cols - 2)
-        out._trim_oob()
+        cols = out._slot_columns()
+        out.data[(cols < 0) | (cols >= out.n_cols)] = 0.0
         return out
-
-    def _trim_oob(self) -> None:
-        # zero any stored slots that now point outside the matrix
-        for t in range(self.data.shape[1]):
-            d = t - self.lower_bandwidth
-            i0, i1 = max(0, -d), min(self.n_rows, self.n_cols - d)
-            if i0 > 0:
-                self.data[:i0, t] = 0.0
-            if i1 < self.n_rows:
-                self.data[max(i1, 0):, t] = 0.0
 
     def _aligned(self, lb: int, ub: int) -> np.ndarray:
         out = np.zeros((self.n_rows, lb + ub + 1))

@@ -268,20 +268,14 @@ def _cmd_timing(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .acceptance import CRITERIA, run_all
+    selected = CRITERIA
     if args.criteria:
         wanted = {c.strip() for c in args.criteria.split(",")}
         selected = [(name, fn) for name, fn in CRITERIA
                     if name.split()[0] in wanted]
         if not selected:
             raise ParameterError(f"no criteria match {args.criteria!r}")
-        ok = True
-        for name, fn in selected:
-            passed, detail = fn()
-            ok &= passed
-            print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
-    else:
-        ok = run_all()
-    return 0 if ok else 1
+    return 0 if run_all(criteria=selected) else 1
 
 
 def main(argv=None) -> int:

@@ -67,8 +67,7 @@ class Space2D:
 
 def _kron(ax: BandedMatrix, ay: BandedMatrix) -> sp.csr_matrix:
     """Kronecker product of two 1D blocks, interior-eliminated."""
-    return sp.kron(sp.csr_matrix(ax.interior().to_dense()),
-                   sp.csr_matrix(ay.interior().to_dense()), format="csr")
+    return sp.kron(ax.interior().to_csr(), ay.interior().to_csr(), format="csr")
 
 
 def assemble_2d_operators(trial: Space2D, test: Space2D, diffusion, wind):

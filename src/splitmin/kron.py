@@ -69,12 +69,9 @@ class BandedLU:
         self.counter = counter
         # LAPACK band layout ab[lb + ub + i - j, j] = A[i, j], with lb extra
         # rows on top for the fill-in of the row swaps
-        i, t = np.indices(matrix.data.shape)
-        j = i + t - lb
-        keep = (j >= 0) & (j < n)
-        i, j = i[keep], j[keep]
+        i, j, vals = matrix.entries()
         ab = np.zeros((2 * lb + ub + 1, n), order="F")
-        ab[lb + ub + i - j, j] = matrix.data[i, j - i + lb]
+        ab[lb + ub + i - j, j] = vals
         self._lu, self._piv, info = dgbtrf(ab, lb, ub, overwrite_ab=1)
         if info > 0:
             raise SingularMatrixError(f"zero pivot at elimination step {info - 1}")
@@ -116,52 +113,30 @@ class SaddleFactor:
         self._pos = np.empty(s, dtype=int)           # stacked index -> permuted row
         self._pos[order] = np.arange(s)
 
-        rows_a, cols_a, vals_a = _band_entries(A)
-        rows_b, cols_b, vals_b = _band_entries(B)
+        # B's slanted band keeps only its nonzero slots, so the merged
+        # bandwidth stays at its mesh-independent value
+        rows_a, cols_a, vals_a = A.entries()
+        rows_b, cols_b, vals_b = B.entries()
         pi = np.concatenate([self._pos[rows_a], self._pos[rows_b],
                              self._pos[self.m + cols_b]])
         pj = np.concatenate([self._pos[cols_a], self._pos[self.m + cols_b],
                              self._pos[rows_b]])
         vals = np.concatenate([vals_a, vals_b, vals_b])
-        lb = max(int(np.max(pi - pj)), 0)
-        ub = max(int(np.max(pj - pi)), 0)
-        data = np.zeros((s, lb + ub + 1))
-        data[pi, pj - pi + lb] = vals
+        merged = BandedMatrix.from_entries(pi, pj, vals, (s, s))
         try:
-            self._lu = BandedLU(BandedMatrix(data, lb, ub, s), counter)
+            self._lu = BandedLU(merged, counter)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 "saddle system is singular; the trial/test pair is incompatible") from exc
 
     def solve(self, stacked: np.ndarray) -> np.ndarray:
-        """Solve for a stacked RHS [(F rows for r); (G rows for u)], multi-column."""
+        """Solve for a stacked RHS [(F rows for r); (G rows for u)], a vector or columns."""
         b = np.asarray(stacked, dtype=float)
-        single = b.ndim == 1
-        if single:
-            b = b[:, None]
         if b.shape[0] != self.m + self.n:
             raise ValueError("stacked rhs must have m + n rows")
         perm = np.empty_like(b)
         perm[self._pos] = b
-        sol = self._lu.solve(perm)
-        out = sol[self._pos]
-        return out[:, 0] if single else out
-
-
-def _band_entries(mat: BandedMatrix):
-    """Row/column/value triplets of the nonzero slots of a BandedMatrix.
-
-    Rectangular blocks (test rows vs trial columns) hug a slanted diagonal,
-    so their rectangular band storage holds many never-written zero slots at
-    extreme offsets; dropping exact zeros here keeps the interleaved saddle
-    bandwidth at its true mesh-independent value.
-    """
-    m, w = mat.data.shape
-    rows = np.repeat(np.arange(m), w)
-    cols = rows + np.tile(np.arange(w) - mat.lower_bandwidth, m)
-    vals = mat.data.ravel()
-    keep = (cols >= 0) & (cols < mat.n_cols) & (vals != 0.0)
-    return rows[keep], cols[keep], vals[keep]
+        return self._lu.solve(perm)[self._pos]
 
 
 def kron_solve(split_factor, other_lu: BandedLU, split_axis: str,

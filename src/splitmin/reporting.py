@@ -8,6 +8,7 @@ metadata.json and the timing table, never into solution CSVs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -373,13 +374,14 @@ def export_field(u_grid: np.ndarray, trial_x: SplineSpace, trial_y: SplineSpace,
              f"POINT_DATA {nx * ny}",
              "SCALARS u double 1",
              "LOOKUP_TABLE default"]
-    for j in range(ny):
-        for i in range(nx):
-            lines.append(_format(field[i, j]))
+    # each sample is formatted once; values[i * ny + j] is field[i, j]
+    values = list(map(_format, field.ravel().tolist()))
+    for j in range(ny):  # VTK runs x fastest
+        lines.extend(values[j::ny])
     base.with_suffix(".vtk").write_text("\n".join(lines) + "\n")
-    rows = ((float(xs[i]), float(ys[j]), float(field[i, j]))
-            for i in range(nx) for j in range(ny))
-    _write_csv(base.with_suffix(".csv"), ("x", "y", "value"), rows)
+    points = itertools.product(map(_format, xs.tolist()), map(_format, ys.tolist()))
+    rows = [f"{x},{y},{v}" for (x, y), v in zip(points, values)]
+    base.with_suffix(".csv").write_text("\n".join(["x,y,value", *rows]) + "\n")
 
 
 def solution_norms(u_grid: np.ndarray, trial_x: SplineSpace,

@@ -1,7 +1,13 @@
-"""Banded matrix container: storage layout, products, and slicing."""
+"""Banded matrix container: storage layout, products, and slicing.
+
+The triplet-based container is also checked against ``loop_to_dense``,
+``loop_apply`` and ``loop_interior``, which walk the band storage one
+diagonal at a time: same dense matrices, same interiors, same products.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitmin.assembly import apply_dirichlet, mass
 from splitmin.banded import BandedMatrix
@@ -84,3 +90,112 @@ def test_storage_width_validation():
     with pytest.raises(ValueError):
         BandedMatrix(np.zeros((4, 2)), lower_bandwidth=1, upper_bandwidth=1,
                      n_cols=4)
+
+
+def _diagonal_rows(mat, t):
+    """Rows i0:i1 where stored diagonal t points inside the matrix, and its offset."""
+    d = t - mat.lower_bandwidth
+    return max(0, -d), min(mat.n_rows, mat.n_cols - d), d
+
+
+def loop_to_dense(mat):
+    """Reference to_dense: scatter each stored diagonal's in-range rows."""
+    out = np.zeros((mat.n_rows, mat.n_cols))
+    for t in range(mat.data.shape[1]):
+        i0, i1, d = _diagonal_rows(mat, t)
+        if i1 > i0:
+            out[np.arange(i0, i1), np.arange(i0, i1) + d] = mat.data[i0:i1, t]
+    return out
+
+
+def loop_apply(mat, x):
+    """Reference apply: sweep each diagonal over the rows where it holds nonzeros."""
+    x = np.ascontiguousarray(x, dtype=float)
+    single = x.ndim == 1
+    if single:
+        x = x[:, None]
+    out = np.zeros((mat.n_rows, x.shape[1]))
+    nonzero = mat.data != 0.0
+    rows = np.arange(mat.n_rows)[:, None]
+    first = np.min(np.where(nonzero, rows, mat.n_rows), axis=0, initial=mat.n_rows)
+    last = np.max(np.where(nonzero, rows + 1, 0), axis=0, initial=0)
+    for t in range(mat.data.shape[1]):
+        d = t - mat.lower_bandwidth
+        i0, i1 = max(first[t], -d), min(last[t], mat.n_cols - d)
+        if i1 > i0:
+            out[i0:i1] += mat.data[i0:i1, t:t + 1] * x[i0 + d:i1 + d]
+    return out[:, 0] if single else out
+
+
+def loop_interior(mat):
+    """Reference interior: drop the outer rows, then zero out-of-range slots per diagonal."""
+    out = BandedMatrix(mat.data[1:-1].copy(), mat.lower_bandwidth,
+                       mat.upper_bandwidth, mat.n_cols - 2)
+    for t in range(out.data.shape[1]):
+        i0, i1, _ = _diagonal_rows(out, t)
+        if i0 > 0:
+            out.data[:i0, t] = 0.0
+        if i1 < out.n_rows:
+            out.data[max(i1, 0):, t] = 0.0
+    return out
+
+
+@st.composite
+def _band_cases(draw):
+    """Square and slanted m x n bands (m up to 3n + 1), every slot filled.
+
+    Slots that point outside the matrix hold random values too; about a
+    quarter of the in-band slots are exact zeros.
+    """
+    n = draw(st.integers(2, 12))
+    m = draw(st.sampled_from((n, draw(st.integers(2, 3 * n + 1)))))
+    lb, ub = draw(st.integers(0, m + 1)), draw(st.integers(0, n + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = rng.standard_normal((m, lb + ub + 1))
+    data[rng.random(data.shape) < 0.25] = 0.0
+    return BandedMatrix(data, lb, ub, n), rng
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_band_cases())
+def test_band_layer_matches_loop_references(case):
+    mat, rng = case
+    ref = loop_to_dense(mat)
+    np.testing.assert_array_equal(mat.to_dense(), ref)
+
+    rows, cols, vals = mat.entries()
+    ref_rows, ref_cols = np.nonzero(ref)
+    np.testing.assert_array_equal(rows, ref_rows)
+    np.testing.assert_array_equal(cols, ref_cols)
+    np.testing.assert_array_equal(vals, ref[ref_rows, ref_cols])
+
+    inner, ref_inner = mat.interior(), loop_interior(mat)
+    assert (inner.shape, inner.lower_bandwidth, inner.upper_bandwidth) == \
+        (ref_inner.shape, ref_inner.lower_bandwidth, ref_inner.upper_bandwidth)
+    np.testing.assert_array_equal(inner.data, ref_inner.data)
+    np.testing.assert_array_equal(inner.to_dense(), loop_to_dense(ref_inner))
+
+    for x in (rng.standard_normal(mat.n_cols), rng.standard_normal((mat.n_cols, 5)),
+              rng.standard_normal((4, mat.n_cols)).T):
+        got, want = mat.apply(x), loop_apply(mat, x)
+        assert got.shape == want.shape
+        scale = np.abs(ref) @ np.abs(x)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+def test_from_entries_sums_duplicates_like_add_at(m, n, count, seed):
+    rng = np.random.default_rng(seed)
+    # few distinct positions, so most triplets repeat one
+    positions = rng.integers(0, [m, n], size=(max(count // 3, 1), 2))
+    rows, cols = positions[rng.integers(0, len(positions), count)].T
+    vals = rng.standard_normal(count)
+    dense = np.zeros((m, n))
+    np.add.at(dense, (rows, cols), vals)
+    banded = BandedMatrix.from_entries(rows, cols, vals, (m, n))
+    assert banded.shape == (m, n)
+    assert banded.lower_bandwidth == max(int(np.max(rows - cols)), 0)
+    assert banded.upper_bandwidth == max(int(np.max(cols - rows)), 0)
+    np.testing.assert_array_equal(banded.to_dense(), dense)

@@ -9,6 +9,7 @@ pivots, same counts, same solutions.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitmin.assembly import apply_dirichlet, gram, mass
 from splitmin.banded import BandedMatrix
@@ -296,6 +297,47 @@ def test_saddle_factor_validates_block_shapes():
     b_wrong = BandedMatrix.from_dense(np.ones((a.n_rows + 1, b.n_cols)))
     with pytest.raises(ValueError):
         SaddleFactor(a, b_wrong)
+
+
+@st.composite
+def _saddle_cases(draw):
+    """A random SPD banded Gram A (m x m) and a slanted B (m x n, m >= n).
+
+    A is symmetric and diagonally dominant.  Row i of B hugs column
+    floor(i n / m); column j also has a dominant entry in row ceil(j m / n),
+    so those rows form a diagonally dominant n x n block and B has full
+    column rank: the saddle system is nonsingular.
+    """
+    n = draw(st.integers(1, 15))
+    m = draw(st.integers(n, 3 * n + 1))
+    p, w = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, min(m, i + p + 1)):
+            a[i, j] = a[j, i] = rng.uniform(-1.0, 1.0)
+    a[np.diag_indices(m)] = np.abs(a).sum(axis=1) + rng.uniform(0.5, 2.0, m)
+    b = np.zeros((m, n))
+    for i in range(m):
+        c = i * n // m
+        for j in range(max(0, c - w), min(n, c + w + 1)):
+            b[i, j] = rng.uniform(-1.0, 1.0)
+    for j in range(n):
+        b[-(-j * m // n), j] += 2.0 * w + 2.0
+    return a, b, rng
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_saddle_cases())
+def test_saddle_factor_matches_dense_solve_on_random_blocks(case):
+    a, b, rng = case
+    m, n = b.shape
+    sf = SaddleFactor(BandedMatrix.from_dense(a), BandedMatrix.from_dense(b))
+    dense = np.block([[a, b], [b.T, np.zeros((n, n))]])
+    for rhs in (rng.standard_normal(m + n), rng.standard_normal((m + n, 4))):
+        got, want = sf.solve(rhs), np.linalg.solve(dense, rhs)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_kron_matvec_equals_kronecker_product():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,6 +370,49 @@ def test_export_field_file_layout(tmp_path):
     x_last, y_last, v_last = (float(s) for s in csv_lines[-1].split(","))
     assert (x_last, y_last) == (xs[-1], ys[-1])
     assert v_last == field[-1, -1]
+
+
+def loop_export_field(xs, ys, field, path_base, title):
+    """Reference export: format every sample with repr in per-file loops."""
+    base = Path(path_base)
+    nx, ny = len(xs), len(ys)
+    dx = (xs[-1] - xs[0]) / (nx - 1) if nx > 1 else 1.0
+    dy = (ys[-1] - ys[0]) / (ny - 1) if ny > 1 else 1.0
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+             "DATASET STRUCTURED_POINTS",
+             f"DIMENSIONS {nx} {ny} 1",
+             f"ORIGIN {repr(float(xs[0]))} {repr(float(ys[0]))} 0.0",
+             f"SPACING {repr(float(dx))} {repr(float(dy))} 1.0",
+             f"POINT_DATA {nx * ny}",
+             "SCALARS u double 1",
+             "LOOKUP_TABLE default"]
+    for j in range(ny):
+        for i in range(nx):
+            lines.append(repr(float(field[i, j])))
+    base.with_suffix(".vtk").write_text("\n".join(lines) + "\n")
+    csv = ["x,y,value"]
+    for i in range(nx):
+        for j in range(ny):
+            csv.append(",".join(repr(float(v)) for v in (xs[i], ys[j], field[i, j])))
+    base.with_suffix(".csv").write_text("\n".join(csv) + "\n")
+
+
+@pytest.mark.parametrize("res", (1, 2, 7))
+def test_export_field_matches_loop_reference_bytes(tmp_path, monkeypatch, res):
+    rng = np.random.default_rng(res)
+    xs = np.linspace(-0.3, 1.7, res)
+    ys = np.linspace(0.0, 2.0 / 3.0, res + 2)
+    field = rng.standard_normal((res, res + 2)) * 10.0 ** rng.integers(-8, 9, (res, res + 2))
+    special = [-2.5, 1e-300, -1e-300, 3.0e300, 42.0, -7.0, 0.0, -0.0]
+    field.ravel()[:len(special)] = special[:field.size]
+    monkeypatch.setattr(reporting, "sample_field", lambda *args: (xs, ys, field))
+    tx, ty = _unit_spaces(n=4)
+    export_field(np.zeros((tx.dim - 2, ty.dim - 2)), tx, ty, res, tmp_path / "got",
+                 title="oracle")
+    loop_export_field(xs, ys, field, tmp_path / "want", "oracle")
+    for suffix in (".vtk", ".csv"):
+        assert ((tmp_path / "got").with_suffix(suffix).read_bytes()
+                == (tmp_path / "want").with_suffix(suffix).read_bytes())
 
 
 def test_timing_study_row_contents(tmp_path):
