@@ -6,9 +6,9 @@ max(0, i-lb) <= j <= min(n_cols-1, i+ub).  Everything outside the band is
 identically zero.  This module is the only one that knows the layout: other
 code reads a matrix as (row, column, value) triplets of its nonzero slots
 (``entries``) or builds one from triplets (``from_entries``).  Products go
-through a CSR matrix of those triplets, so the empty slots of a slanted
-rectangular band cost nothing; band-preserving linear combinations stay on
-the storage.
+through a CSR matrix of those triplets, so their arithmetic skips the empty
+slots of a slanted rectangular band; band-preserving linear combinations
+stay on the storage.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ class BandedMatrix:
         return rows, cols[rows, t], self.data[rows, t]
 
     def to_csr(self) -> sp.csr_matrix:
+        """A CSR copy of ``entries()``, built anew on each call."""
         rows, cols, vals = self.entries()
         indptr = np.searchsorted(rows, np.arange(self.n_rows + 1))
         return sp.csr_matrix((vals, cols, indptr), shape=self.shape)

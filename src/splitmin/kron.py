@@ -109,9 +109,8 @@ class SaddleFactor:
         # merge test (r) and trial (u) unknowns by 1D position, Gram rows first
         keys = np.concatenate([(np.arange(self.m) + 0.5) / self.m,
                                (np.arange(self.n) + 0.5) / self.n])
-        order = np.argsort(keys, kind="stable")
-        self._pos = np.empty(s, dtype=int)           # stacked index -> permuted row
-        self._pos[order] = np.arange(s)
+        # stacked index -> permuted row: the inverse of the sorting permutation
+        self._pos = np.argsort(np.argsort(keys, kind="stable"))
 
         # B's slanted band keeps only its nonzero slots, so the merged
         # bandwidth stays at its mesh-independent value
