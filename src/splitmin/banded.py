@@ -5,10 +5,13 @@ bandwidth lb and upper bandwidth ub lives at data[i, j - i + lb] for
 max(0, i-lb) <= j <= min(n_cols-1, i+ub).  Everything outside the band is
 identically zero.  This module is the only one that knows the layout: other
 code reads a matrix as (row, column, value) triplets of its nonzero slots
-(``entries``) or builds one from triplets (``from_entries``).  Products go
-through a CSR matrix of those triplets, so their arithmetic skips the empty
-slots of a slanted rectangular band; band-preserving linear combinations
-stay on the storage.
+(``entries``) or builds one from triplets (``from_entries``).  A matrix is
+immutable after construction, so its nonzeros are found once: the first
+``entries()`` masks the band and keeps the triplets, the first ``to_csr()``
+builds a CSR matrix of them, and every later read and product reuses both.
+Products thus skip the empty slots of a slanted rectangular band;
+band-preserving linear combinations stay on the storage and return new
+matrices, which find their own nonzeros.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ __all__ = ["BandedMatrix"]
 
 
 class BandedMatrix:
+    """A banded matrix, immutable after construction: its triplets and CSR are built once."""
+
     def __init__(self, data: np.ndarray, lower_bandwidth: int, upper_bandwidth: int,
                  n_cols: int):
         data = np.asarray(data, dtype=float)
@@ -30,6 +35,7 @@ class BandedMatrix:
         self.upper_bandwidth = upper_bandwidth
         self.n_rows = data.shape[0]
         self.n_cols = n_cols
+        self._entries = self._csr = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -66,17 +72,22 @@ class BandedMatrix:
         """(rows, cols, values) of the nonzero in-range slots, row-major.
 
         Within a row the columns ascend.  Slots that point outside the
-        matrix are skipped whatever they hold.
+        matrix are skipped whatever they hold.  Found once, on the first
+        call, and cached with the matrix: read the arrays, do not write them.
         """
-        cols = self._slot_columns()
-        rows, t = np.nonzero((self.data != 0.0) & (cols >= 0) & (cols < self.n_cols))
-        return rows, cols[rows, t], self.data[rows, t]
+        if self._entries is None:
+            cols = self._slot_columns()
+            rows, t = np.nonzero((self.data != 0.0) & (cols >= 0) & (cols < self.n_cols))
+            self._entries = rows, cols[rows, t], self.data[rows, t]
+        return self._entries
 
     def to_csr(self) -> sp.csr_matrix:
-        """A CSR copy of ``entries()``, built anew on each call."""
-        rows, cols, vals = self.entries()
-        indptr = np.searchsorted(rows, np.arange(self.n_rows + 1))
-        return sp.csr_matrix((vals, cols, indptr), shape=self.shape)
+        """A CSR matrix of ``entries()``, built once on the first call."""
+        if self._csr is None:
+            rows, cols, vals = self.entries()
+            indptr = np.searchsorted(rows, np.arange(self.n_rows + 1))
+            self._csr = sp.csr_matrix((vals, cols, indptr), shape=self.shape)
+        return self._csr
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape)

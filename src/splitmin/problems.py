@@ -106,22 +106,23 @@ class ProblemDefinition:
 _MANUFACTURED_ALPHA = 1e-2
 
 
+# Product forms: the t and x factors multiply first, the y factor last, so a
+# broadcast (n x 1, 1 x m) grid takes one full-grid multiply per output.
+
 def _manufactured_exact(x, y, t):
-    return np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * t)
+    return (np.sin(np.pi * t) * np.sin(np.pi * x)) * np.sin(np.pi * y)
 
 
 def _manufactured_exact_grad(x, y, t):
-    st = np.sin(np.pi * t)
-    return (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y) * st,
-            np.pi * np.sin(np.pi * x) * np.cos(np.pi * y) * st)
+    pst = np.pi * np.sin(np.pi * t)
+    return ((pst * np.cos(np.pi * x)) * np.sin(np.pi * y),
+            (pst * np.sin(np.pi * x)) * np.cos(np.pi * y))
 
 
 def _manufactured_forcing(x, y, t):
-    sx, sy = np.sin(np.pi * x), np.sin(np.pi * y)
     st, ct = np.sin(np.pi * t), np.cos(np.pi * t)
-    return (np.pi * ct * sx * sy
-            + 2.0 * _MANUFACTURED_ALPHA * np.pi ** 2 * st * sx * sy
-            + np.pi * st * np.cos(np.pi * x) * sy)
+    return (((np.pi * ct + 2.0 * _MANUFACTURED_ALPHA * np.pi ** 2 * st) * np.sin(np.pi * x)
+             + np.pi * st * np.cos(np.pi * x)) * np.sin(np.pi * y))
 
 
 def _manufactured_initial(x, y):

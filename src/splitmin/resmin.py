@@ -48,13 +48,14 @@ class LoadAssembler:
     """Caches quadrature data for load grids  L[k,l] = (f(.,.,t), phi_k psi_l)."""
 
     def __init__(self, space_x: SplineSpace, space_y: SplineSpace):
-        self.px, self.wx = _weighted_basis(space_x)
+        self.px, wx = _weighted_basis(space_x)
+        self.wx_t = wx.T.tocsr()  # basis x points, transposed once
         self.py, self.wy = _weighted_basis(space_y)
 
     def load(self, f, t: float) -> np.ndarray:
         vals = np.asarray(f(self.px[:, None], self.py[None, :], t), dtype=float)
         vals = np.broadcast_to(vals, (self.px.size, self.py.size))
-        return (self.wx.T @ vals @ self.wy)[1:-1, 1:-1]
+        return (self.wx_t @ vals @ self.wy)[1:-1, 1:-1]
 
 
 def _weighted_basis(space: SplineSpace):

@@ -3,10 +3,13 @@
 The triplet-based container is also checked against ``loop_to_dense``,
 ``loop_apply`` and ``loop_interior``, which walk the band storage one
 diagonal at a time: same dense matrices, same interiors, same products.
+Its CSR is built once and cached; ``fresh_csr`` masks the band anew on every
+call, and the cached products must match it bit for bit.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from splitmin.assembly import apply_dirichlet, mass
@@ -199,3 +202,62 @@ def test_from_entries_sums_duplicates_like_add_at(m, n, count, seed):
     assert banded.lower_bandwidth == max(int(np.max(rows - cols)), 0)
     assert banded.upper_bandwidth == max(int(np.max(cols - rows)), 0)
     np.testing.assert_array_equal(banded.to_dense(), dense)
+
+
+def fresh_csr(mat):
+    """Reference CSR: mask the whole stored band again on every call."""
+    cols = (np.arange(mat.n_rows)[:, None] + np.arange(mat.data.shape[1])
+            - mat.lower_bandwidth)
+    rows, t = np.nonzero((mat.data != 0.0) & (cols >= 0) & (cols < mat.n_cols))
+    indptr = np.searchsorted(rows, np.arange(mat.n_rows + 1))
+    return sp.csr_matrix((mat.data[rows, t], cols[rows, t], indptr), shape=mat.shape)
+
+
+def _columns(rng, n):
+    """A vector, a C-ordered stack of columns and a transposed (F-ordered) one."""
+    return (rng.standard_normal(n), rng.standard_normal((n, 5)),
+            rng.standard_normal((4, n)).T)
+
+
+def test_to_csr_is_built_once():
+    trial = make_space(2, 1, 16, (0.0, 1.0))
+    test = make_space(3, 0, 16, (0.0, 1.0))
+    block = apply_dirichlet(mass(trial, test), test, trial)
+    triplets, csr = block.entries(), block.to_csr()
+    assert block.to_csr() is csr
+    block.apply(np.ones(block.n_cols))
+    assert block.to_csr() is csr
+    assert block.entries() is triplets
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_band_cases())
+def test_cached_csr_matches_fresh_csr_and_loop_references(case):
+    mat, rng = case
+    for x in _columns(rng, mat.n_cols):
+        np.testing.assert_array_equal(mat.apply(x), fresh_csr(mat) @ x)
+    # entries() after apply: the cached triplets, equal to the loop reference
+    ref = loop_to_dense(mat)
+    rows, cols, vals = mat.entries()
+    ref_rows, ref_cols = np.nonzero(ref)
+    np.testing.assert_array_equal(rows, ref_rows)
+    np.testing.assert_array_equal(cols, ref_cols)
+    np.testing.assert_array_equal(vals, ref[ref_rows, ref_cols])
+    for x in _columns(rng, mat.n_cols):
+        np.testing.assert_array_equal(mat.apply(x), fresh_csr(mat) @ x)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_band_cases())
+def test_derived_matrices_carry_no_stale_csr(case):
+    mat, rng = case
+    dense = loop_to_dense(mat)
+    mat.apply(rng.standard_normal(mat.n_cols))  # builds and caches mat's CSR
+    derived = ((2.0 * mat, 2.0 * dense), (mat + mat, dense + dense),
+               (mat - mat, dense - dense), (mat.interior(), dense[1:-1, 1:-1]))
+    for got, want in derived:
+        assert got.to_csr() is not mat.to_csr()
+        np.testing.assert_array_equal(got.to_dense(), want)
+        for x in _columns(rng, got.n_cols):
+            scale = np.abs(want) @ np.abs(x)
+            assert np.all(np.abs(got.apply(x) - want @ x) <= 1e-14 * scale)

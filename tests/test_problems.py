@@ -68,6 +68,55 @@ def test_manufactured_exact_gradient_matches_finite_differences():
     np.testing.assert_allclose(gy, fd_y, atol=1e-8)
 
 
+def _sum_form_forcing(x, y, t, alpha):
+    """The manufactured forcing as a sum of three full products, term by term."""
+    sx, sy = np.sin(np.pi * x), np.sin(np.pi * y)
+    st, ct = np.sin(np.pi * t), np.cos(np.pi * t)
+    terms = (np.pi * ct * sx * sy,
+             2.0 * alpha * np.pi ** 2 * st * sx * sy,
+             np.pi * st * np.cos(np.pi * x) * sy)
+    return terms[0] + terms[1] + terms[2], sum(np.abs(term) for term in terms)
+
+
+def _sum_form_exact(x, y, t):
+    return np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * t)
+
+
+def _sum_form_exact_grad(x, y, t):
+    st = np.sin(np.pi * t)
+    return (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y) * st,
+            np.pi * np.sin(np.pi * x) * np.cos(np.pi * y) * st)
+
+
+@pytest.mark.parametrize("grid", ["broadcast", "scalar"])
+def test_manufactured_product_forms_match_sum_forms(grid):
+    """Product forms equal the expanded expressions to 1e-14 relative.
+
+    The forcing is a sum with cancellation, so its error is measured against
+    the sum of the absolute values of its three terms.
+    """
+    pr = manufactured()
+    alpha = float(pr.diffusion_x(0.5))
+    rng = np.random.default_rng(62)
+    if grid == "broadcast":
+        x = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 37)])[:, None]
+        y = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 22)])[None, :]
+        cases = [(x, y, t) for t in (0.0, 0.37, 1.0, 1.73)]
+    else:
+        cases = [tuple(rng.uniform(0.0, 2.0, 3)) for _ in range(50)]
+    for x, y, t in cases:
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
+        f = pr.forcing(x, y, t)
+        f_ref, f_scale = _sum_form_forcing(x, y, t, alpha)
+        assert np.shape(f) == shape
+        assert np.all(np.abs(f - f_ref) <= 1e-14 * f_scale)
+        pairs = [(pr.exact(x, y, t), _sum_form_exact(x, y, t))]
+        pairs += zip(pr.exact_grad(x, y, t), _sum_form_exact_grad(x, y, t))
+        for got, want in pairs:
+            assert np.shape(got) == shape
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 def test_manufactured_initial_state_is_zero():
     pr = manufactured()
     x = np.linspace(0.0, 1.0, 5)
