@@ -6,9 +6,9 @@ max(0, i-lb) <= j <= min(n_cols-1, i+ub).  Everything outside the band is
 identically zero.  This module is the only one that knows the layout: other
 code reads a matrix as (row, column, value) triplets of its nonzero slots
 (``entries``) or builds one from triplets (``from_entries``).  A matrix is
-immutable after construction, so its nonzeros are found once: the first
-``entries()`` masks the band and keeps the triplets, the first ``to_csr()``
-builds a CSR matrix of them, and every later read and product reuses both.
+immutable after construction, so its triplets and their CSR matrix are each
+built once: the first ``entries()`` masks the band, the first ``to_csr()``
+converts the triplets, and every later read and product reuses both.
 Products thus skip the empty slots of a slanted rectangular band;
 band-preserving linear combinations stay on the storage and return new
 matrices, which find their own nonzeros.
@@ -23,7 +23,7 @@ __all__ = ["BandedMatrix"]
 
 
 class BandedMatrix:
-    """A banded matrix, immutable after construction: its triplets and CSR are built once."""
+    """A banded matrix, immutable after construction, so its nonzeros are found once."""
 
     def __init__(self, data: np.ndarray, lower_bandwidth: int, upper_bandwidth: int,
                  n_cols: int):
@@ -82,7 +82,7 @@ class BandedMatrix:
         return self._entries
 
     def to_csr(self) -> sp.csr_matrix:
-        """A CSR matrix of ``entries()``, built once on the first call."""
+        """CSR of ``entries()``, built once; the matrix is immutable after construction."""
         if self._csr is None:
             rows, cols, vals = self.entries()
             indptr = np.searchsorted(rows, np.arange(self.n_rows + 1))
