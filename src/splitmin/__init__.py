@@ -15,8 +15,8 @@ from .full2d import RotatingFlowStepper, Space2D, assemble_2d_saddle, sparse_lu
 from .kron import BandedLU, OpCounter, SaddleFactor, kron_matvec, kron_solve
 from .problems import (ProblemDefinition, circular_wind, get_problem,
                        manufactured, pollution)
-from .reporting import (compute_errors, convergence_study, export_field, run,
-                        sample_field, solution_l2_norm, timing_study)
+from .reporting import (ErrorEvaluator, convergence_study, export_field, run,
+                        sample_field, solution_norms, timing_study)
 from .resmin import (SolutionState, build_directional, residual_norms,
                      substep)
 from .splines import SplineSpace, eval_matrix, make_space
@@ -25,15 +25,15 @@ from .stepping import RunConfig, SchemeKind, Stepper, project_initial
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandedLU", "BandedMatrix", "DomainError", "NonFiniteStateError",
-    "OpCounter", "ParameterError",
+    "BandedLU", "BandedMatrix", "DomainError", "ErrorEvaluator",
+    "NonFiniteStateError", "OpCounter", "ParameterError",
     "ProblemDefinition", "RotatingFlowStepper", "RunConfig", "SaddleFactor",
     "SchemeKind", "SingularMatrixError", "SolutionState", "Space2D",
     "SplineSpace", "Stepper", "advection", "apply_dirichlet",
     "assemble_2d_saddle", "build_directional", "circular_wind",
-    "compute_errors", "convergence_study", "eval_matrix", "export_field",
+    "convergence_study", "eval_matrix", "export_field",
     "get_problem", "gram", "kron_matvec", "kron_solve", "make_space",
     "manufactured", "mass", "pollution", "project_initial", "residual_norms",
-    "run", "sample_field", "solution_l2_norm", "sparse_lu", "stiffness",
+    "run", "sample_field", "solution_norms", "sparse_lu", "stiffness",
     "substep", "timing_study",
 ]

@@ -17,8 +17,8 @@ from .assembly import advection, apply_dirichlet, gram, mass, stiffness
 from .full2d import RotatingFlowStepper
 from .kron import OpCounter
 from .problems import get_problem
-from .reporting import (RunConfig, compute_errors, convergence_study,
-                        full_dof_count, run, sample_field, solution_l2_norm,
+from .reporting import (ErrorEvaluator, RunConfig, convergence_study,
+                        full_dof_count, run, sample_field, solution_norms,
                         timing_study)
 from .resmin import build_directional, substep
 from .splines import eval_matrix, make_space
@@ -110,7 +110,8 @@ def _final_error(scheme: str, tau: float) -> float:
     stepper = Stepper(problem, cfg)
     for _, state in march(stepper, cfg.n_steps):
         pass
-    row = compute_errors(state, problem, stepper.trial_x, stepper.trial_y)
+    row = ErrorEvaluator(stepper.trial_x, stepper.trial_y, problem.exact,
+                         problem.exact_grad).errors(state.u, state.time)
     return row.l2_percent / 100.0
 
 
@@ -197,14 +198,14 @@ def criterion_7_stability() -> tuple[bool, str]:
     rot = RotatingFlowStepper(circ, RunConfig(mesh=(32, 32), trial=(4, 3),
                                               test=(5, 0), tau=0.1))
     state = rot.initial_state()
-    norm0 = solution_l2_norm(state.u, rot.trial_x, rot.trial_y)
+    norm0 = solution_norms(state.u, rot.trial_x, rot.trial_y)[0]
     _, _, f0 = sample_field(state.u, rot.trial_x, rot.trial_y, 129)
     max0 = float(np.max(np.abs(f0)))
     worst_norm, worst_max = norm0, max0
     for _ in range(100):
         state = rot.step(state)
         worst_norm = max(worst_norm,
-                         solution_l2_norm(state.u, rot.trial_x, rot.trial_y))
+                         solution_norms(state.u, rot.trial_x, rot.trial_y)[0])
         _, _, fk = sample_field(state.u, rot.trial_x, rot.trial_y, 129)
         worst_max = max(worst_max, float(np.max(np.abs(fk))))
     ok = worst_max <= 1.05 * max0 and worst_norm <= 1.01 * norm0

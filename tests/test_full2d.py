@@ -9,14 +9,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
+from splitmin import full2d
 from splitmin.assembly import advection, mass, stiffness
 from splitmin.exceptions import ParameterError, SingularMatrixError
 from splitmin.full2d import (RotatingFlowStepper, Space2D,
                              assemble_2d_operators, assemble_2d_saddle,
                              sparse_lu)
 from splitmin.problems import Wind, WindComponent, circular_wind, get_problem
+from splitmin.reporting import solution_norms
 from splitmin.resmin import LoadAssembler, SolutionState
 from splitmin.splines import eval_matrix, gauss_rule, make_space
 from splitmin.stepping import RunConfig
@@ -175,6 +180,98 @@ def test_sparse_lu_raises_on_singular_matrix():
         sparse_lu(singular)
 
 
+_STEADY_WINDS = {  # each scaled by a drawn w; beta = (a_x b_x, a_y b_y)
+    "rotation": lambda w: Wind(WindComponent(b=lambda y: w * y),
+                               WindComponent(a=lambda x: -w * x)),
+    "shear": lambda w: Wind(WindComponent(b=lambda y: w * (1.0 + y))),
+    "constant": lambda w: Wind(WindComponent(), WindComponent(b=lambda y: 0.0 * y - w)),
+}
+
+
+@st.composite
+def _saddle_cases(draw):
+    """A general-path saddle on random spaces whose test space holds the trial space."""
+    p = draw(st.integers(1, 3))
+    c = draw(st.integers(0, p - 1))
+    q = draw(st.sampled_from((p, p + 1)))
+    cq = draw(st.integers(0, min(c, q - 1)))
+    mesh = (draw(st.integers(2, 8)), draw(st.integers(2, 8)))
+    intervals = ((x0 := draw(st.floats(-2.0, 2.0)), x0 + draw(st.floats(0.5, 1.5))),
+                 (y0 := draw(st.floats(-2.0, 2.0)), y0 + draw(st.floats(0.5, 1.5))))
+    trial, test = (Space2D(*(make_space(deg, cont, n, iv)
+                             for n, iv in zip(mesh, intervals)))
+                   for deg, cont in ((p, c), (q, cq)))
+    d0, d1 = draw(st.floats(1e-3, 1.0)), draw(st.floats(0.0, 1.0))
+    diffusion = draw(st.sampled_from((
+        (d0, d0), (lambda x: d0 + d1 * x * x, lambda y: d1 + d0 * y * y))))
+    wind = _STEADY_WINDS[draw(st.sampled_from(sorted(_STEADY_WINDS)))](
+        draw(st.floats(-2.0, 2.0)))
+    system = assemble_2d_saddle(trial, test, diffusion, wind.factors(0.0),
+                                draw(st.floats(1e-3, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return system, rng.standard_normal(system.matrix.shape[0])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_saddle_cases())
+def test_sparse_lu_matches_dense_solve_on_random_saddles(case):
+    # the symmetric ordering pivots on the diagonal: check it against a dense
+    # partial-pivoting solve over spaces, meshes, winds, diffusion and dt
+    system, rhs = case
+    dense = system.matrix.toarray()
+    got = sparse_lu(system.matrix).solve(rhs)
+    ref = np.linalg.solve(dense, rhs)
+    # backward stable: the residual is rounding on the scale of |M| |x| + |b|
+    scale = np.linalg.norm(dense, np.inf) * np.max(np.abs(got)) + np.max(np.abs(rhs))
+    assert np.max(np.abs(dense @ got - rhs)) <= 1e-12 * scale
+    # two backward-stable solves differ by up to about kappa * eps; small
+    # elements make |x| large, so the bound is relative to max |x|
+    kappa = 1.0 / scipy.linalg.lapack.dgecon(scipy.linalg.lu_factor(dense)[0],
+                                             np.linalg.norm(dense, 1))[0]
+    np.testing.assert_allclose(got, ref, rtol=0.0,
+                               atol=max(1e-9, 1e-13 * kappa) * np.max(np.abs(ref)))
+
+
+def test_sparse_lu_passes_over_tiny_diagonal_pivots():
+    # taking the 1e-14 pivot (threshold 0) leaves a relative residual of
+    # 1.8e-4 on matrix @ ones; below 1e-4 of its column it is passed over
+    near_singular = np.array([[1e-14, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
+    rhs = np.array([1.0, -2.0, 0.5])
+    np.testing.assert_allclose(sparse_lu(sp.csc_matrix(near_singular)).solve(rhs),
+                               np.linalg.solve(near_singular, rhs), rtol=1e-12)
+
+
+@pytest.mark.parametrize("error, raises", [(1e-6, True), (np.nan, True),
+                                           (1e-11, False)])
+def test_sparse_lu_guard_rejects_an_inaccurate_factor(monkeypatch, error, raises):
+    # a factor whose solves are off by the relative error: the residual on
+    # matrix @ ones is that error, so above 1e-8 (or NaN) construction raises
+    class Inaccurate:
+        def __init__(self, lu):
+            self.lu, self.L, self.U = lu, lu.L, lu.U
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs) * (1.0 + error)
+
+    monkeypatch.setattr(full2d, "splu", lambda *a, **k: Inaccurate(splu(*a, **k)))
+    system = assemble_2d_saddle(_space2d((2, 1), 3), _space2d((3, 0), 3),
+                                (0.01, 0.01), _ROTATION, 0.05)
+    if raises:
+        with pytest.raises(SingularMatrixError, match="relative residual"):
+            sparse_lu(system.matrix)
+    else:
+        assert sparse_lu(system.matrix).fill_nnz > 0
+
+
+def test_circular_wind_saddle_keeps_symmetric_ordering_fill():
+    # at 16^2, (4,3)/(5,0), minimum degree on A+A^T fills L+U with about
+    # 0.96M nonzeros and the unsymmetric COLAMD ordering with 12.9M
+    stepper = RotatingFlowStepper(get_problem("circular-wind"),
+                                  RunConfig(mesh=(16, 16), trial=(4, 3),
+                                            test=(5, 0), tau=0.1))
+    assert 0 < stepper.factor.fill_nnz < 2_000_000
+
+
 def test_zero_dt_step_is_identity_on_representable_data():
     trial = _space2d((2, 1), 4)
     test = _space2d((3, 0), 4)
@@ -217,11 +314,10 @@ def test_rotating_stepper_conserves_mass_norm_approximately():
     problem = get_problem("circular-wind")
     stepper = _general(problem, 12, tau=0.1)
     state = stepper.initial_state()
-    from splitmin.reporting import solution_l2_norm
-    n0 = solution_l2_norm(state.u, stepper.trial_x, stepper.trial_y)
+    n0 = solution_norms(state.u, stepper.trial_x, stepper.trial_y)[0]
     for _ in range(10):
         state = stepper.step(state)
-        n = solution_l2_norm(state.u, stepper.trial_x, stepper.trial_y)
+        n = solution_norms(state.u, stepper.trial_x, stepper.trial_y)[0]
         assert n <= 1.01 * n0
     assert np.all(np.isfinite(state.u))
 

@@ -13,11 +13,11 @@ import splitmin.reporting as reporting
 from splitmin.assembly import _nq
 from splitmin.cli import main
 from splitmin.exceptions import NonFiniteStateError, ParameterError
+from splitmin.full2d import RotatingFlowStepper
 from splitmin.problems import get_problem, manufactured
-from splitmin.reporting import (ErrorEvaluator, RunConfig, compute_errors,
-                                convergence_study, export_field,
-                                full_dof_count, run, sample_field,
-                                solution_l2_norm, timing_study)
+from splitmin.reporting import (ErrorEvaluator, RunConfig, convergence_study,
+                                export_field, full_dof_count, run,
+                                sample_field, solution_norms, timing_study)
 from splitmin.splines import eval_matrix, gauss_rule, make_space
 from splitmin.stepping import project_initial
 
@@ -127,7 +127,7 @@ def test_projected_exact_solution_scores_small_error():
     t = 0.7
     state = project_initial(lambda x, y: problem.exact(x, y, t), tx, ty)
     state.time = t
-    row = compute_errors(state, problem, tx, ty)
+    row = ErrorEvaluator(tx, ty, problem.exact, problem.exact_grad).errors(state.u, state.time)
     assert row.relative
     assert row.l2_percent < 0.05
     assert row.h1_percent < 1.0
@@ -221,6 +221,20 @@ def test_run_non_separable_uses_monolithic_path(tmp_path):
     assert meta["effective_scheme"] == "monolithic-cn"
     assert not (tmp_path / "errors.csv").exists()  # no closed form
     assert (tmp_path / "residuals.csv").exists()
+
+
+def test_general_run_writes_its_factor_fill(tmp_path):
+    # SuperLU's work is not counted as ops; its L+U fill is the cost figure
+    config = RunConfig(problem="circular-wind", mesh=(4, 4), tau=0.1,
+                       n_steps=1, out_dir=str(tmp_path / "general"))
+    run(config)
+    meta = json.loads((tmp_path / "general" / "metadata.json").read_text())
+    fill = RotatingFlowStepper(get_problem("circular-wind"), config).factor.fill_nnz
+    assert meta["fill_nnz"] == fill > 0
+    run(dataclasses.replace(config, problem="manufactured",
+                            out_dir=str(tmp_path / "split")))
+    meta = json.loads((tmp_path / "split" / "metadata.json").read_text())
+    assert "fill_nnz" not in meta
 
 
 def _serve_nan_forcing(monkeypatch):
@@ -330,7 +344,7 @@ def test_solution_l2_norm_of_projected_sine():
     tx, ty = _unit_spaces(n=16)
     state = project_initial(
         lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), tx, ty)
-    assert solution_l2_norm(state.u, tx, ty) == pytest.approx(0.5, abs=1e-3)
+    assert solution_norms(state.u, tx, ty)[0] == pytest.approx(0.5, abs=1e-3)
 
 
 def test_sample_field_reproduces_spline_values():

@@ -5,8 +5,8 @@ import pytest
 
 from splitmin.exceptions import ParameterError
 from splitmin.problems import get_problem
-from splitmin.reporting import (RunConfig, compute_errors, convergence_study,
-                                solution_l2_norm)
+from splitmin.reporting import (ErrorEvaluator, RunConfig, convergence_study,
+                                solution_norms)
 from splitmin.resmin import build_directional
 from splitmin.splines import eval_matrix, make_space
 from splitmin.stepping import (_SUBSTEPS, SchemeKind, Stepper, march,
@@ -86,7 +86,8 @@ def test_forced_run_tracks_exact_solution():
     for _, state in march(stepper, config.n_steps):
         pass
     assert state.time == pytest.approx(0.1)
-    row = compute_errors(state, problem, stepper.trial_x, stepper.trial_y)
+    row = ErrorEvaluator(stepper.trial_x, stepper.trial_y, problem.exact,
+                         problem.exact_grad).errors(state.u, state.time)
     assert row.relative
     assert row.l2_percent < 0.05
     assert row.h1_percent < 0.5
@@ -103,11 +104,11 @@ def test_pure_diffusion_norm_decays_monotonically():
                              0.5 * tau)
     state = project_initial(
         lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), tx, ty)
-    norms = [solution_l2_norm(state.u, tx, ty)]
+    norms = [solution_norms(state.u, tx, ty)[0]]
     for _ in range(30):
         state = split_step(SchemeKind.PEACEMAN_RACHFORD, state, x_op, y_op,
                            None, tau)[1]
-        norms.append(solution_l2_norm(state.u, tx, ty))
+        norms.append(solution_norms(state.u, tx, ty)[0])
     diffs = np.diff(norms)
     assert np.all(diffs <= 1e-12)
     assert norms[-1] < 1e-6 * norms[0]
