@@ -54,6 +54,7 @@ def _dense_substep(op, rhs_grid: np.ndarray) -> np.ndarray:
 
 def criterion_1_oracle_equivalence() -> tuple[bool, str]:
     problem = get_problem("manufactured")
+    (ax, _), (_, by) = problem.wind.factors
     rng = np.random.default_rng(12345)
     worst = 0.0
     for p, c in ((1, 0), (2, 1), (3, 2)):
@@ -66,12 +67,10 @@ def criterion_1_oracle_equivalence() -> tuple[bool, str]:
                     op = build_directional(
                         direction, trial_x, trial_y, test_split,
                         (problem.diffusion_x, problem.diffusion_y),
-                        problem.wind.pair(0.0),
-                        dt_eff=0.01, stabilized=True, counter=OpCounter())
-                    if direction == "x":
-                        shape = (op.m_split, trial_y.dim - 2)
-                    else:
-                        shape = (trial_x.dim - 2, op.m_split)
+                        (ax, by), dt_eff=0.01, stabilized=True, counter=OpCounter(),
+                        scales=problem.wind.scales(0.0))
+                    m = op.b_split.shape[0]
+                    shape = (m, trial_y.dim - 2) if direction == "x" else (trial_x.dim - 2, m)
                     rhs = rng.standard_normal(shape)
                     u_kron = substep(op, rhs).u
                     u_dense = _dense_substep(op, rhs)
@@ -253,13 +252,14 @@ def criterion_8_property_suite() -> tuple[bool, str]:
                    and np.allclose(g, g.T, atol=1e-13)))
 
     problem = get_problem("manufactured")
+    (ax, _), (_, by) = problem.wind.factors
     op = build_directional(
         "x", make_space(2, 1, 8, (0.0, 1.0)), make_space(2, 1, 8, (0.0, 1.0)),
         make_space(3, 0, 8, (0.0, 1.0)),
-        (problem.diffusion_x, problem.diffusion_y), problem.wind.pair(0.0),
-        dt_eff=0.01)
+        (problem.diffusion_x, problem.diffusion_y), (ax, by),
+        dt_eff=0.01, scales=problem.wind.scales(0.0))
     rng = np.random.default_rng(7)
-    rhs = rng.standard_normal((op.m_split, op.m_other.shape[0]))
+    rhs = rng.standard_normal((op.b_split.shape[0], op.m_other.shape[0]))
     state = substep(op, rhs)
     a, b = op.a_split.to_dense(), op.b_split.to_dense()
     mo = op.m_other.to_dense()

@@ -56,13 +56,6 @@ class BandedMatrix:
         np.add.at(data, (rows, offsets + lb), vals)
         return cls(data, lb, ub, shape[1])
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "BandedMatrix":
-        """Wrap a dense matrix, detecting bandwidths from its exact nonzeros."""
-        dense = np.asarray(dense, dtype=float)
-        rows, cols = np.nonzero(dense)
-        return cls.from_entries(rows, cols, dense[rows, cols], dense.shape)
-
     def _slot_columns(self) -> np.ndarray:
         """Column index of every stored slot, in range or not."""
         return (np.arange(self.n_rows)[:, None] + np.arange(self.data.shape[1])

@@ -14,10 +14,10 @@ gradient terms) and B the rectangular one-step operator
 and factorizes it once with a sparse LU (reused across steps while beta is
 time-independent).  Every block is a Kronecker product of the 1D blocks the
 split path assembles.  With eps = (eps_x(x), eps_y(y)) and the wind in
-product form, beta_x = a_x(x) b_x(y) and beta_y = a_y(x) b_y(y),
+product form, beta_x = s_x(t) a_x(x) b_x(y) and beta_y = s_y(t) a_y(x) b_y(y),
 
     W = K_x[eps_x] (x) M_y + M_x (x) K_y[eps_y]
-        + G_x[a_x] (x) M_y[b_x] + M_x[a_y] (x) G_y[b_y],
+        + s_x G_x[a_x] (x) M_y[b_x] + s_y M_x[a_y] (x) G_y[b_y],
 
 with K, G and M the 1D stiffness, advection and (weighted) mass blocks.
 Loads come from the split path's LoadAssembler on the test spaces.
@@ -70,7 +70,7 @@ def _kron(ax: BandedMatrix, ay: BandedMatrix) -> sp.csr_matrix:
     return sp.kron(ax.interior().to_csr(), ay.interior().to_csr(), format="csr")
 
 
-def assemble_2d_operators(trial: Space2D, test: Space2D, diffusion, wind):
+def assemble_2d_operators(trial: Space2D, test: Space2D, diffusion, wind, t: float):
     """Return (gram, m_test, m_rect, w_rect), all interior-eliminated CSR.
 
     gram   test x test, (psi, phi) + (grad psi, grad phi)
@@ -78,11 +78,12 @@ def assemble_2d_operators(trial: Space2D, test: Space2D, diffusion, wind):
     m_rect test x trial mass
     w_rect test x trial, (eps grad u, grad psi) + (beta . grad u, psi)
 
-    diffusion is the (x, y) pair of 1D coefficients and wind the factors
-    ((a_x, b_x), (a_y, b_y)) of Wind.factors, each a constant, a callable of
-    its own coordinate or None (1).
+    diffusion is the (x, y) pair of 1D coefficients, each a constant, a
+    callable of its own coordinate or None (1).  The wind, a Wind, enters
+    through its time-free factors scaled by Wind.scales(t).
     """
-    (ax, bx), (ay, by) = wind
+    (ax, bx), (ay, by) = wind.factors
+    sx, sy = wind.scales(t)
     mx, my = mass(test.x, test.x), mass(test.y, test.y)
     m_test = _kron(mx, my)
     gram = (m_test + _kron(stiffness(test.x, test.x), my)
@@ -91,8 +92,8 @@ def assemble_2d_operators(trial: Space2D, test: Space2D, diffusion, wind):
     m_rect = _kron(mx, my)
     w_rect = (_kron(stiffness(trial.x, test.x, diffusion[0]), my)
               + _kron(mx, stiffness(trial.y, test.y, diffusion[1]))
-              + _kron(advection(trial.x, test.x, ax), mass(trial.y, test.y, bx))
-              + _kron(mass(trial.x, test.x, ay), advection(trial.y, test.y, by)))
+              + _kron(sx * advection(trial.x, test.x, ax), mass(trial.y, test.y, bx))
+              + _kron(mass(trial.x, test.x, ay), sy * advection(trial.y, test.y, by)))
     return gram.tocsr(), m_test, m_rect, w_rect.tocsr()
 
 
@@ -107,10 +108,10 @@ class SaddleSystem(NamedTuple):
     trial_shape: tuple[int, int]
 
 
-def assemble_2d_saddle(trial: Space2D, test: Space2D, diffusion, wind,
+def assemble_2d_saddle(trial: Space2D, test: Space2D, diffusion, wind, t: float,
                        dt_eff: float) -> SaddleSystem:
     gram, m_test, m_rect, w_rect = assemble_2d_operators(trial, test, diffusion,
-                                                         wind)
+                                                         wind, t)
     b = (m_rect + dt_eff * w_rect).tocsr()
     saddle = sp.bmat([[gram, b], [b.T, None]], format="csc")
     return SaddleSystem(saddle, gram, m_test, b, m_rect, w_rect,
@@ -168,7 +169,7 @@ class RotatingFlowStepper(StepperBase):
         tau = config.tau
         system = assemble_2d_saddle(self.trial, self.test,
                                     (problem.diffusion_x, problem.diffusion_y),
-                                    problem.wind.factors(config.t0), 0.5 * tau)
+                                    problem.wind, config.t0, 0.5 * tau)
         self.system = system
         self.b_rhs = (system.m_rect - 0.5 * tau * system.w_rect).tocsr()
         self.factor = sparse_lu(system.matrix)

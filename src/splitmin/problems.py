@@ -13,9 +13,10 @@ Three built-in advection-diffusion benchmarks:
                   with diffusion 1e-6 and a Gaussian initial bump.  The wind
                   couples directions, so the general 2D solver applies.
 
-Each wind component is a product s(t) a(x) b(y) of 1D factors (Wind); the
-solvers assemble it from 1D blocks.  All solvers impose homogeneous
-Dirichlet conditions on the full boundary.
+Each wind component is a product s(t) a(x) b(y) of 1D factors (Wind).  The
+solvers assemble 1D blocks once from the time-free factors a and b and
+scale them by s(t); the split path takes s at each step's midpoint.  All
+solvers impose homogeneous Dirichlet conditions on the full boundary.
 """
 
 from __future__ import annotations
@@ -41,14 +42,6 @@ class WindComponent:
     b: Optional[Callable] = None
 
 
-def _scaled(s, factor, t):
-    """The 1D coefficient s(t) * factor (None means 1)."""
-    if s is None:
-        return factor
-    st = s(t)
-    return st if factor is None else (lambda z: st * factor(z))
-
-
 @dataclass(frozen=True)
 class Wind:
     """The wind (beta_x, beta_y); a None component is no wind."""
@@ -66,20 +59,19 @@ class Wind:
     def time_dependent(self) -> bool:
         return any(c is not None and c.s is not None for c in (self.x, self.y))
 
-    def factors(self, t: float):
-        """((a_x, b_x), (a_y, b_y)) at t: beta_x = a_x(x) b_x(y), beta_y = a_y(x) b_y(y).
+    @property
+    def factors(self):
+        """Time-free ((a_x, b_x), (a_y, b_y)): beta_d = s_d(t) a_d(x) b_d(y).
 
-        s(t) joins the factor of the direction the component differentiates,
-        where no wind gives 0; None means 1.
+        A None factor, also of a missing component, is 1.
         """
-        bx, by = self.x, self.y
-        return ((0.0, None) if bx is None else (_scaled(bx.s, bx.a, t), bx.b),
-                (None, 0.0) if by is None else (by.a, _scaled(by.s, by.b, t)))
+        return tuple((None, None) if c is None else (c.a, c.b)
+                     for c in (self.x, self.y))
 
-    def pair(self, t: float):
-        """The split path's (beta_x of x, beta_y of y) at t, for a separable wind."""
-        (ax, _), (_, by) = self.factors(t)
-        return ax, by
+    def scales(self, t: float) -> tuple[float, float]:
+        """(s_x(t), s_y(t)): 1 where s is None, 0 for a missing component."""
+        return tuple(0.0 if c is None else 1.0 if c.s is None else float(c.s(t))
+                     for c in (self.x, self.y))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,11 @@ solved by two banded sweeps.  With test = trial the same substep reduces to
 the plain Galerkin ADI update (and r = 0); the unstabilized path solves the
 square system directly.
 
-A DirectionalOperator is built once per direction; only its wind changes in
-time, and set_wind reassembles the advection blocks and refactors the saddle.
+A DirectionalOperator is built once per direction, advection blocks
+included: each wind component is s(t) times a time-free factor, so the blocks
+are assembled once from the factors, and set_wind rescales them by the
+scalars s_x(t), s_y(t) and refactors the saddle.  The split stepper takes
+the wind at each step's midpoint.
 """
 
 from __future__ import annotations
@@ -82,13 +85,16 @@ class DirectionalOperator:
     split_factor factors b_split (with a_split when stabilized) along the
     split direction; other_lu factors m_other.
 
-    The constructor builds everything the wind does not enter: the mass,
-    stiffness and Gram blocks, other_lu and the loads.  set_wind does the
-    rest for one wind: g_rect, g_other, b_split, rhs_ops and split_factor.
+    The constructor builds everything that does not change in time: the
+    mass, stiffness and Gram blocks, other_lu, the loads, and the advection
+    blocks of the wind's time-free (x, y) factors.  set_wind takes the
+    wind's scales (s_x, s_y) at one time and does the rest: it rescales the
+    cached advection blocks to g_rect and g_other, then forms b_split,
+    rhs_ops and split_factor.
     """
 
     def __init__(self, direction, dt_eff, stabilized, trial_split, test_split,
-                 trial_other, diffusion, counter):
+                 trial_other, diffusion, velocity, counter):
         self.direction = direction
         self.axis = 0 if direction == "x" else 1
         self.dt_eff = dt_eff
@@ -106,18 +112,20 @@ class DirectionalOperator:
         self.k_other = _block(assembly.stiffness, trial_other, trial_other,
                               diffusion[1 - self.axis])
         self.other_lu = BandedLU(self.m_other, counter)
+        self._g_rect_free = _block(assembly.advection, trial_split, test_split,
+                                   velocity[self.axis])
+        self._g_other_free = _block(assembly.advection, trial_other, trial_other,
+                                    velocity[1 - self.axis])
         if direction == "x":
             self.loads = LoadAssembler(test_split, trial_other)
         else:
             self.loads = LoadAssembler(trial_other, test_split)
 
-    def set_wind(self, velocity) -> None:
-        """Assemble the advection blocks of an (x, y) wind pair and refactor."""
+    def set_wind(self, scales) -> None:
+        """Scale the cached advection blocks by the wind's (s_x, s_y) and refactor."""
         dt_eff = self.dt_eff
-        self.g_rect = _block(assembly.advection, self.trial_split, self.test_split,
-                             velocity[self.axis])
-        self.g_other = _block(assembly.advection, self.trial_other, self.trial_other,
-                              velocity[1 - self.axis])
+        self.g_rect = scales[self.axis] * self._g_rect_free
+        self.g_other = scales[1 - self.axis] * self._g_other_free
         self.b_split = self.m_rect + dt_eff * (self.k_rect + self.g_rect)
         self.rhs_ops = {
             "m_rect": self.m_rect,
@@ -128,23 +136,16 @@ class DirectionalOperator:
         self.split_factor = (SaddleFactor(self.a_split, self.b_split, self.counter)
                              if self.stabilized else BandedLU(self.b_split, self.counter))
 
-    @property
-    def n_split(self) -> int:
-        return self.b_split.n_cols
-
-    @property
-    def m_split(self) -> int:
-        return self.b_split.n_rows
-
 
 def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace,
                       test_split: SplineSpace, diffusion, velocity, dt_eff: float,
-                      stabilized: bool = True,
-                      counter: OpCounter | None = None) -> DirectionalOperator:
-    """Assemble one direction's operator.
+                      stabilized: bool = True, counter: OpCounter | None = None,
+                      scales=(1.0, 1.0)) -> DirectionalOperator:
+    """Assemble one direction's operator and set its wind to scales.
 
-    diffusion and velocity are (x, y) pairs of 1D coefficients (constants or
-    callables of the direction's own variable, already bound to a time).
+    diffusion and velocity are (x, y) pairs of 1D coefficients (constants,
+    callables of the direction's own variable, or None for 1); velocity holds
+    the wind's time-free factors, which set_wind multiplies by scales.
     """
     if direction not in ("x", "y"):
         raise ParameterError(f"direction must be 'x' or 'y', got {direction!r}")
@@ -156,8 +157,8 @@ def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace
     if not stabilized:
         test_split = trial_split
     op = DirectionalOperator(direction, dt_eff, stabilized, trial_split,
-                             test_split, trial_other, diffusion, counter)
-    op.set_wind(velocity)
+                             test_split, trial_other, diffusion, velocity, counter)
+    op.set_wind(scales)
     return op
 
 
@@ -167,12 +168,12 @@ def substep(op: DirectionalOperator, rhs_grid: np.ndarray) -> SolutionState:
     if not op.stabilized:
         u = kron_solve(op.split_factor, op.other_lu, op.direction, rhs_grid)
         return SolutionState(u=u, r=None)
-    m = op.m_split
+    m, n = op.b_split.shape
     if op.direction == "x":
-        stacked = np.vstack([rhs_grid, np.zeros((op.n_split, rhs_grid.shape[1]))])
+        stacked = np.vstack([rhs_grid, np.zeros((n, rhs_grid.shape[1]))])
         out = kron_solve(op.split_factor, op.other_lu, op.direction, stacked)
         return SolutionState(u=out[m:], r=out[:m])
-    stacked = np.hstack([rhs_grid, np.zeros((rhs_grid.shape[0], op.n_split))])
+    stacked = np.hstack([rhs_grid, np.zeros((rhs_grid.shape[0], n))])
     out = kron_solve(op.split_factor, op.other_lu, op.direction, stacked)
     return SolutionState(u=out[:, m:], r=out[:, :m])
 

@@ -147,8 +147,11 @@ class StepperBase:
 class Stepper(StepperBase):
     """Owns the directional operators for one split-path run.
 
-    Operators are assembled and factored once.  For a time-dependent wind
-    each step first moves both to the wind at its start time (set_wind).
+    Operators are assembled and factored once, with the wind at the first
+    step's midpoint t0 + tau/2.  For a time-dependent wind each step first
+    moves both to the wind at its own midpoint: set_wind rescales the cached
+    advection blocks by s(t + tau/2) and refactors, which keeps the
+    second-order schemes second order.
     """
 
     def __init__(self, problem, config: RunConfig,
@@ -161,20 +164,22 @@ class Stepper(StepperBase):
         super().__init__(problem, config, counter)
         diffusion = (problem.diffusion_x, problem.diffusion_y)
         dt = dict(row[:2] for row in _SUBSTEPS[self.scheme])
-        self._wind_time = config.t0
-        wind = problem.wind.pair(config.t0)
+        (ax, _), (_, by) = problem.wind.factors
+        self._wind_time = config.t0 + 0.5 * config.tau
+        scales = problem.wind.scales(self._wind_time)
         self.x_op, self.y_op = (
-            build_directional(d, self.trial_x, self.trial_y, test, diffusion, wind,
-                              dt[d] * config.tau, config.stabilized, self.counter)
+            build_directional(d, self.trial_x, self.trial_y, test, diffusion, (ax, by),
+                              dt[d] * config.tau, config.stabilized, self.counter, scales)
             for d, test in (("x", self.test_x), ("y", self.test_y)))
 
     def step(self, state: SolutionState) -> SolutionState:
-        if self.problem.wind.time_dependent and state.time != self._wind_time:
-            wind = self.problem.wind.pair(state.time)
-            self.x_op.set_wind(wind)
-            self.y_op.set_wind(wind)
-            self._wind_time = state.time
         tau = self.config.tau
+        midpoint = state.time + 0.5 * tau
+        if self.problem.wind.time_dependent and midpoint != self._wind_time:
+            scales = self.problem.wind.scales(midpoint)
+            self.x_op.set_wind(scales)
+            self.y_op.set_wind(scales)
+            self._wind_time = midpoint
         final_op, final = split_step(self.scheme, state, self.x_op, self.y_op,
                                      self.problem.forcing, tau)
         final.time = state.time + tau

@@ -26,7 +26,7 @@ from splitmin.resmin import LoadAssembler, SolutionState
 from splitmin.splines import eval_matrix, gauss_rule, make_space
 from splitmin.stepping import RunConfig
 
-_ROTATION = circular_wind().wind.factors(0.0)
+_ROTATION = circular_wind().wind
 
 
 def _general(problem, n, tau):
@@ -76,7 +76,7 @@ def _dense_advection_reference(trial, test, beta, n_points):
 
 
 def _advection_only(trial, test, wind):
-    return assemble_2d_operators(trial, test, (0.0, 0.0), wind.factors(0.0))[3]
+    return assemble_2d_operators(trial, test, (0.0, 0.0), wind, 0.0)[3]
 
 
 def test_advection_2d_matches_dense_quadrature_route():
@@ -120,7 +120,8 @@ def test_separable_wind_reduces_to_kronecker_of_1d_blocks():
     alpha = 0.07
     bx0, by0 = 1.3, -0.4
     gram, m_test, m_rect, w_rect = assemble_2d_operators(
-        trial, test, (alpha, alpha), ((bx0, None), (None, by0)))
+        trial, test, (alpha, alpha),
+        Wind(WindComponent(s=lambda t: bx0), WindComponent(s=lambda t: by0)), 0.0)
 
     def interior(mat):
         return mat.interior().to_dense()
@@ -149,7 +150,7 @@ def test_separable_wind_reduces_to_kronecker_of_1d_blocks():
 def test_saddle_matrix_blocks_and_symmetry():
     trial = _space2d((2, 1), 3)
     test = _space2d((3, 0), 3)
-    system = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.05)
+    system = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.0, 0.05)
     m = test.interior_dim
     n = trial.interior_dim
     dense = system.matrix.toarray()
@@ -166,7 +167,7 @@ def test_saddle_matrix_blocks_and_symmetry():
 def test_sparse_lu_matches_dense_solve():
     trial = _space2d((2, 1), 3)
     test = _space2d((3, 0), 3)
-    system = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.05)
+    system = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.0, 0.05)
     rng = np.random.default_rng(90)
     rhs = rng.standard_normal(system.matrix.shape[0])
     got = sparse_lu(system.matrix).solve(rhs)
@@ -206,7 +207,7 @@ def _saddle_cases(draw):
         (d0, d0), (lambda x: d0 + d1 * x * x, lambda y: d1 + d0 * y * y))))
     wind = _STEADY_WINDS[draw(st.sampled_from(sorted(_STEADY_WINDS)))](
         draw(st.floats(-2.0, 2.0)))
-    system = assemble_2d_saddle(trial, test, diffusion, wind.factors(0.0),
+    system = assemble_2d_saddle(trial, test, diffusion, wind, 0.0,
                                 draw(st.floats(1e-3, 1.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return system, rng.standard_normal(system.matrix.shape[0])
@@ -255,7 +256,7 @@ def test_sparse_lu_guard_rejects_an_inaccurate_factor(monkeypatch, error, raises
 
     monkeypatch.setattr(full2d, "splu", lambda *a, **k: Inaccurate(splu(*a, **k)))
     system = assemble_2d_saddle(_space2d((2, 1), 3), _space2d((3, 0), 3),
-                                (0.01, 0.01), _ROTATION, 0.05)
+                                (0.01, 0.01), _ROTATION, 0.0, 0.05)
     if raises:
         with pytest.raises(SingularMatrixError, match="relative residual"):
             sparse_lu(system.matrix)
@@ -275,7 +276,7 @@ def test_circular_wind_saddle_keeps_symmetric_ordering_fill():
 def test_zero_dt_step_is_identity_on_representable_data():
     trial = _space2d((2, 1), 4)
     test = _space2d((3, 0), 4)
-    system = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.0)
+    system = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.0, 0.0)
     rng = np.random.default_rng(91)
     u0 = rng.standard_normal(trial.interior_dim)
     rhs = np.concatenate([system.m_rect @ u0, np.zeros(trial.interior_dim)])
@@ -290,7 +291,7 @@ def test_mesh_mismatch_rejected():
     test = Space2D(make_space(3, 0, 5, (0.0, 1.0)),
                    make_space(3, 0, 4, (0.0, 1.0)))
     with pytest.raises(ParameterError):
-        assemble_2d_operators(trial, test, (0.01, 0.01), Wind().factors(0.0))
+        assemble_2d_operators(trial, test, (0.01, 0.01), Wind(), 0.0)
 
 
 def test_rotating_stepper_single_step_matches_dense_solve():

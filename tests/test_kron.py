@@ -18,6 +18,8 @@ from splitmin.kron import (BandedLU, OpCounter, SaddleFactor, kron_matvec,
                            kron_solve)
 from splitmin.splines import make_space
 
+from helpers import from_dense
+
 
 class LoopBandedLU:
     """Reference banded LU: band-restricted partial pivoting, one row at a time."""
@@ -110,7 +112,7 @@ def _tridiag(n, lo, di, up):
 
 def test_lu_hand_oracle_tridiagonal_laplacian():
     dense = _tridiag(3, -1.0, 2.0, -1.0)
-    lu = BandedLU(BandedMatrix.from_dense(dense))
+    lu = BandedLU(from_dense(dense))
     # solved by hand: 2x1 - x2 = 1; -x1 + 2x2 - x3 = 1; -x2 + 2x3 = 1
     np.testing.assert_allclose(lu.solve(np.ones(3)), [1.5, 2.0, 1.5],
                                atol=1e-14)
@@ -124,7 +126,7 @@ def test_lu_matches_dense_solve_random_banded():
             for j in range(max(0, i - lb), min(n, i + ub + 1)):
                 dense[i, j] = rng.standard_normal()
             dense[i, i] += 2.0 * (lb + ub + 1)  # diagonally dominant
-        lu = BandedLU(BandedMatrix.from_dense(dense))
+        lu = BandedLU(from_dense(dense))
         rhs = rng.standard_normal((n, 4))
         np.testing.assert_allclose(lu.solve(rhs), np.linalg.solve(dense, rhs),
                                    atol=1e-11)
@@ -133,7 +135,7 @@ def test_lu_matches_dense_solve_random_banded():
 def test_lu_pivots_inside_the_band():
     # leading pivot is tiny; partial pivoting must swap in the subdiagonal row
     dense = np.array([[1e-18, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
-    lu = BandedLU(BandedMatrix.from_dense(dense))
+    lu = BandedLU(from_dense(dense))
     rhs = np.array([1.0, 2.0, 3.0])
     np.testing.assert_allclose(lu.solve(rhs), np.linalg.solve(dense, rhs),
                                atol=1e-12)
@@ -141,16 +143,16 @@ def test_lu_pivots_inside_the_band():
 
 def test_lu_rejects_singular_and_nonsquare():
     with pytest.raises(SingularMatrixError):
-        BandedLU(BandedMatrix.from_dense(np.ones((3, 3))))
+        BandedLU(from_dense(np.ones((3, 3))))
     with pytest.raises(ValueError):
-        BandedLU(BandedMatrix.from_dense(np.ones((3, 4))))
+        BandedLU(from_dense(np.ones((3, 4))))
 
 
 def test_lu_operation_counts_scale_linearly():
     counts = {}
     for n in (100, 200):
         counter = OpCounter()
-        BandedLU(BandedMatrix.from_dense(_tridiag(n, -1.0, 4.0, -1.0)), counter)
+        BandedLU(from_dense(_tridiag(n, -1.0, 4.0, -1.0)), counter)
         counts[n] = counter.factor_ops
     ratio = counts[200] / counts[100]
     assert 1.9 <= ratio <= 2.1
@@ -161,7 +163,7 @@ def test_solve_ops_proportional_to_rhs_columns():
     ops = {}
     for ncols in (1, 4):
         counter = OpCounter()
-        lu = BandedLU(BandedMatrix.from_dense(dense), counter)
+        lu = BandedLU(from_dense(dense), counter)
         counter.factor_ops = counter.solve_ops = 0
         lu.solve(np.ones((50, ncols)))
         ops[ncols] = counter.solve_ops
@@ -228,7 +230,7 @@ def test_lu_matches_loop_reference(n, lb, ub, pivoting, ncols):
 @pytest.mark.parametrize("dense", ([[1.0] * 3] * 3, [[0.0] * 4] * 4,
                                    [[1.0, 2.0], [2.0, 4.0]]))
 def test_lu_singular_step_matches_loop_reference(dense):
-    matrix = BandedMatrix.from_dense(np.array(dense))
+    matrix = from_dense(np.array(dense))
     with pytest.raises(SingularMatrixError) as ref_exc:
         LoopBandedLU(matrix)
     with pytest.raises(SingularMatrixError) as exc:
@@ -294,7 +296,7 @@ def test_saddle_factor_validates_block_shapes():
     a, b = _spline_saddle_blocks(4)
     with pytest.raises(ValueError):
         SaddleFactor(b, b)  # first block must be square
-    b_wrong = BandedMatrix.from_dense(np.ones((a.n_rows + 1, b.n_cols)))
+    b_wrong = from_dense(np.ones((a.n_rows + 1, b.n_cols)))
     with pytest.raises(ValueError):
         SaddleFactor(a, b_wrong)
 
@@ -332,7 +334,7 @@ def _saddle_cases(draw):
 def test_saddle_factor_matches_dense_solve_on_random_blocks(case):
     a, b, rng = case
     m, n = b.shape
-    sf = SaddleFactor(BandedMatrix.from_dense(a), BandedMatrix.from_dense(b))
+    sf = SaddleFactor(from_dense(a), from_dense(b))
     dense = np.block([[a, b], [b.T, np.zeros((n, n))]])
     for rhs in (rng.standard_normal(m + n), rng.standard_normal((m + n, 4))):
         got, want = sf.solve(rhs), np.linalg.solve(dense, rhs)
@@ -345,15 +347,15 @@ def test_kron_matvec_equals_kronecker_product():
     ax = _tridiag(5, 1.0, 3.0, -2.0)
     ay = _tridiag(4, 0.5, 2.0, 1.0)
     grid = rng.standard_normal((5, 4))
-    got = kron_matvec(BandedMatrix.from_dense(ax), BandedMatrix.from_dense(ay),
+    got = kron_matvec(from_dense(ax), from_dense(ay),
                       grid)
     ref = (np.kron(ax, ay) @ grid.ravel()).reshape(5, 4)
     np.testing.assert_allclose(got, ref, atol=1e-13)
 
 
 def test_kron_matvec_rejects_shape_mismatch():
-    ax = BandedMatrix.from_dense(np.eye(3))
-    ay = BandedMatrix.from_dense(np.eye(4))
+    ax = from_dense(np.eye(3))
+    ay = from_dense(np.eye(4))
     with pytest.raises(ValueError):
         kron_matvec(ax, ay, np.zeros((4, 3)))
 
@@ -364,14 +366,14 @@ def test_kron_solve_square_factor_both_axes():
     ay = _tridiag(5, -1.0, 5.0, -1.0)
     rhs = rng.standard_normal((6, 5))
     for axis, split, other in (("x", ax, ay), ("y", ay, ax)):
-        got = kron_solve(BandedLU(BandedMatrix.from_dense(split)),
-                         BandedLU(BandedMatrix.from_dense(other)), axis, rhs)
+        got = kron_solve(BandedLU(from_dense(split)),
+                         BandedLU(from_dense(other)), axis, rhs)
         big = np.kron(ax, ay)
         ref = np.linalg.solve(big, rhs.ravel()).reshape(6, 5)
         np.testing.assert_allclose(got, ref, atol=1e-11)
 
 
 def test_kron_solve_rejects_bad_axis():
-    lu = BandedLU(BandedMatrix.from_dense(np.eye(3)))
+    lu = BandedLU(from_dense(np.eye(3)))
     with pytest.raises(ValueError):
         kron_solve(lu, lu, "z", np.eye(3))

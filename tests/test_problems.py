@@ -14,14 +14,15 @@ from splitmin.problems import (PROBLEMS, Wind, WindComponent, circular_wind,
 
 
 def _wind_at(wind, x, y, t):
-    """(beta_x, beta_y) at points, multiplied out from Wind.factors."""
+    """(beta_x, beta_y) at points, multiplied out from Wind.factors and scales."""
     def value(factor, z):
         if factor is None:
             return np.ones_like(z)
         return factor(z) if callable(factor) else np.full_like(z, factor)
 
-    (ax, bx), (ay, by) = wind.factors(t)
-    return value(ax, x) * value(bx, y), value(ay, x) * value(by, y)
+    (ax, bx), (ay, by) = wind.factors
+    sx, sy = wind.scales(t)
+    return sx * value(ax, x) * value(bx, y), sy * value(ay, x) * value(by, y)
 
 
 def test_registry_contains_the_three_benchmarks():
@@ -135,8 +136,9 @@ def test_wind_angle_baseline_and_unit_speed():
         np.testing.assert_array_equal(bx, np.cos(wind_angle(t)))
         np.testing.assert_array_equal(by, np.sin(wind_angle(t)))
         np.testing.assert_allclose(np.hypot(bx, by), 1.0, atol=1e-14)
-        # the split path reads the same components as 1D coefficients
-        assert pr.wind.pair(t) == (np.cos(wind_angle(t)), np.sin(wind_angle(t)))
+        # the split path scales unit blocks by the same components
+        assert pr.wind.scales(t) == (np.cos(wind_angle(t)), np.sin(wind_angle(t)))
+    assert pr.wind.factors == ((None, None), (None, None))
     np.testing.assert_allclose(_wind_at(pr.wind, 0.0, 0.0, 0.0),
                                (np.cos(3.0 * np.pi / 8.0),
                                 np.sin(3.0 * np.pi / 8.0)), atol=1e-14)
@@ -195,13 +197,15 @@ def test_wind_separability_and_time_dependence_are_derived():
     assert Wind(x=WindComponent(a=f), y=WindComponent(b=f)).separable
     assert Wind(x=WindComponent(s=s)).time_dependent
     assert not Wind(x=WindComponent(a=f, b=f)).time_dependent
-    # no wind is a zero coefficient in the differentiated direction; s(t)
-    # joins that direction's factor
-    assert Wind().factors(0.0) == ((0.0, None), (None, 0.0))
-    (ax, bx), (ay, by) = Wind(x=WindComponent(s=s, a=f, b=f),
-                              y=WindComponent(s=s)).factors(2.0)
-    assert ax(4.0) == 12.0 and bx is f and ay is None and by == 3.0
-    assert manufactured().wind.pair(0.7) == (None, 0.0)
+    # the factors are time-free (None is 1); s(t) is a separate scale, 1
+    # where it is None and 0 for a missing component
+    assert Wind().factors == ((None, None), (None, None))
+    assert Wind().scales(0.0) == (0.0, 0.0)
+    wind = Wind(x=WindComponent(s=s, a=f, b=f), y=WindComponent(a=f))
+    assert wind.factors == ((f, f), (f, None))
+    assert wind.scales(2.0) == (3.0, 1.0)
+    assert manufactured().wind.factors == ((None, None), (None, None))
+    assert manufactured().wind.scales(0.7) == (1.0, 0.0)
     assert manufactured().wind.separable
     assert not manufactured().wind.time_dependent
 

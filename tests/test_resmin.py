@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitmin.acceptance import _dense_substep
+from splitmin.assembly import advection, apply_dirichlet
 from splitmin.exceptions import ParameterError
 from splitmin.kron import OpCounter
+from splitmin.problems import Wind, WindComponent
 from splitmin.resmin import (LoadAssembler, build_directional, residual_norms,
                              substep)
 from splitmin.splines import eval_matrix, gauss_rule, make_space
@@ -47,6 +49,35 @@ def test_zero_dt_reduces_one_step_block_to_mass():
     op = _build("y", dt_eff=0.0)
     np.testing.assert_allclose(op.b_split.to_dense(), op.m_rect.to_dense(),
                                atol=0.0)
+
+
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_set_wind_rescales_to_directly_assembled_blocks(direction):
+    s = (lambda t: 1.0 + t, lambda t: 2.0 - 0.5 * t)
+    wind = Wind(x=WindComponent(s=s[0], a=lambda x: 1.0 + x),
+                y=WindComponent(s=s[1], b=lambda y: 1.0 + y))
+    (ax, _), (_, by) = wind.factors
+    tx, ty, ts = _spaces(n_el=5)
+    diffusion = (lambda x: 0.1 + 0.0 * x, lambda y: 0.2 + 0.1 * y)
+    op = build_directional(direction, tx, ty, ts, diffusion, (ax, by), 0.05,
+                           scales=wind.scales(0.0))
+    axis = "xy".index(direction)
+    for t in (0.0, 0.3, 1.7, -2.0):
+        op.set_wind(wind.scales(t))
+
+        def direct(trial, test, d):
+            """The advection block with axis d's coefficient s_d(t) (1 + z)."""
+            coef = lambda z: s[d](t) * (1.0 + z)
+            return apply_dirichlet(advection(trial, test, coef), test, trial)
+
+        g_rect = direct(op.trial_split, op.test_split, axis)
+        g_other = direct(op.trial_other, op.trial_other, 1 - axis)
+        b_split = op.m_rect + 0.05 * (op.k_rect + g_rect)
+        for got, ref in ((op.g_rect, g_rect), (op.g_other, g_other),
+                         (op.b_split, b_split)):
+            ref = ref.to_dense()
+            err = np.max(np.abs(got.to_dense() - ref))
+            assert err <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("direction", ["x", "y"])
@@ -98,8 +129,8 @@ def _substep_cases(draw):
     op = build_directional(direction, tx, ty, test, diffusion, wind,
                            draw(st.floats(1e-3, 1.0)), True, OpCounter())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    shape = ((op.m_split, ty.dim - 2) if direction == "x"
-             else (tx.dim - 2, op.m_split))
+    shape = ((op.b_split.shape[0], ty.dim - 2) if direction == "x"
+             else (tx.dim - 2, op.b_split.shape[0]))
     return op, rng.standard_normal(shape)
 
 
@@ -119,9 +150,9 @@ def test_substep_satisfies_saddle_equations(direction):
     op = _build(direction, n_el=6)
     rng = np.random.default_rng(55)
     if direction == "x":
-        rhs = rng.standard_normal((op.m_split, op.m_other.shape[0]))
+        rhs = rng.standard_normal((op.b_split.shape[0], op.m_other.shape[0]))
     else:
-        rhs = rng.standard_normal((op.m_other.shape[0], op.m_split))
+        rhs = rng.standard_normal((op.m_other.shape[0], op.b_split.shape[0]))
     state = substep(op, rhs)
     a, b = op.a_split.to_dense(), op.b_split.to_dense()
     mo = op.m_other.to_dense()
@@ -139,7 +170,7 @@ def test_substep_satisfies_saddle_equations(direction):
 def test_unstabilized_substep_solves_square_system():
     op = _build("x", stabilized=False)
     rng = np.random.default_rng(9)
-    rhs = rng.standard_normal((op.m_split, op.m_other.shape[0]))
+    rhs = rng.standard_normal((op.b_split.shape[0], op.m_other.shape[0]))
     state = substep(op, rhs)
     assert state.r is None
     big = np.kron(op.b_split.to_dense(), op.m_other.to_dense())
@@ -151,15 +182,15 @@ def test_unstabilized_path_ignores_the_test_space():
     # with stabilization off, the test space collapses onto the trial space
     op = _build("y", stabilized=False)
     assert op.test_split.degree == op.trial_split.degree
-    assert op.m_split == op.n_split
+    assert op.b_split.shape[0] == op.b_split.shape[1]
 
 
 def test_residual_norms_match_dense_quadratic_forms():
     for direction in ("x", "y"):
         op = _build(direction)
         rng = np.random.default_rng(77)
-        shape = ((op.m_split, op.m_other.shape[0]) if direction == "x"
-                 else (op.m_other.shape[0], op.m_split))
+        shape = ((op.b_split.shape[0], op.m_other.shape[0]) if direction == "x"
+                 else (op.m_other.shape[0], op.b_split.shape[0]))
         r = rng.standard_normal(shape)
         l2, h1 = residual_norms(op, r)
         mt, mo = op.m_test.to_dense(), op.m_other.to_dense()
@@ -179,7 +210,7 @@ def test_residual_norms_match_dense_quadratic_forms():
 def test_galerkin_test_space_gives_zero_residual():
     op = _build("x", trial_pc=(2, 1), test_pc=(2, 1))
     rng = np.random.default_rng(23)
-    rhs = rng.standard_normal((op.m_split, op.m_other.shape[0]))
+    rhs = rng.standard_normal((op.b_split.shape[0], op.m_other.shape[0]))
     state = substep(op, rhs)
     l2, h1 = residual_norms(op, state.r)
     assert l2 < 1e-10 and h1 < 1e-10

@@ -1,10 +1,14 @@
 """Time integrators: scheme catalog, projection, orders, stability."""
 
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from splitmin import assembly, resmin, splines
 from splitmin.exceptions import ParameterError
-from splitmin.problems import get_problem
+from splitmin.problems import Wind, WindComponent, get_problem
 from splitmin.reporting import (ErrorEvaluator, RunConfig, convergence_study,
                                 solution_norms)
 from splitmin.resmin import build_directional
@@ -148,10 +152,12 @@ def test_time_dependent_wind_rebuilds_operators():
     built = {name: getattr(x_op, name)
              for name in ("m_rect", "a_split", "other_lu", "loads")}
     state = stepper.step(stepper.step(stepper.initial_state()))
+    # the second step ran with the wind at its midpoint, 1.5 tau
+    (ax, _), (_, by) = problem.wind.factors
     fresh = build_directional(
         "x", stepper.trial_x, stepper.trial_y, stepper.test_x,
-        (problem.diffusion_x, problem.diffusion_y), problem.wind.pair(tau),
-        0.5 * tau)
+        (problem.diffusion_x, problem.diffusion_y), (ax, by), 0.5 * tau,
+        scales=problem.wind.scales(1.5 * tau))
     assert stepper.x_op is x_op
     assert np.array_equal(x_op.g_rect.to_dense(), fresh.g_rect.to_dense())
     for name, obj in built.items():
@@ -160,17 +166,18 @@ def test_time_dependent_wind_rebuilds_operators():
 
 
 class _RebuildingStepper(Stepper):
-    """Builds both directional operators afresh at every step's start time."""
+    """Builds both directional operators afresh with every step's midpoint wind."""
 
     def step(self, state):
         problem, config = self.problem, self.config
         dt = _dt_fractions(self.scheme)
         diffusion = (problem.diffusion_x, problem.diffusion_y)
-        wind = problem.wind.pair(state.time)
+        (ax, _), (_, by) = problem.wind.factors
+        scales = problem.wind.scales(state.time + 0.5 * config.tau)
         x_op, y_op = (
             build_directional(d, self.trial_x, self.trial_y, test, diffusion,
-                              wind, dt[d] * config.tau, config.stabilized,
-                              self.counter)
+                              (ax, by), dt[d] * config.tau, config.stabilized,
+                              self.counter, scales)
             for d, test in (("x", self.test_x), ("y", self.test_y)))
         final = split_step(self.scheme, state, x_op, y_op, problem.forcing,
                            config.tau)[1]
@@ -192,6 +199,74 @@ def test_wind_update_matches_full_rebuild(scheme, stabilized):
             pass
         finals.append(state.u)
     assert np.array_equal(finals[0], finals[1])
+
+
+def test_moving_wind_steps_assemble_no_block(monkeypatch):
+    problem = get_problem("pollution")
+    stepper = Stepper(problem, RunConfig(mesh=(8, 8), trial=(2, 1),
+                                         test=(3, 0), tau=1.0, n_steps=3))
+    state = stepper.initial_state()
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every splitmin module that holds the functions, under any name
+    originals = {"advection": assembly.advection, "eval_matrix": splines.eval_matrix}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "splitmin":
+            for attr, fn in originals.items():
+                if getattr(module, attr, None) is fn:
+                    monkeypatch.setattr(module, attr, counted(fn))
+    g_rect = stepper.x_op.g_rect
+    for _ in range(3):
+        state = stepper.step(state)
+    assert stepper.x_op.g_rect is not g_rect  # the wind did move
+    assert calls == []
+    resmin.LoadAssembler(stepper.trial_x, stepper.trial_y)  # the counters count
+    assert calls == ["eval_matrix", "eval_matrix"]
+
+
+def _unsteady_manufactured():
+    """manufactured with the wind (b(t), 0), b(t) = 1 + 0.8 sin 3t, and its forcing."""
+    base = get_problem("manufactured")
+
+    def b(t):
+        return 1.0 + 0.8 * np.sin(3.0 * t)
+
+    def forcing(x, y, t):
+        # the base forcing carries (1, 0) . grad u; add (b(t) - 1) du/dx
+        extra = (b(t) - 1.0) * np.pi * np.sin(np.pi * t)
+        return base.forcing(x, y, t) + (extra * np.cos(np.pi * x)) * np.sin(np.pi * y)
+
+    return replace(base, wind=Wind(x=WindComponent(s=b)), forcing=forcing)
+
+
+@pytest.mark.parametrize("scheme", ("pr", "strang-cn"))
+def test_unsteady_wind_keeps_second_order(scheme):
+    # the wind taken at each step's midpoint; at the step's start the fitted
+    # orders fall to about 1.2 (pr) and 1.1 (strang-cn)
+    problem = _unsteady_manufactured()
+    horizon, taus = 0.5, (0.05, 0.025, 0.0125)
+
+    def final(tau):
+        config = RunConfig(mesh=(16, 16), trial=(2, 1), test=(3, 0), scheme=scheme,
+                           tau=tau, n_steps=int(round(horizon / tau)))
+        stepper = Stepper(problem, config)
+        for _, state in march(stepper, config.n_steps):
+            pass
+        return stepper, state
+
+    stepper, ref = final(taus[-1] / 8.0)
+    row = ErrorEvaluator(stepper.trial_x, stepper.trial_y, problem.exact,
+                         problem.exact_grad).errors(ref.u, ref.time)
+    assert row.l2_percent < 0.05  # the forcing matches the moving wind
+    errs = [solution_norms(final(tau)[1].u - ref.u, stepper.trial_x,
+                           stepper.trial_y)[0] for tau in taus]
+    assert np.polyfit(np.log(taus), np.log(errs), 1)[0] >= 1.75
 
 
 def test_steady_wind_keeps_factorizations():
