@@ -11,7 +11,8 @@ built once: the first ``entries()`` masks the band, the first ``to_csr()``
 converts the triplets, and every later read and product reuses both.
 Products thus skip the empty slots of a slanted rectangular band;
 band-preserving linear combinations stay on the storage and return new
-matrices, which find their own nonzeros.
+matrices, which find their own nonzeros.  ``common_entries`` reads several
+matrices on the union of their nonzero slots, to combine them value by value.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["BandedMatrix"]
+__all__ = ["BandedMatrix", "common_entries", "csr"]
 
 
 class BandedMatrix:
@@ -77,9 +78,7 @@ class BandedMatrix:
     def to_csr(self) -> sp.csr_matrix:
         """CSR of ``entries()``, built once; the matrix is immutable after construction."""
         if self._csr is None:
-            rows, cols, vals = self.entries()
-            indptr = np.searchsorted(rows, np.arange(self.n_rows + 1))
-            self._csr = sp.csr_matrix((vals, cols, indptr), shape=self.shape)
+            self._csr = csr(*self.entries(), self.shape)
         return self._csr
 
     def to_dense(self) -> np.ndarray:
@@ -98,6 +97,9 @@ class BandedMatrix:
             raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
         return self.to_csr() @ x
 
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(x)
+
     def interior(self) -> "BandedMatrix":
         """Drop the first and last row and column (Dirichlet elimination).
 
@@ -112,6 +114,9 @@ class BandedMatrix:
         return out
 
     def _aligned(self, lb: int, ub: int) -> np.ndarray:
+        """The storage widened to bandwidths (lb, ub): a copy unless they are the matrix's own."""
+        if (lb, ub) == (self.lower_bandwidth, self.upper_bandwidth):
+            return self.data
         out = np.zeros((self.n_rows, lb + ub + 1))
         src0 = lb - self.lower_bandwidth
         out[:, src0:src0 + self.data.shape[1]] = self.data
@@ -134,3 +139,22 @@ class BandedMatrix:
     def __repr__(self) -> str:
         return (f"BandedMatrix({self.n_rows}x{self.n_cols}, "
                 f"lb={self.lower_bandwidth}, ub={self.upper_bandwidth})")
+
+
+def common_entries(*matrices: BandedMatrix):
+    """(rows, cols, values, (lb, ub)): the slots, ordered as in ``entries``, where any
+    matrix is nonzero, each matrix's values there and the widest bandwidths."""
+    first = matrices[0]
+    lb = max(m.lower_bandwidth for m in matrices)
+    ub = max(m.upper_bandwidth for m in matrices)
+    data = [m._aligned(lb, ub) for m in matrices]
+    cols = np.arange(first.n_rows)[:, None] + np.arange(lb + ub + 1) - lb
+    nonzero = np.logical_or.reduce([d != 0.0 for d in data])
+    rows, t = np.nonzero(nonzero & (cols >= 0) & (cols < first.n_cols))
+    return rows, cols[rows, t], [d[rows, t] for d in data], (lb, ub)
+
+
+def csr(rows, cols, vals, shape: tuple[int, int]) -> sp.csr_matrix:
+    """CSR of row-major triplets, in their order: writing ``data`` keeps the pattern."""
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
+    return sp.csr_matrix((vals, cols, indptr), shape=shape)

@@ -179,9 +179,10 @@ class RotatingFlowStepper(StepperBase):
     def step(self, state: SolutionState) -> SolutionState:
         tau = self.config.tau
         rhs_top = self.b_rhs @ state.u.ravel()
-        if self.problem.forcing is not None:
-            load = (self.loads.load(self.problem.forcing, state.time)
-                    + self.loads.load(self.problem.forcing, state.time + tau))
+        f, support = self.problem.forcing, self.problem.forcing_support
+        if f is not None:
+            load = (self.loads.load(f, state.time, support)
+                    + self.loads.load(f, state.time + tau, support))
             rhs_top = rhs_top + 0.5 * tau * load.ravel()
         rhs = np.concatenate([rhs_top, np.zeros(self.trial.interior_dim)])
         sol = self.factor.solve(rhs)

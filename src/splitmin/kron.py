@@ -16,7 +16,8 @@ Three pieces:
   on ties) so the block system becomes ONE banded matrix of size m+n with
   bandwidth independent of the mesh; a single banded LU then factors it.
   Locally the Gram rows eliminate the B^T rows, and both factorization and
-  each solve stay O(m + n).
+  each solve stay O(m + n).  The merged pattern and its ``BandLayout`` are
+  found once: ``refactor`` factors for new values of B on the same pattern.
 
 * ``kron_solve`` / ``kron_matvec`` -- two-sweep application
   of (F_split (x) A_other)^{-1} and (Ax (x) Ay) on coefficient grids, never
@@ -40,7 +41,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .banded import BandedMatrix
 from .exceptions import SingularMatrixError
 
-__all__ = ["OpCounter", "BandedLU", "SaddleFactor", "kron_solve", "kron_matvec"]
+__all__ = ["OpCounter", "BandLayout", "BandedLU", "SaddleFactor", "kron_solve", "kron_matvec"]
 
 
 class OpCounter:
@@ -55,33 +56,50 @@ class OpCounter:
         return self.factor_ops + self.solve_ops
 
 
-class BandedLU:
-    """LU of a square BandedMatrix with band-restricted pivoting (LAPACK dgbtrf/dgbtrs)."""
+class BandLayout:
+    """Where a fixed square pattern goes in dgbtrf's band storage, and its op counts."""
 
-    def __init__(self, matrix: BandedMatrix, counter: OpCounter | None = None):
-        if matrix.n_rows != matrix.n_cols:
-            raise ValueError("banded LU requires a square matrix")
-        n, lb, ub = matrix.n_rows, matrix.lower_bandwidth, matrix.upper_bandwidth
-        self.n = n
-        self.lb = lb
+    def __init__(self, rows, cols, n: int, lb: int, ub: int):
+        self.n, self.lb, self.ub = n, lb, ub
+        self._slots = (lb + ub + rows - cols, cols)
+        # rows below the pivot at each step, and entries of U right of the
+        # diagonal, which row swaps widen by lb
+        below = np.minimum(lb, np.arange(n)[::-1])
+        right = np.minimum(lb + ub, np.arange(n)[::-1])
+        self.factor_ops = int(below.sum()) * (1 + 2 * (lb + ub))
+        self.solve_ops_per_column = int(2 * below.sum() + 2 * right.sum()
+                                        + np.count_nonzero(right) + n)
+
+    def fill(self, vals) -> np.ndarray:
+        """ab[lb + ub + i - j, j] = A[i, j]; the lb rows on top take the row swaps' fill-in."""
+        ab = np.zeros((2 * self.lb + self.ub + 1, self.n), order="F")
+        ab[self._slots] = vals
+        return ab
+
+
+class BandedLU:
+    """LU with band-restricted pivoting (LAPACK dgbtrf/dgbtrs) of a square
+    BandedMatrix or of a (BandLayout, values) pair."""
+
+    def __init__(self, matrix, counter: OpCounter | None = None):
+        if isinstance(matrix, BandedMatrix):
+            if matrix.n_rows != matrix.n_cols:
+                raise ValueError("banded LU requires a square matrix")
+            rows, cols, vals = matrix.entries()
+            matrix = (BandLayout(rows, cols, matrix.n_rows, matrix.lower_bandwidth,
+                                 matrix.upper_bandwidth), vals)
+        layout, vals = matrix
+        self.n, self.lb = layout.n, layout.lb
         # row swaps during elimination widen U by at most lb
-        self.ub = ub + lb
+        self.ub = layout.ub + layout.lb
         self.counter = counter
-        # LAPACK band layout ab[lb + ub + i - j, j] = A[i, j], with lb extra
-        # rows on top for the fill-in of the row swaps
-        i, j, vals = matrix.entries()
-        ab = np.zeros((2 * lb + ub + 1, n), order="F")
-        ab[lb + ub + i - j, j] = vals
-        self._lu, self._piv, info = dgbtrf(ab, lb, ub, overwrite_ab=1)
+        self._lu, self._piv, info = dgbtrf(layout.fill(vals), layout.lb, layout.ub,
+                                           overwrite_ab=1)
         if info > 0:
             raise SingularMatrixError(f"zero pivot at elimination step {info - 1}")
-        # rows below the pivot at each step, and entries of U right of the diagonal
-        below = np.minimum(lb, np.arange(n)[::-1])
-        right = np.minimum(self.ub, np.arange(n)[::-1])
-        self._solve_ops_per_column = int(2 * below.sum() + 2 * right.sum()
-                                         + np.count_nonzero(right) + n)
+        self._solve_ops_per_column = layout.solve_ops_per_column
         if counter is not None:
-            counter.factor_ops += int(below.sum()) * (1 + 2 * self.ub)
+            counter.factor_ops += layout.factor_ops
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs for a vector or a stack of columns."""
@@ -96,34 +114,41 @@ class BandedLU:
 
 
 class SaddleFactor:
-    """Banded factorization of [[A, B], [B^T, 0]] via positional interleaving."""
+    """Banded factorization of [[A, B], [B^T, 0]] via positional interleaving.
 
-    def __init__(self, A: BandedMatrix, B: BandedMatrix, counter: OpCounter | None = None):
+    B is a BandedMatrix, factored at once, or the fixed pattern (rows, cols,
+    n_cols) of its nonzeros.  The interleaving and band layout are found
+    once; ``refactor`` factors for new values of B on them.
+    """
+
+    def __init__(self, A: BandedMatrix, B, counter: OpCounter | None = None):
         if A.n_rows != A.n_cols:
             raise ValueError("Gram block must be square")
-        if B.n_rows != A.n_rows:
+        if isinstance(B, BandedMatrix) and B.n_rows != A.n_rows:
             raise ValueError("weak-form block row count must match the Gram block")
-        self.m = A.n_rows
-        self.n = B.n_cols
-        s = self.m + self.n
+        rows_b, cols_b, n_cols = B if isinstance(B, tuple) else (*B.entries()[:2], B.n_cols)
+        self.m, self.n, self.counter = A.n_rows, n_cols, counter
         # merge test (r) and trial (u) unknowns by 1D position, Gram rows first
         keys = np.concatenate([(np.arange(self.m) + 0.5) / self.m,
                                (np.arange(self.n) + 0.5) / self.n])
         # stacked index -> permuted row: the inverse of the sorting permutation
-        self._pos = np.argsort(np.argsort(keys, kind="stable"))
-
+        pos = self._pos = np.argsort(np.argsort(keys, kind="stable"))
         # B's slanted band keeps only its nonzero slots, so the merged
         # bandwidth stays at its mesh-independent value
         rows_a, cols_a, vals_a = A.entries()
-        rows_b, cols_b, vals_b = B.entries()
-        pi = np.concatenate([self._pos[rows_a], self._pos[rows_b],
-                             self._pos[self.m + cols_b]])
-        pj = np.concatenate([self._pos[cols_a], self._pos[self.m + cols_b],
-                             self._pos[rows_b]])
-        vals = np.concatenate([vals_a, vals_b, vals_b])
-        merged = BandedMatrix.from_entries(pi, pj, vals, (s, s))
+        pi = np.concatenate([pos[rows_a], pos[rows_b], pos[self.m + cols_b]])
+        pj = np.concatenate([pos[cols_a], pos[self.m + cols_b], pos[rows_b]])
+        lb, ub = -int((pj - pi).min(initial=0)), int((pj - pi).max(initial=0))
+        self._layout = BandLayout(pi, pj, self.m + self.n, lb, ub)
+        self._vals_a = vals_a
+        if isinstance(B, BandedMatrix):
+            self.refactor(B.entries()[2])
+
+    def refactor(self, vals_b) -> None:
+        """Factor again with B's values vals_b on its pattern."""
         try:
-            self._lu = BandedLU(merged, counter)
+            vals = np.concatenate([self._vals_a, vals_b, vals_b])
+            self._lu = BandedLU((self._layout, vals), self.counter)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 "saddle system is singular; the trial/test pair is incompatible") from exc
@@ -159,10 +184,13 @@ def kron_solve(split_factor, other_lu: BandedLU, split_axis: str,
     return split_factor.solve(z)
 
 
-def kron_matvec(Ax: BandedMatrix, Ay: BandedMatrix, grid: np.ndarray) -> np.ndarray:
-    """(Ax (x) Ay) applied to a grid indexed (x, y): returns Ax @ grid @ Ay^T."""
+def kron_matvec(Ax, Ay, grid: np.ndarray) -> np.ndarray:
+    """(Ax (x) Ay) applied to a grid indexed (x, y): returns Ax @ grid @ Ay^T.
+
+    Ax and Ay are BandedMatrix or scipy sparse matrices.
+    """
     grid = np.asarray(grid, dtype=float)
-    if grid.shape != (Ax.n_cols, Ay.n_cols):
+    if grid.shape != (Ax.shape[1], Ay.shape[1]):
         raise ValueError(
-            f"grid shape {grid.shape} does not match ({Ax.n_cols}, {Ay.n_cols})")
-    return Ax.apply(Ay.apply(grid.T).T)
+            f"grid shape {grid.shape} does not match ({Ax.shape[1]}, {Ay.shape[1]})")
+    return Ax @ (Ay @ grid.T).T

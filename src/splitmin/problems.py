@@ -79,7 +79,8 @@ class ProblemDefinition:
     """Coefficients, data, and metadata for one benchmark.
 
     Diffusion is componentwise, each a function of its own coordinate; the
-    wind is one Wind, read by both solver paths.
+    wind is one Wind, read by both solver paths.  forcing_support is the box
+    ((x0, x1), (y0, y1)) outside which the forcing is exactly zero, or None.
     """
 
     name: str
@@ -89,6 +90,7 @@ class ProblemDefinition:
     initial: Callable
     wind: Wind = Wind()
     forcing: Optional[Callable] = None
+    forcing_support: Optional[tuple] = None
     exact: Optional[Callable] = None
     exact_grad: Optional[Callable] = None
 
@@ -181,6 +183,7 @@ def pollution(p0: tuple[float, float] = (1500.0, 1500.0)) -> ProblemDefinition:
         wind=Wind(x=WindComponent(s=lambda t: np.cos(wind_angle(t))),
                   y=WindComponent(s=lambda t: np.sin(wind_angle(t)))),
         forcing=functools.partial(_pollution_forcing, p0=p0),
+        forcing_support=tuple((c - _SOURCE_RADIUS, c + _SOURCE_RADIUS) for c in p0),
         initial=_pollution_initial,
     )
 

@@ -17,9 +17,11 @@ square system directly.
 
 A DirectionalOperator is built once per direction, advection blocks
 included: each wind component is s(t) times a time-free factor, so the blocks
-are assembled once from the factors, and set_wind rescales them by the
-scalars s_x(t), s_y(t) and refactors the saddle.  The split stepper takes
-the wind at each step's midpoint.
+are assembled once from the factors.  set_wind only forms values for the
+scalars s_x(t), s_y(t), on nonzero patterns and a saddle layout fixed at
+set-up, and refactors.  The split stepper takes the wind at each step's
+midpoint.  Loads of a forcing with a declared support box read only the
+Gauss points inside it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import numpy as np
 from . import assembly
 from .assembly import apply_dirichlet
 from .exceptions import ParameterError
-from .kron import BandedLU, OpCounter, SaddleFactor, kron_matvec, kron_solve
+from .banded import common_entries, csr
+from .kron import BandedLU, BandLayout, OpCounter, SaddleFactor, kron_matvec, kron_solve
 from .splines import SplineSpace, eval_matrix, gauss_rule
 
 __all__ = ["SolutionState", "DirectionalOperator", "LoadAssembler",
@@ -48,17 +51,27 @@ class SolutionState:
 
 
 class LoadAssembler:
-    """Caches quadrature data for load grids  L[k,l] = (f(.,.,t), phi_k psi_l)."""
+    """Caches quadrature data for load grids  L[k,l] = (f(.,.,t), phi_k psi_l).
+
+    A load given the box outside which f is zero reads only the Gauss points
+    inside it; px and py stay the full grids.
+    """
 
     def __init__(self, space_x: SplineSpace, space_y: SplineSpace):
         self.px, wx = _weighted_basis(space_x)
         self.wx_t = wx.T.tocsr()  # basis x points, transposed once
         self.py, self.wy = _weighted_basis(space_y)
+        self._cuts = {None: (self.px, self.wx_t, self.py, self.wy)}
 
-    def load(self, f, t: float) -> np.ndarray:
-        vals = np.asarray(f(self.px[:, None], self.py[None, :], t), dtype=float)
-        vals = np.broadcast_to(vals, (self.px.size, self.py.size))
-        return (self.wx_t @ vals @ self.wy)[1:-1, 1:-1]
+    def load(self, f, t: float, support=None) -> np.ndarray:
+        if support not in self._cuts:
+            ix, iy = (slice(np.searchsorted(p, lo), np.searchsorted(p, hi, side="right"))
+                      for p, (lo, hi) in zip((self.px, self.py), support))
+            self._cuts[support] = (self.px[ix], self.wx_t[:, ix], self.py[iy], self.wy[iy])
+        px, wx_t, py, wy = self._cuts[support]
+        vals = np.asarray(f(px[:, None], py[None, :], t), dtype=float)
+        vals = np.broadcast_to(vals, (px.size, py.size))
+        return (wx_t @ vals @ wy)[1:-1, 1:-1]
 
 
 def _weighted_basis(space: SplineSpace):
@@ -85,12 +98,13 @@ class DirectionalOperator:
     split_factor factors b_split (with a_split when stabilized) along the
     split direction; other_lu factors m_other.
 
-    The constructor builds everything that does not change in time: the
-    mass, stiffness and Gram blocks, other_lu, the loads, and the advection
-    blocks of the wind's time-free (x, y) factors.  set_wind takes the
-    wind's scales (s_x, s_y) at one time and does the rest: it rescales the
-    cached advection blocks to g_rect and g_other, then forms b_split,
-    rhs_ops and split_factor.
+    The constructor builds all that does not change in time: the blocks,
+    advection of the wind's time-free (x, y) factors included, other_lu, the
+    loads, and one fixed pattern per wind-dependent matrix (b_split,
+    rect_minus, other_minus), the union of its blocks' nonzeros, with the
+    CSR matrices and split_factor's band layout on it.  set_wind(s_x, s_y)
+    forms values there and refactors; g_rect, g_other and b_split are
+    derived on read.
     """
 
     def __init__(self, direction, dt_eff, stabilized, trial_split, test_split,
@@ -116,25 +130,41 @@ class DirectionalOperator:
                                    velocity[self.axis])
         self._g_other_free = _block(assembly.advection, trial_other, trial_other,
                                     velocity[1 - self.axis])
+        # (mass, stiffness, advection) values on each pattern
+        rows, cols, self._rect, (lb, ub) = common_entries(
+            self.m_rect, self.k_rect, self._g_rect_free)
+        *other, self._other, _ = common_entries(self.m_other, self.k_other,
+                                                self._g_other_free)
+        self.rhs_ops = {"m_rect": self.m_rect, "m_other": self.m_other,
+                        "rect_minus": csr(rows, cols, 0.0 * rows, self.m_rect.shape),
+                        "other_minus": csr(*other, 0.0 * other[0], self.m_other.shape)}
+        for block in (self.m_rect, self.m_test):  # the blocks steps read, found here once
+            block.to_csr()
+        if stabilized:
+            self.split_factor = SaddleFactor(self.a_split, (rows, cols, self.m_rect.n_cols),
+                                             counter)
+        else:
+            self._layout = BandLayout(rows, cols, self.m_rect.n_rows, lb, ub)
         if direction == "x":
             self.loads = LoadAssembler(test_split, trial_other)
         else:
             self.loads = LoadAssembler(trial_other, test_split)
 
     def set_wind(self, scales) -> None:
-        """Scale the cached advection blocks by the wind's (s_x, s_y) and refactor."""
-        dt_eff = self.dt_eff
-        self.g_rect = scales[self.axis] * self._g_rect_free
-        self.g_other = scales[1 - self.axis] * self._g_other_free
-        self.b_split = self.m_rect + dt_eff * (self.k_rect + self.g_rect)
-        self.rhs_ops = {
-            "m_rect": self.m_rect,
-            "m_other": self.m_other,
-            "rect_minus": self.m_rect - dt_eff * (self.k_rect + self.g_rect),
-            "other_minus": self.m_other - dt_eff * (self.k_other + self.g_other),
-        }
-        self.split_factor = (SaddleFactor(self.a_split, self.b_split, self.counter)
-                             if self.stabilized else BandedLU(self.b_split, self.counter))
+        """Form the wind-dependent values for the wind's (s_x, s_y) and refactor."""
+        self._scales = scales
+        (m, k, g), (mo, ko, go) = self._rect, self._other
+        step = self.dt_eff * (k + scales[self.axis] * g)
+        self.rhs_ops["rect_minus"].data[:] = m - step
+        self.rhs_ops["other_minus"].data[:] = mo - self.dt_eff * (ko + scales[1 - self.axis] * go)
+        if self.stabilized:
+            self.split_factor.refactor(m + step)
+        else:
+            self.split_factor = BandedLU((self._layout, m + step), self.counter)
+
+    g_rect = property(lambda self: self._scales[self.axis] * self._g_rect_free)
+    g_other = property(lambda self: self._scales[1 - self.axis] * self._g_other_free)
+    b_split = property(lambda self: self.m_rect + self.dt_eff * (self.k_rect + self.g_rect))
 
 
 def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace,
@@ -168,7 +198,7 @@ def substep(op: DirectionalOperator, rhs_grid: np.ndarray) -> SolutionState:
     if not op.stabilized:
         u = kron_solve(op.split_factor, op.other_lu, op.direction, rhs_grid)
         return SolutionState(u=u, r=None)
-    m, n = op.b_split.shape
+    m, n = op.m_rect.shape
     if op.direction == "x":
         stacked = np.vstack([rhs_grid, np.zeros((n, rhs_grid.shape[1]))])
         out = kron_solve(op.split_factor, op.other_lu, op.direction, stacked)

@@ -99,7 +99,7 @@ assert all(len({row[1] for row in rows if row[0] == d}) == 1
            for rows in _SUBSTEPS.values() for d in "xy")
 
 
-def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau):
+def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau, support=None):
     """One step of the scheme's substep table; returns the last (op, state)."""
     ops = {"x": x_op, "y": y_op}
     u = state.u
@@ -109,7 +109,8 @@ def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau):
         rhs = (kron_matvec(split, other, u) if direction == "x"
                else kron_matvec(other, split, u))
         if forcing is not None and fractions:
-            loads = [op.loads.load(forcing, state.time + a * tau) for a in fractions]
+            loads = [op.loads.load(forcing, state.time + a * tau, support)
+                     for a in fractions]
             rhs += op.dt_eff * sum(loads[1:], loads[0])
         out = substep(op, rhs)
         u = out.u
@@ -181,7 +182,7 @@ class Stepper(StepperBase):
             self.y_op.set_wind(scales)
             self._wind_time = midpoint
         final_op, final = split_step(self.scheme, state, self.x_op, self.y_op,
-                                     self.problem.forcing, tau)
+                                     self.problem.forcing, tau, self.problem.forcing_support)
         final.time = state.time + tau
         if self.config.stabilized:
             self.last_residual_norms = residual_norms(final_op, final.r)

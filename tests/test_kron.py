@@ -292,6 +292,20 @@ def test_saddle_bandwidth_and_cost_stay_linear_in_mesh():
     assert 1.7 <= ops[64] / ops[32] <= 2.3
 
 
+def test_saddle_refactor_reuses_the_layout_and_rejects_zero_b():
+    a, b = _spline_saddle_blocks(6)
+    rows, cols, vals = b.entries()
+    counter = OpCounter()
+    sf = SaddleFactor(a, (rows, cols, b.n_cols), counter)
+    assert counter.factor_ops == 0  # a bare pattern is laid out, not factored
+    sf.refactor(2.0 * vals)
+    ref = SaddleFactor(a, 2.0 * b, OpCounter())
+    rhs = np.random.default_rng(4).standard_normal((sf.m + sf.n, 2))
+    assert np.array_equal(sf.solve(rhs), ref.solve(rhs))
+    with pytest.raises(SingularMatrixError, match="incompatible"):
+        sf.refactor(np.zeros_like(vals))
+
+
 def test_saddle_factor_validates_block_shapes():
     a, b = _spline_saddle_blocks(4)
     with pytest.raises(ValueError):

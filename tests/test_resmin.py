@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from splitmin.acceptance import _dense_substep
 from splitmin.assembly import advection, apply_dirichlet
 from splitmin.exceptions import ParameterError
-from splitmin.kron import OpCounter
-from splitmin.problems import Wind, WindComponent
+from splitmin.kron import BandedLU, OpCounter, SaddleFactor
+from splitmin.problems import Wind, WindComponent, pollution
 from splitmin.resmin import (LoadAssembler, build_directional, residual_norms,
                              substep)
 from splitmin.splines import eval_matrix, gauss_rule, make_space
@@ -41,7 +41,7 @@ def test_one_step_block_combines_mass_stiffness_advection():
     np.testing.assert_allclose(op.b_split.to_dense(), ref, atol=1e-14)
     minus = (op.m_rect.to_dense()
              - 0.05 * (op.k_rect.to_dense() + op.g_rect.to_dense()))
-    np.testing.assert_allclose(op.rhs_ops["rect_minus"].to_dense(), minus,
+    np.testing.assert_allclose(op.rhs_ops["rect_minus"].toarray(), minus,
                                atol=1e-14)
 
 
@@ -78,6 +78,64 @@ def test_set_wind_rescales_to_directly_assembled_blocks(direction):
             ref = ref.to_dense()
             err = np.max(np.abs(got.to_dense() - ref))
             assert err <= 1e-14 * np.max(np.abs(ref))
+
+
+@st.composite
+def _wind_sequences(draw):
+    """An operator on random spaces and coefficients, and a run of wind scales.
+
+    The scales take 0, negative values and sign flips, and end by returning
+    to an earlier pair.
+    """
+    p = draw(st.integers(1, 3))
+    c = draw(st.integers(0, p - 1))
+    stabilized = draw(st.booleans())
+    q = draw(st.sampled_from((p, p + 1))) if stabilized else p
+    n_el = draw(st.integers(2, 7))
+    tx, ty = (make_space(p, c, n_el, (0.0, 1.0 + k)) for k in (0.0, 0.5))
+    direction = draw(st.sampled_from(("x", "y")))
+    test = make_space(q, min(c, q - 1), n_el, ((0.0, 1.0), (0.0, 1.5))["xy".index(direction)])
+    w0, w1 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-1.0, 1.0))
+    diffusion = (lambda x: 0.05 + 0.1 * x * x, lambda y: 0.1 + 0.05 * y)
+    velocity = (lambda x: w0 + w1 * x, lambda y: w1 - 0.5 * w0 * y)
+    scale = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    scales = draw(st.lists(st.tuples(scale, scale), min_size=1, max_size=4))
+    flip = (-scales[-1][0], -scales[-1][1])
+    scales += [flip, (0.0, 0.0), scales[0]]
+    return (direction, tx, ty, test, diffusion, velocity, stabilized,
+            draw(st.floats(1e-3, 1.0)), scales)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_wind_sequences())
+def test_set_wind_refactors_as_a_fresh_factor(case):
+    direction, tx, ty, test, diffusion, velocity, stabilized, dt, scales = case
+    counter = OpCounter()
+    op = build_directional(direction, tx, ty, test, diffusion, velocity, dt,
+                           stabilized, counter, scales=scales[0])
+    axis = "xy".index(direction)
+
+    def fresh_block(trial, test_space, d):
+        return apply_dirichlet(advection(trial, test_space, velocity[d]), test_space, trial)
+
+    g_rect = fresh_block(op.trial_split, op.test_split, axis)
+    g_other = fresh_block(op.trial_other, op.trial_other, 1 - axis)
+    rng = np.random.default_rng(3)
+    for s in scales:
+        before = counter.factor_ops
+        op.set_wind(s)
+        b = op.m_rect + dt * (op.k_rect + s[axis] * g_rect)
+        fresh_counter = OpCounter()
+        fresh = (SaddleFactor(op.a_split, b, fresh_counter) if stabilized
+                 else BandedLU(b, fresh_counter))
+        assert counter.factor_ops - before == fresh_counter.factor_ops
+        rhs = rng.standard_normal((sum(b.shape) if stabilized else b.shape[0], 3))
+        assert np.array_equal(op.split_factor.solve(rhs), fresh.solve(rhs))
+        rect_minus = op.m_rect - dt * (op.k_rect + s[axis] * g_rect)
+        other_minus = op.m_other - dt * (op.k_other + s[1 - axis] * g_other)
+        for name, ref in (("rect_minus", rect_minus), ("other_minus", other_minus)):
+            x = rng.standard_normal((ref.n_cols, 2))
+            assert np.array_equal(op.rhs_ops[name] @ x, ref.apply(x))
 
 
 @pytest.mark.parametrize("direction", ["x", "y"])
@@ -278,6 +336,49 @@ def test_load_matches_dense_contraction_on_random_spaces(case):
     got, ref = loads.load(f, t), _dense_load(sx, sy, f, t)
     assert got.shape == ref.shape == (max(sx.dim - 2, 0), max(sy.dim - 2, 0))
     assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * np.max(np.abs(ref), initial=0.0)
+
+
+def _pollution_load_spaces(n):
+    """The two substeps' load spaces of a (2,1)/(3,0) pollution run on an n x n mesh."""
+    (x0, x1), (y0, y1) = pollution().domain
+    trial_y, test_x = make_space(2, 1, n, (y0, y1)), make_space(3, 0, n, (x0, x1))
+    trial_x, test_y = make_space(2, 1, n, (x0, x1)), make_space(3, 0, n, (y0, y1))
+    return (test_x, trial_y), (trial_x, test_y)
+
+
+# chimneys inside; with a box across the element boundary at 2500 in both
+# directions on every mesh below; on the domain edge; in a corner; with a
+# box through a corner; and outside the domain
+_CHIMNEYS = ((1500.0, 1500.0), (2510.0, 2490.0), (0.0, 2500.0), (5000.0, 5000.0),
+             (4990.0, 12.5), (-100.0, 2500.0), (6000.0, -40.0))
+
+
+@pytest.mark.parametrize("n", (8, 50, 64, 200))
+def test_support_load_equals_full_grid_load(n):
+    for p0 in _CHIMNEYS:
+        problem = pollution(p0)
+        for spaces in _pollution_load_spaces(n):
+            loads = LoadAssembler(*spaces)
+            full = loads.load(problem.forcing, 3.0)
+            cut = loads.load(problem.forcing, 3.0, problem.forcing_support)
+            assert np.array_equal(cut, full)
+            if min(p0) < -25.0 or max(p0) > 5025.0:
+                assert not np.any(full)
+            # the full grids stay in place: perfbench reads their sizes
+            assert loads.px.size == (spaces[0].degree + 1) * n
+
+
+@pytest.mark.parametrize("n", (8, 50, 64, 200))
+def test_pollution_forcing_vanishes_outside_its_support(n):
+    for p0 in _CHIMNEYS:
+        problem = pollution(p0)
+        (bx0, bx1), (by0, by1) = problem.forcing_support
+        for spaces in _pollution_load_spaces(n):
+            px, py = (gauss_rule(s, s.degree + 1)[0] for s in spaces)
+            vals = problem.forcing(px[:, None], py[None, :], 0.0)
+            inside = (((bx0 <= px) & (px <= bx1))[:, None]
+                      & ((by0 <= py) & (py <= by1))[None, :])
+            assert np.all(vals[~inside] == 0.0)
 
 
 def test_constant_load_is_positive_for_interior_functions():

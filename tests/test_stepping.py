@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from splitmin import assembly, resmin, splines
+from splitmin.banded import BandedMatrix
 from splitmin.exceptions import ParameterError
 from splitmin.problems import Wind, WindComponent, get_problem
 from splitmin.reporting import (ErrorEvaluator, RunConfig, convergence_study,
@@ -221,13 +222,42 @@ def test_moving_wind_steps_assemble_no_block(monkeypatch):
             for attr, fn in originals.items():
                 if getattr(module, attr, None) is fn:
                     monkeypatch.setattr(module, attr, counted(fn))
-    g_rect = stepper.x_op.g_rect
+    g_rect = stepper.x_op.g_rect.to_dense()
     for _ in range(3):
         state = stepper.step(state)
-    assert stepper.x_op.g_rect is not g_rect  # the wind did move
+    assert not np.array_equal(stepper.x_op.g_rect.to_dense(), g_rect)  # the wind moved
     assert calls == []
     resmin.LoadAssembler(stepper.trial_x, stepper.trial_y)  # the counters count
     assert calls == ["eval_matrix", "eval_matrix"]
+
+
+def test_moving_wind_steps_build_no_banded_matrix(monkeypatch):
+    # a step's wind update only forms values on patterns fixed at set-up
+    problem = get_problem("pollution")
+    stepper = Stepper(problem, RunConfig(mesh=(8, 8), trial=(2, 1),
+                                         test=(3, 0), tau=1.0, n_steps=3))
+    state = stepper.initial_state()
+    calls = []
+    init, entries = BandedMatrix.__init__, BandedMatrix.entries
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("BandedMatrix")
+        init(self, *args, **kwargs)
+
+    def counted_entries(self):
+        if self._entries is None:
+            calls.append("entries")  # this call masks the band
+        return entries(self)
+
+    monkeypatch.setattr(BandedMatrix, "__init__", counted_init)
+    monkeypatch.setattr(BandedMatrix, "entries", counted_entries)
+    other_minus = stepper.x_op.rhs_ops["other_minus"].data.copy()
+    for _ in range(3):
+        state = stepper.step(state)
+    assert not np.array_equal(stepper.x_op.rhs_ops["other_minus"].data, other_minus)
+    assert calls == []
+    BandedMatrix(np.ones((2, 1)), 0, 0, 2).entries()  # the counters count
+    assert calls == ["BandedMatrix", "entries"]
 
 
 def _unsteady_manufactured():
