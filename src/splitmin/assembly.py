@@ -10,10 +10,12 @@ Entry conventions (k = test row, i = trial column):
 Coefficients are constants or callables of x (None means 1).  Trial and test
 spaces share one mesh.  The quadrature rule uses ceil((p_trial + p_test)/2) + 1
 points per element, exact for every constant-coefficient term.  Each element's
-local block is summed into band storage as (row, column, value) triplets, so
-the bandwidths follow from the element connectivity.  Homogeneous Dirichlet
-conditions are imposed by eliminating the first and last basis function of
-each space.
+local block enters as (row, column, value) triplets, which
+``BandedMatrix.from_entries`` sums into the block's nonzeros; a block thus
+holds O(n) entries whatever its slant.  Homogeneous Dirichlet conditions are
+imposed by eliminating the first and last basis function of each space;
+``block`` assembles and eliminates in one call, the way every solver builds
+its 1D blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .banded import BandedMatrix
 from .exceptions import ParameterError
 from .splines import SplineSpace, element_table
 
-__all__ = ["mass", "stiffness", "advection", "gram", "apply_dirichlet"]
+__all__ = ["mass", "stiffness", "advection", "gram", "apply_dirichlet", "block"]
 
 
 def _nq(p_trial: int, p_test: int) -> int:
@@ -51,6 +53,7 @@ def _assemble(trial: SplineSpace, test: SplineSpace, coefficient,
     return BandedMatrix.from_entries(rows[:, :, None], cols[:, None, :], local,
                                      (test.dim, trial.dim))
 
+
 def mass(trial: SplineSpace, test: SplineSpace, weight=None) -> BandedMatrix:
     return _assemble(trial, test, weight, False, False)
 
@@ -76,3 +79,9 @@ def apply_dirichlet(matrix: BandedMatrix, space_rows: SplineSpace,
             f"matrix shape {matrix.shape} does not match spaces "
             f"({space_rows.dim}, {space_cols.dim})")
     return matrix.interior()
+
+
+def block(kind, trial: SplineSpace, test: SplineSpace, coefficient=None) -> BandedMatrix:
+    """kind(trial, test, coefficient) with the Dirichlet functions eliminated:
+    the test x trial interior block."""
+    return apply_dirichlet(kind(trial, test, coefficient), test, trial)

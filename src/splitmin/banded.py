@@ -1,18 +1,18 @@
-"""Banded matrix storage.
+"""1D blocks as the sorted triplets of their exact nonzeros.
 
-Row-major band layout: entry (i, j) of an n_rows x n_cols matrix with lower
-bandwidth lb and upper bandwidth ub lives at data[i, j - i + lb] for
-max(0, i-lb) <= j <= min(n_cols-1, i+ub).  Everything outside the band is
-identically zero.  This module is the only one that knows the layout: other
-code reads a matrix as (row, column, value) triplets of its nonzero slots
-(``entries``) or builds one from triplets (``from_entries``).  A matrix is
-immutable after construction, so its triplets and their CSR matrix are each
-built once: the first ``entries()`` masks the band, the first ``to_csr()``
-converts the triplets, and every later read and product reuses both.
-Products thus skip the empty slots of a slanted rectangular band;
-band-preserving linear combinations stay on the storage and return new
-matrices, which find their own nonzeros.  ``common_entries`` reads several
-matrices on the union of their nonzero slots, to combine them value by value.
+A ``BandedMatrix`` is its shape and the (row, column, value) triplets of its
+nonzero entries, sorted row-major with the columns ascending within a row.
+B-spline blocks have local support, so a block holds O(n) triplets whatever
+its slant: a trial-to-test block of two spaces of different dimension keeps
+only its nonzeros.  The only band storage in the program is LAPACK's, which
+``kron.BandLayout`` lays out from a pattern.
+
+``from_entries`` sums element contributions into triplets; ``interior``
+filters them; ``+``, ``-`` and scalar ``*`` combine triplets into new
+matrices, dropping exact zeros.  A matrix is immutable after construction, so
+its CSR is built once, on the first ``to_csr()``, and every later product
+reuses it.  ``common_entries`` reads several matrices on the union of their
+nonzero positions, to combine them value by value.
 """
 
 from __future__ import annotations
@@ -24,19 +24,18 @@ __all__ = ["BandedMatrix", "common_entries", "csr"]
 
 
 class BandedMatrix:
-    """A banded matrix, immutable after construction, so its nonzeros are found once."""
+    """A sparse 1D block, immutable after construction, so its CSR is built once.
 
-    def __init__(self, data: np.ndarray, lower_bandwidth: int, upper_bandwidth: int,
-                 n_cols: int):
-        data = np.asarray(data, dtype=float)
-        if data.shape[1] != lower_bandwidth + upper_bandwidth + 1:
-            raise ValueError("band storage width does not match bandwidths")
-        self.data = data
-        self.lower_bandwidth = lower_bandwidth
-        self.upper_bandwidth = upper_bandwidth
-        self.n_rows = data.shape[0]
-        self.n_cols = n_cols
-        self._entries = self._csr = None
+    ``rows``, ``cols`` and ``vals`` are its triplets, sorted row-major with
+    no repeated position; exact zeros among ``vals`` are dropped here.
+    """
+
+    def __init__(self, rows, cols, vals, shape: tuple[int, int]):
+        keep = np.asarray(vals) != 0.0
+        self.rows, self.cols = np.asarray(rows)[keep], np.asarray(cols)[keep]
+        self.vals = np.asarray(vals, dtype=float)[keep]
+        self.n_rows, self.n_cols = shape
+        self._csr = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -44,47 +43,28 @@ class BandedMatrix:
 
     @classmethod
     def from_entries(cls, rows, cols, vals, shape: tuple[int, int]) -> "BandedMatrix":
-        """Sum (row, column, value) triplets into band storage.
+        """Sum (row, column, value) triplets; they broadcast together.
 
-        ``rows``, ``cols`` and ``vals`` broadcast together; duplicates add up
-        in index order.  The bandwidths are the extreme offsets among the
-        given triplets, zero-valued ones included.
+        Duplicates add up in index order, from 0.0, as ``np.add.at`` adds
+        them: a stable sort keeps that order within each position.
         """
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        offsets = cols - rows
-        lb, ub = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
-        data = np.zeros((shape[0], lb + ub + 1))
-        np.add.at(data, (rows, offsets + lb), vals)
-        return cls(data, lb, ub, shape[1])
-
-    def _slot_columns(self) -> np.ndarray:
-        """Column index of every stored slot, in range or not."""
-        return (np.arange(self.n_rows)[:, None] + np.arange(self.data.shape[1])
-                - self.lower_bandwidth)
-
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the nonzero in-range slots, row-major.
-
-        Within a row the columns ascend.  Slots that point outside the
-        matrix are skipped whatever they hold.  Found once, on the first
-        call, and cached with the matrix: read the arrays, do not write them.
-        """
-        if self._entries is None:
-            cols = self._slot_columns()
-            rows, t = np.nonzero((self.data != 0.0) & (cols >= 0) & (cols < self.n_cols))
-            self._entries = rows, cols[rows, t], self.data[rows, t]
-        return self._entries
+        rows, cols, vals = (a.ravel() for a in np.broadcast_arrays(rows, cols, vals))
+        keys = rows * shape[1] + cols
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = _run_starts(keys)
+        sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
+        return cls(*divmod(keys[first], shape[1]), sums, shape)
 
     def to_csr(self) -> sp.csr_matrix:
-        """CSR of ``entries()``, built once; the matrix is immutable after construction."""
+        """CSR of the triplets, built once; the matrix is immutable after construction."""
         if self._csr is None:
-            self._csr = csr(*self.entries(), self.shape)
+            self._csr = csr(self.rows, self.cols, self.vals, self.shape)
         return self._csr
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        rows, cols, vals = self.entries()
-        out[rows, cols] = vals
+        out[self.rows, self.cols] = self.vals
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -101,57 +81,48 @@ class BandedMatrix:
         return self.apply(x)
 
     def interior(self) -> "BandedMatrix":
-        """Drop the first and last row and column (Dirichlet elimination).
-
-        Rows and columns shift together, so diagonal offsets and bandwidths
-        are unchanged; stored slots that referred to the removed columns are
-        zeroed.
-        """
-        out = BandedMatrix(self.data[1:-1].copy(), self.lower_bandwidth,
-                           self.upper_bandwidth, self.n_cols - 2)
-        cols = out._slot_columns()
-        out.data[(cols < 0) | (cols >= out.n_cols)] = 0.0
-        return out
-
-    def _aligned(self, lb: int, ub: int) -> np.ndarray:
-        """The storage widened to bandwidths (lb, ub): a copy unless they are the matrix's own."""
-        if (lb, ub) == (self.lower_bandwidth, self.upper_bandwidth):
-            return self.data
-        out = np.zeros((self.n_rows, lb + ub + 1))
-        src0 = lb - self.lower_bandwidth
-        out[:, src0:src0 + self.data.shape[1]] = self.data
-        return out
+        """Drop the first and last row and column (Dirichlet elimination)."""
+        n_rows, n_cols = self.n_rows - 2, self.n_cols - 2
+        rows, cols = self.rows - 1, self.cols - 1
+        keep = (rows >= 0) & (rows < n_rows) & (cols >= 0) & (cols < n_cols)
+        return BandedMatrix(rows[keep], cols[keep], self.vals[keep], (n_rows, n_cols))
 
     def __add__(self, other: "BandedMatrix") -> "BandedMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in banded addition")
-        lb = max(self.lower_bandwidth, other.lower_bandwidth)
-        ub = max(self.upper_bandwidth, other.upper_bandwidth)
-        return BandedMatrix(self._aligned(lb, ub) + other._aligned(lb, ub), lb, ub, self.n_cols)
+        rows, cols, (a, b) = common_entries(self, other)
+        return BandedMatrix(rows, cols, a + b, self.shape)
 
     def __sub__(self, other: "BandedMatrix") -> "BandedMatrix":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: float) -> "BandedMatrix":
-        return BandedMatrix(float(scalar) * self.data, self.lower_bandwidth,
-                            self.upper_bandwidth, self.n_cols)
+        return BandedMatrix(self.rows, self.cols, float(scalar) * self.vals, self.shape)
 
     def __repr__(self) -> str:
-        return (f"BandedMatrix({self.n_rows}x{self.n_cols}, "
-                f"lb={self.lower_bandwidth}, ub={self.upper_bandwidth})")
+        return f"BandedMatrix({self.n_rows}x{self.n_cols}, nnz={self.vals.size})"
 
 
 def common_entries(*matrices: BandedMatrix):
-    """(rows, cols, values, (lb, ub)): the slots, ordered as in ``entries``, where any
-    matrix is nonzero, each matrix's values there and the widest bandwidths."""
-    first = matrices[0]
-    lb = max(m.lower_bandwidth for m in matrices)
-    ub = max(m.upper_bandwidth for m in matrices)
-    data = [m._aligned(lb, ub) for m in matrices]
-    cols = np.arange(first.n_rows)[:, None] + np.arange(lb + ub + 1) - lb
-    nonzero = np.logical_or.reduce([d != 0.0 for d in data])
-    rows, t = np.nonzero(nonzero & (cols >= 0) & (cols < first.n_cols))
-    return rows, cols[rows, t], [d[rows, t] for d in data], (lb, ub)
+    """(rows, cols, values): the positions, row-major, where any matrix is
+    nonzero, and each matrix's values there (zero where it has none)."""
+    n_cols = matrices[0].n_cols
+    keys = [m.rows * n_cols + m.cols for m in matrices]
+    union = np.sort(np.concatenate(keys))
+    union = union[_run_starts(union)]
+    values = []
+    for m, k in zip(matrices, keys):
+        v = np.zeros(union.size)
+        v[np.searchsorted(union, k)] = m.vals
+        values.append(v)
+    return *divmod(union, n_cols), values
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first of each run of equal sorted keys."""
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
 
 
 def csr(rows, cols, vals, shape: tuple[int, int]) -> sp.csr_matrix:

@@ -5,7 +5,9 @@ Three pieces:
 * ``BandedLU`` -- LU of a square banded matrix with partial pivoting
   restricted to the band (pivot search over the lower bandwidth; the upper
   bandwidth of U grows by at most the lower bandwidth), by LAPACK
-  ``dgbtrf``/``dgbtrs``.  Cost O(n * band^2).
+  ``dgbtrf``/``dgbtrs``.  Cost O(n * band^2).  ``BandLayout`` places a
+  nonzero pattern in LAPACK's band array, the only band storage in the
+  program; the bandwidths are those of the pattern.
 
 * ``SaddleFactor`` -- factorization of the indefinite block system
 
@@ -57,9 +59,13 @@ class OpCounter:
 
 
 class BandLayout:
-    """Where a fixed square pattern goes in dgbtrf's band storage, and its op counts."""
+    """Where a fixed square pattern goes in dgbtrf's band storage, and its op counts.
 
-    def __init__(self, rows, cols, n: int, lb: int, ub: int):
+    The bandwidths are the pattern's own: its extreme diagonal offsets.
+    """
+
+    def __init__(self, rows, cols, n: int):
+        lb, ub = int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
         self.n, self.lb, self.ub = n, lb, ub
         self._slots = (lb + ub + rows - cols, cols)
         # rows below the pivot at each step, and entries of U right of the
@@ -85,9 +91,7 @@ class BandedLU:
         if isinstance(matrix, BandedMatrix):
             if matrix.n_rows != matrix.n_cols:
                 raise ValueError("banded LU requires a square matrix")
-            rows, cols, vals = matrix.entries()
-            matrix = (BandLayout(rows, cols, matrix.n_rows, matrix.lower_bandwidth,
-                                 matrix.upper_bandwidth), vals)
+            matrix = (BandLayout(matrix.rows, matrix.cols, matrix.n_rows), matrix.vals)
         layout, vals = matrix
         self.n, self.lb = layout.n, layout.lb
         # row swaps during elimination widen U by at most lb
@@ -126,23 +130,21 @@ class SaddleFactor:
             raise ValueError("Gram block must be square")
         if isinstance(B, BandedMatrix) and B.n_rows != A.n_rows:
             raise ValueError("weak-form block row count must match the Gram block")
-        rows_b, cols_b, n_cols = B if isinstance(B, tuple) else (*B.entries()[:2], B.n_cols)
+        rows_b, cols_b, n_cols = B if isinstance(B, tuple) else (B.rows, B.cols, B.n_cols)
         self.m, self.n, self.counter = A.n_rows, n_cols, counter
         # merge test (r) and trial (u) unknowns by 1D position, Gram rows first
         keys = np.concatenate([(np.arange(self.m) + 0.5) / self.m,
                                (np.arange(self.n) + 0.5) / self.n])
         # stacked index -> permuted row: the inverse of the sorting permutation
         pos = self._pos = np.argsort(np.argsort(keys, kind="stable"))
-        # B's slanted band keeps only its nonzero slots, so the merged
-        # bandwidth stays at its mesh-independent value
-        rows_a, cols_a, vals_a = A.entries()
-        pi = np.concatenate([pos[rows_a], pos[rows_b], pos[self.m + cols_b]])
-        pj = np.concatenate([pos[cols_a], pos[self.m + cols_b], pos[rows_b]])
-        lb, ub = -int((pj - pi).min(initial=0)), int((pj - pi).max(initial=0))
-        self._layout = BandLayout(pi, pj, self.m + self.n, lb, ub)
-        self._vals_a = vals_a
+        # only B's nonzeros enter, so the merged bandwidth stays at its
+        # mesh-independent value
+        pi = np.concatenate([pos[A.rows], pos[rows_b], pos[self.m + cols_b]])
+        pj = np.concatenate([pos[A.cols], pos[self.m + cols_b], pos[rows_b]])
+        self._layout = BandLayout(pi, pj, self.m + self.n)
+        self._vals_a = A.vals
         if isinstance(B, BandedMatrix):
-            self.refactor(B.entries()[2])
+            self.refactor(B.vals)
 
     def refactor(self, vals_b) -> None:
         """Factor again with B's values vals_b on its pattern."""

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assembly import _nq, apply_dirichlet, mass, stiffness
+from .assembly import _nq, block, mass, stiffness
 from .exceptions import ParameterError
 from .full2d import RotatingFlowStepper
 from .kron import OpCounter, kron_matvec
@@ -391,10 +391,8 @@ def solution_norms(u_grid: np.ndarray, trial_x: SplineSpace,
     Exact for the discrete field: the squares are u^T (Mx (x) My) u and that
     plus u^T (Kx (x) My + Mx (x) Ky) u.
     """
-    mx = apply_dirichlet(mass(trial_x, trial_x), trial_x, trial_x)
-    my = apply_dirichlet(mass(trial_y, trial_y), trial_y, trial_y)
-    kx = apply_dirichlet(stiffness(trial_x, trial_x), trial_x, trial_x)
-    ky = apply_dirichlet(stiffness(trial_y, trial_y), trial_y, trial_y)
+    mx, my = block(mass, trial_x, trial_x), block(mass, trial_y, trial_y)
+    kx, ky = block(stiffness, trial_x, trial_x), block(stiffness, trial_y, trial_y)
     l2sq = float(np.sum(u_grid * kron_matvec(mx, my, u_grid)))
     h1sq = l2sq + float(np.sum(u_grid * kron_matvec(kx, my, u_grid))) \
         + float(np.sum(u_grid * kron_matvec(mx, ky, u_grid)))

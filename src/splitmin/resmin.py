@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly
-from .assembly import apply_dirichlet
+from .assembly import advection, block, mass, stiffness
 from .exceptions import ParameterError
 from .banded import common_entries, csr
 from .kron import BandedLU, BandLayout, OpCounter, SaddleFactor, kron_matvec, kron_solve
@@ -82,10 +81,6 @@ def _weighted_basis(space: SplineSpace):
     return points, values
 
 
-def _block(kind, trial: SplineSpace, test: SplineSpace, coef=None):
-    return apply_dirichlet(kind(trial, test, coef), test, trial)
-
-
 class DirectionalOperator:
     """Assembled blocks and factors for one split direction.
 
@@ -117,34 +112,32 @@ class DirectionalOperator:
         self.test_split = test_split
         self.trial_other = trial_other
         self.counter = counter
-        self.m_rect = _block(assembly.mass, trial_split, test_split)
-        self.k_rect = _block(assembly.stiffness, trial_split, test_split, diffusion[self.axis])
-        self.m_test = _block(assembly.mass, test_split, test_split)
-        self.k_test = _block(assembly.stiffness, test_split, test_split)
+        self.m_rect = block(mass, trial_split, test_split)
+        self.k_rect = block(stiffness, trial_split, test_split, diffusion[self.axis])
+        self.m_test = block(mass, test_split, test_split)
+        self.k_test = block(stiffness, test_split, test_split)
         self.a_split = self.m_test + self.k_test
-        self.m_other = _block(assembly.mass, trial_other, trial_other)
-        self.k_other = _block(assembly.stiffness, trial_other, trial_other,
-                              diffusion[1 - self.axis])
+        self.m_other = block(mass, trial_other, trial_other)
+        self.k_other = block(stiffness, trial_other, trial_other, diffusion[1 - self.axis])
         self.other_lu = BandedLU(self.m_other, counter)
-        self._g_rect_free = _block(assembly.advection, trial_split, test_split,
-                                   velocity[self.axis])
-        self._g_other_free = _block(assembly.advection, trial_other, trial_other,
-                                    velocity[1 - self.axis])
+        self._g_rect_free = block(advection, trial_split, test_split, velocity[self.axis])
+        self._g_other_free = block(advection, trial_other, trial_other,
+                                   velocity[1 - self.axis])
         # (mass, stiffness, advection) values on each pattern
-        rows, cols, self._rect, (lb, ub) = common_entries(
-            self.m_rect, self.k_rect, self._g_rect_free)
-        *other, self._other, _ = common_entries(self.m_other, self.k_other,
-                                                self._g_other_free)
+        rows, cols, self._rect = common_entries(self.m_rect, self.k_rect,
+                                                self._g_rect_free)
+        *other, self._other = common_entries(self.m_other, self.k_other,
+                                             self._g_other_free)
         self.rhs_ops = {"m_rect": self.m_rect, "m_other": self.m_other,
                         "rect_minus": csr(rows, cols, 0.0 * rows, self.m_rect.shape),
                         "other_minus": csr(*other, 0.0 * other[0], self.m_other.shape)}
-        for block in (self.m_rect, self.m_test):  # the blocks steps read, found here once
-            block.to_csr()
+        for read in (self.m_rect, self.m_test):  # the blocks steps read, built here once
+            read.to_csr()
         if stabilized:
             self.split_factor = SaddleFactor(self.a_split, (rows, cols, self.m_rect.n_cols),
                                              counter)
         else:
-            self._layout = BandLayout(rows, cols, self.m_rect.n_rows, lb, ub)
+            self._layout = BandLayout(rows, cols, self.m_rect.n_rows)
         if direction == "x":
             self.loads = LoadAssembler(test_split, trial_other)
         else:

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import apply_dirichlet, mass
+from .assembly import block, mass
 from .exceptions import NonFiniteStateError, ParameterError
 from .kron import BandedLU, OpCounter, kron_matvec
 from .resmin import (LoadAssembler, SolutionState, build_directional,
@@ -210,7 +210,7 @@ def project_initial(u0, trial_x: SplineSpace, trial_y: SplineSpace,
     """L2-project u0(x, y) onto the interior trial space: (Mx (x) My) u = load."""
     loads = LoadAssembler(trial_x, trial_y)
     rhs = loads.load(lambda x, y, t: u0(x, y), 0.0)
-    lux = BandedLU(apply_dirichlet(mass(trial_x, trial_x), trial_x, trial_x), counter)
-    luy = BandedLU(apply_dirichlet(mass(trial_y, trial_y), trial_y, trial_y), counter)
+    lux = BandedLU(block(mass, trial_x, trial_x), counter)
+    luy = BandedLU(block(mass, trial_y, trial_y), counter)
     u = lux.solve(luy.solve(rhs.T).T)
     return SolutionState(u=u, time=0.0)

@@ -1,11 +1,13 @@
-"""Banded matrix container: storage layout, products, and slicing.
+"""1D block container: triplets, products, combinations and slicing.
 
-The triplet-based container is also checked against ``loop_to_dense``,
-``loop_apply`` and ``loop_interior``, which walk the band storage one
-diagonal at a time: same dense matrices, same interiors, same products.
-Its CSR is built once and cached; ``fresh_csr`` masks the band anew on every
-call, and the cached products must match it bit for bit.
+The container is checked against dense references: its triplets are the
+dense matrix's nonzeros, row-major; its interior is the dense interior; its
+products match ``loop_apply``, which sweeps the band one diagonal at a time.
+Its CSR is built once and cached; ``fresh_csr`` converts the dense matrix
+anew on every call, and the cached products must match it bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,8 +36,8 @@ def test_from_dense_round_trip_square_and_rectangular():
         banded = from_dense(dense)
         np.testing.assert_allclose(banded.to_dense(), dense, atol=0.0)
         assert banded.shape == (m, n)
-        assert banded.lower_bandwidth <= lb
-        assert banded.upper_bandwidth <= ub
+        assert np.all(banded.rows - banded.cols <= lb)
+        assert np.all(banded.cols - banded.rows <= ub)
 
 
 def test_apply_matches_dense_product():
@@ -50,7 +52,7 @@ def test_apply_matches_dense_product():
 
 
 def test_rectangular_block_apply_to_transposed_grid():
-    # a trial-to-test block stores a slanted band, mostly zero slots
+    # a trial-to-test block is slanted: row i holds columns near i n / m
     trial = make_space(2, 1, 32, (0.0, 1.0))
     test = make_space(3, 0, 32, (0.0, 1.0))
     block = apply_dirichlet(mass(trial, test), test, trial)
@@ -58,6 +60,22 @@ def test_rectangular_block_apply_to_transposed_grid():
     assert not grid.flags.c_contiguous
     np.testing.assert_allclose(block.apply(grid), block.to_dense() @ grid,
                                atol=1e-14)
+
+
+def test_slanted_block_memory_is_linear_in_its_nonzeros():
+    # a (2,1) -> (3,0) block at 1024 elements: 3,071 x 1,024 interior, 10,230
+    # nonzeros on a slant over 2,000 diagonals wide
+    trial = make_space(2, 1, 1024, (0.0, 1.0))
+    test = make_space(3, 0, 1024, (0.0, 1.0))
+    tracemalloc.start()
+    try:
+        block = apply_dirichlet(mass(trial, test), test, trial)
+        block.to_csr()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert block.vals.size == block.to_csr().nnz == 10_230
 
 
 def test_apply_dimension_mismatch():
@@ -91,98 +109,66 @@ def test_addition_shape_mismatch():
         _ = a + b
 
 
-def test_storage_width_validation():
-    with pytest.raises(ValueError):
-        BandedMatrix(np.zeros((4, 2)), lower_bandwidth=1, upper_bandwidth=1,
-                     n_cols=4)
-
-
-def _diagonal_rows(mat, t):
-    """Rows i0:i1 where stored diagonal t points inside the matrix, and its offset."""
-    d = t - mat.lower_bandwidth
-    return max(0, -d), min(mat.n_rows, mat.n_cols - d), d
-
-
-def loop_to_dense(mat):
-    """Reference to_dense: scatter each stored diagonal's in-range rows."""
-    out = np.zeros((mat.n_rows, mat.n_cols))
-    for t in range(mat.data.shape[1]):
-        i0, i1, d = _diagonal_rows(mat, t)
-        if i1 > i0:
-            out[np.arange(i0, i1), np.arange(i0, i1) + d] = mat.data[i0:i1, t]
-    return out
-
-
-def loop_apply(mat, x):
-    """Reference apply: sweep each diagonal over the rows where it holds nonzeros."""
+def loop_apply(dense, lb, ub, x):
+    """Reference apply: sweep each diagonal of the band over the rows it spans."""
     x = np.ascontiguousarray(x, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[:, None]
-    out = np.zeros((mat.n_rows, x.shape[1]))
-    nonzero = mat.data != 0.0
-    rows = np.arange(mat.n_rows)[:, None]
-    first = np.min(np.where(nonzero, rows, mat.n_rows), axis=0, initial=mat.n_rows)
-    last = np.max(np.where(nonzero, rows + 1, 0), axis=0, initial=0)
-    for t in range(mat.data.shape[1]):
-        d = t - mat.lower_bandwidth
-        i0, i1 = max(first[t], -d), min(last[t], mat.n_cols - d)
+    m, n = dense.shape
+    out = np.zeros((m, x.shape[1]))
+    for d in range(-lb, ub + 1):
+        i0, i1 = max(0, -d), min(m, n - d)
         if i1 > i0:
-            out[i0:i1] += mat.data[i0:i1, t:t + 1] * x[i0 + d:i1 + d]
+            i = np.arange(i0, i1)
+            out[i0:i1] += dense[i, i + d][:, None] * x[i0 + d:i1 + d]
     return out[:, 0] if single else out
-
-
-def loop_interior(mat):
-    """Reference interior: drop the outer rows, then zero out-of-range slots per diagonal."""
-    out = BandedMatrix(mat.data[1:-1].copy(), mat.lower_bandwidth,
-                       mat.upper_bandwidth, mat.n_cols - 2)
-    for t in range(out.data.shape[1]):
-        i0, i1, _ = _diagonal_rows(out, t)
-        if i0 > 0:
-            out.data[:i0, t] = 0.0
-        if i1 < out.n_rows:
-            out.data[max(i1, 0):, t] = 0.0
-    return out
 
 
 @st.composite
 def _band_cases(draw):
-    """Square and slanted m x n bands (m up to 3n + 1), every slot filled.
+    """Square and slanted m x n bands (m up to 3n + 1) as dense arrays.
 
-    Slots that point outside the matrix hold random values too; about a
-    quarter of the in-band slots are exact zeros.
+    Every in-band position draws a value and about a quarter of them are
+    exact zeros; the matrix is built from the band's triplets, zeros included,
+    so the container must drop them.  Returns (matrix, dense, lb, ub, rng).
     """
     n = draw(st.integers(2, 12))
     m = draw(st.sampled_from((n, draw(st.integers(2, 3 * n + 1)))))
     lb, ub = draw(st.integers(0, m + 1)), draw(st.integers(0, n + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    data = rng.standard_normal((m, lb + ub + 1))
-    data[rng.random(data.shape) < 0.25] = 0.0
-    return BandedMatrix(data, lb, ub, n), rng
+    offsets = np.subtract(*np.indices((m, n))[::-1])
+    rows, cols = np.nonzero((offsets >= -lb) & (offsets <= ub))
+    vals = rng.standard_normal(rows.size)
+    vals[rng.random(rows.size) < 0.25] = 0.0
+    dense = np.zeros((m, n))
+    dense[rows, cols] = vals
+    return BandedMatrix.from_entries(rows, cols, vals, (m, n)), dense, lb, ub, rng
+
+
+def _assert_triplets(mat, dense):
+    """mat's triplets are dense's nonzeros, row-major."""
+    ref_rows, ref_cols = np.nonzero(dense)
+    np.testing.assert_array_equal(mat.rows, ref_rows)
+    np.testing.assert_array_equal(mat.cols, ref_cols)
+    np.testing.assert_array_equal(mat.vals, dense[ref_rows, ref_cols])
 
 
 @settings(max_examples=120, deadline=None, database=None)
 @given(_band_cases())
 def test_band_layer_matches_loop_references(case):
-    mat, rng = case
-    ref = loop_to_dense(mat)
+    mat, ref, lb, ub, rng = case
     np.testing.assert_array_equal(mat.to_dense(), ref)
+    _assert_triplets(mat, ref)
 
-    rows, cols, vals = mat.entries()
-    ref_rows, ref_cols = np.nonzero(ref)
-    np.testing.assert_array_equal(rows, ref_rows)
-    np.testing.assert_array_equal(cols, ref_cols)
-    np.testing.assert_array_equal(vals, ref[ref_rows, ref_cols])
-
-    inner, ref_inner = mat.interior(), loop_interior(mat)
-    assert (inner.shape, inner.lower_bandwidth, inner.upper_bandwidth) == \
-        (ref_inner.shape, ref_inner.lower_bandwidth, ref_inner.upper_bandwidth)
-    np.testing.assert_array_equal(inner.data, ref_inner.data)
-    np.testing.assert_array_equal(inner.to_dense(), loop_to_dense(ref_inner))
+    inner = mat.interior()
+    assert inner.shape == (mat.n_rows - 2, mat.n_cols - 2)
+    np.testing.assert_array_equal(inner.to_dense(), ref[1:-1, 1:-1])
+    _assert_triplets(inner, ref[1:-1, 1:-1])
 
     for x in (rng.standard_normal(mat.n_cols), rng.standard_normal((mat.n_cols, 5)),
               rng.standard_normal((4, mat.n_cols)).T):
-        got, want = mat.apply(x), loop_apply(mat, x)
+        got, want = mat.apply(x), loop_apply(ref, lb, ub, x)
         assert got.shape == want.shape
         scale = np.abs(ref) @ np.abs(x)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
@@ -201,18 +187,13 @@ def test_from_entries_sums_duplicates_like_add_at(m, n, count, seed):
     np.add.at(dense, (rows, cols), vals)
     banded = BandedMatrix.from_entries(rows, cols, vals, (m, n))
     assert banded.shape == (m, n)
-    assert banded.lower_bandwidth == max(int(np.max(rows - cols)), 0)
-    assert banded.upper_bandwidth == max(int(np.max(cols - rows)), 0)
     np.testing.assert_array_equal(banded.to_dense(), dense)
+    _assert_triplets(banded, dense)
 
 
-def fresh_csr(mat):
-    """Reference CSR: mask the whole stored band again on every call."""
-    cols = (np.arange(mat.n_rows)[:, None] + np.arange(mat.data.shape[1])
-            - mat.lower_bandwidth)
-    rows, t = np.nonzero((mat.data != 0.0) & (cols >= 0) & (cols < mat.n_cols))
-    indptr = np.searchsorted(rows, np.arange(mat.n_rows + 1))
-    return sp.csr_matrix((mat.data[rows, t], cols[rows, t], indptr), shape=mat.shape)
+def fresh_csr(dense):
+    """Reference CSR: scipy's own conversion of the dense matrix, on every call."""
+    return sp.csr_matrix(dense)
 
 
 def _columns(rng, n):
@@ -225,41 +206,37 @@ def test_to_csr_is_built_once():
     trial = make_space(2, 1, 16, (0.0, 1.0))
     test = make_space(3, 0, 16, (0.0, 1.0))
     block = apply_dirichlet(mass(trial, test), test, trial)
-    triplets, csr = block.entries(), block.to_csr()
+    csr = block.to_csr()
     assert block.to_csr() is csr
     block.apply(np.ones(block.n_cols))
     assert block.to_csr() is csr
-    assert block.entries() is triplets
 
 
 @settings(max_examples=120, deadline=None, database=None)
 @given(_band_cases())
 def test_cached_csr_matches_fresh_csr_and_loop_references(case):
-    mat, rng = case
+    mat, ref, lb, ub, rng = case
     for x in _columns(rng, mat.n_cols):
-        np.testing.assert_array_equal(mat.apply(x), fresh_csr(mat) @ x)
-    # entries() after apply: the cached triplets, equal to the loop reference
-    ref = loop_to_dense(mat)
-    rows, cols, vals = mat.entries()
-    ref_rows, ref_cols = np.nonzero(ref)
-    np.testing.assert_array_equal(rows, ref_rows)
-    np.testing.assert_array_equal(cols, ref_cols)
-    np.testing.assert_array_equal(vals, ref[ref_rows, ref_cols])
+        np.testing.assert_array_equal(mat.apply(x), fresh_csr(ref) @ x)
+    # the triplets after apply: unchanged, equal to the dense reference
+    _assert_triplets(mat, ref)
     for x in _columns(rng, mat.n_cols):
-        np.testing.assert_array_equal(mat.apply(x), fresh_csr(mat) @ x)
+        np.testing.assert_array_equal(mat.apply(x), fresh_csr(ref) @ x)
+        got, want = mat.apply(x), loop_apply(ref, lb, ub, x)
+        assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(ref) @ np.abs(x)))
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(_band_cases())
 def test_derived_matrices_carry_no_stale_csr(case):
-    mat, rng = case
-    dense = loop_to_dense(mat)
+    mat, dense, _, _, rng = case
     mat.apply(rng.standard_normal(mat.n_cols))  # builds and caches mat's CSR
     derived = ((2.0 * mat, 2.0 * dense), (mat + mat, dense + dense),
                (mat - mat, dense - dense), (mat.interior(), dense[1:-1, 1:-1]))
     for got, want in derived:
         assert got.to_csr() is not mat.to_csr()
         np.testing.assert_array_equal(got.to_dense(), want)
+        _assert_triplets(got, want)
         for x in _columns(rng, got.n_cols):
             scale = np.abs(want) @ np.abs(x)
             assert np.all(np.abs(got.apply(x) - want @ x) <= 1e-14 * scale)

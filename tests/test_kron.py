@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitmin.assembly import apply_dirichlet, gram, mass
+from splitmin.assembly import apply_dirichlet, block, gram, mass
 from splitmin.banded import BandedMatrix
 from splitmin.exceptions import SingularMatrixError
-from splitmin.kron import (BandedLU, OpCounter, SaddleFactor, kron_matvec,
-                           kron_solve)
+from splitmin.kron import (BandedLU, BandLayout, OpCounter, SaddleFactor,
+                           kron_matvec, kron_solve)
 from splitmin.splines import make_space
 
 from helpers import from_dense
@@ -28,9 +28,10 @@ class LoopBandedLU:
         if matrix.n_rows != matrix.n_cols:
             raise ValueError("banded LU requires a square matrix")
         self.n = matrix.n_rows
-        self.lb = matrix.lower_bandwidth
+        # the bandwidths of the nonzero pattern
+        self.lb = int(np.max(matrix.rows - matrix.cols, initial=0))
         # row swaps during elimination widen U by at most lb
-        self.ub = matrix.upper_bandwidth + matrix.lower_bandwidth
+        self.ub = int(np.max(matrix.cols - matrix.rows, initial=0)) + self.lb
         self.counter = counter
         self._factor(matrix)
 
@@ -38,7 +39,8 @@ class LoopBandedLU:
         n, lb, ub = self.n, self.lb, self.ub
         width = lb + ub + 1
         w = np.zeros((n, width))
-        w[:, :matrix.data.shape[1]] = matrix.data  # same lb; extra ub slots zero
+        # row i holds columns i - lb .. i + ub; the extra ub slots start zero
+        w[matrix.rows, matrix.cols - matrix.rows + lb] = matrix.vals
         mult = np.zeros((n, lb))
         ipiv = np.arange(n)
         ops = 0
@@ -170,6 +172,26 @@ def test_solve_ops_proportional_to_rhs_columns():
     assert ops[4] == 4 * ops[1]
 
 
+def test_lu_takes_the_bandwidths_of_the_pattern():
+    # on two elements, (2,1) basis functions 0 and 2 overlap: the mass matrix
+    # spans two diagonals each side, its 2 x 2 interior only one
+    space = make_space(2, 1, 2, (0.0, 1.0))
+    full = mass(space, space)
+    assert np.max(np.abs(full.rows - full.cols)) == 2
+    interior = block(mass, space, space)
+    layout = BandLayout(interior.rows, interior.cols, interior.n_rows)
+    assert (layout.lb, layout.ub) == (1, 1)
+    # one row below the first pivot, each eliminated at 1 + 2 (lb + ub) ops;
+    # solve: 2 per multiplier, 2 per entry right of U's diagonal (lb + ub
+    # wide), one per row that has one, and one division per row
+    assert layout.factor_ops == 1 * (1 + 2 * 2)
+    assert layout.solve_ops_per_column == 2 * 1 + 2 * 1 + 1 + 2
+    counter = OpCounter()
+    lu = BandedLU(interior, counter)
+    assert (lu.lb, lu.ub) == (1, 2)
+    assert counter.factor_ops == 5
+
+
 # (n, lb, ub): a single row, bands wider than the matrix, no lower band,
 # no upper band, and ordinary bands up to the widest the solver meets
 _ORACLE_SHAPES = ((1, 0, 0), (1, 2, 1), (3, 5, 2), (4, 4, 0), (10, 0, 3),
@@ -183,22 +205,27 @@ _PIVOTING_SHAPES = ((2, 1, 1),) + tuple(
 def _oracle_matrix(n, lb, ub, pivoting, rng):
     """A random banded matrix that is diagonally dominant up to row swaps.
 
-    With ``pivoting`` the dominant entry of each row pair (2k, 2k+1) sits
-    on the other row and the diagonal is scaled by 1e-3, so elimination
-    swaps rows; the condition number stays that of a dominant matrix.
-    Slots outside the matrix hold values too; no LU may read them.
+    Row i's values for columns i - lb .. i + ub are drawn as one row of
+    ``data``; the triplets keep those that fall inside the matrix, so a band
+    wider than the matrix is clipped to it.  With ``pivoting`` the dominant
+    entry of each row pair (2k, 2k+1) sits on the other row and the diagonal
+    is scaled by 1e-3, so elimination swaps rows; the condition number stays
+    that of a dominant matrix.
     """
     data = rng.standard_normal((n, lb + ub + 1))
     dominant = 2.0 * (lb + ub + 1)
     if not pivoting:
         data[:, lb] += dominant
-        return BandedMatrix(data, lb, ub, n)
-    data[:, lb] *= 1e-3
-    pairs = np.arange(n // 2 * 2)
-    data[pairs, lb + np.where(pairs % 2, -1, 1)] += dominant
-    if n % 2:
-        data[-1, lb] += dominant
-    return BandedMatrix(data, lb, ub, n)
+    else:
+        data[:, lb] *= 1e-3
+        pairs = np.arange(n // 2 * 2)
+        data[pairs, lb + np.where(pairs % 2, -1, 1)] += dominant
+        if n % 2:
+            data[-1, lb] += dominant
+    rows = np.repeat(np.arange(n)[:, None], lb + ub + 1, axis=1)
+    cols = rows + np.arange(lb + ub + 1) - lb
+    inside = (cols >= 0) & (cols < n)
+    return BandedMatrix.from_entries(rows[inside], cols[inside], data[inside], (n, n))
 
 
 @pytest.mark.parametrize("ncols", (1, 7))
@@ -294,7 +321,7 @@ def test_saddle_bandwidth_and_cost_stay_linear_in_mesh():
 
 def test_saddle_refactor_reuses_the_layout_and_rejects_zero_b():
     a, b = _spline_saddle_blocks(6)
-    rows, cols, vals = b.entries()
+    rows, cols, vals = b.rows, b.cols, b.vals
     counter = OpCounter()
     sf = SaddleFactor(a, (rows, cols, b.n_cols), counter)
     assert counter.factor_ops == 0  # a bare pattern is laid out, not factored

@@ -38,6 +38,23 @@ def test_tracer_finds_every_layer():
         tracer.uninstall()
 
 
+def test_split_step_goes_through_banded_apply():
+    # the traced banded.apply layer would read 0 if steps bypassed the method
+    from splitmin.problems import get_problem
+    from splitmin.stepping import Stepper
+
+    stepper = Stepper(get_problem("manufactured"),
+                      RunConfig(mesh=(6, 6), tau=0.01, n_steps=1))
+    state = stepper.initial_state()
+    tracer = _import_perfbench("spans").Tracer()
+    try:
+        tracer.install()
+        stepper.step(state)
+    finally:
+        tracer.uninstall()
+    assert tracer.layer_totals()["banded.apply"]["calls"] > 0
+
+
 @pytest.mark.parametrize("config", (
     RunConfig(problem="pollution", mesh=(8, 8), tau=1.0, n_steps=5),
     RunConfig(problem="circular-wind", mesh=(6, 6), tau=0.1, n_steps=4),
