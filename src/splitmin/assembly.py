@@ -53,7 +53,6 @@ def _assemble(trial: SplineSpace, test: SplineSpace, coefficient,
     return BandedMatrix.from_entries(rows[:, :, None], cols[:, None, :], local,
                                      (test.dim, trial.dim))
 
-
 def mass(trial: SplineSpace, test: SplineSpace, weight=None) -> BandedMatrix:
     return _assemble(trial, test, weight, False, False)
 

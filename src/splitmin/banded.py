@@ -99,9 +99,6 @@ class BandedMatrix:
     def __rmul__(self, scalar: float) -> "BandedMatrix":
         return BandedMatrix(self.rows, self.cols, float(scalar) * self.vals, self.shape)
 
-    def __repr__(self) -> str:
-        return f"BandedMatrix({self.n_rows}x{self.n_cols}, nnz={self.vals.size})"
-
 
 def common_entries(*matrices: BandedMatrix):
     """(rows, cols, values): the positions, row-major, where any matrix is
