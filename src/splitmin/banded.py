@@ -41,6 +41,8 @@ class BandedMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
+    nnz = property(lambda self: self.vals.size)
+
     @classmethod
     def from_entries(cls, rows, cols, vals, shape: tuple[int, int]) -> "BandedMatrix":
         """Sum (row, column, value) triplets; they broadcast together.

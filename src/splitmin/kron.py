@@ -11,7 +11,7 @@ Three pieces:
 
 * ``SaddleFactor`` -- factorization of the indefinite block system
 
-      [[A, B], [B^T, 0]] (r, u) = (F, G)
+      [[A, B], [B^T, 0]] (r, u) = (F, 0)
 
   with A the m x m SPD test Gram and B the m x n trial-to-test block.  Test
   and trial unknowns are interleaved by their 1D position (Gram unknown first
@@ -21,11 +21,11 @@ Three pieces:
   each solve stay O(m + n).  The merged pattern and its ``BandLayout`` are
   found once: ``refactor`` factors for new values of B on the same pattern.
 
-* ``kron_solve`` / ``kron_matvec`` -- two-sweep application
-  of (F_split (x) A_other)^{-1} and (Ax (x) Ay) on coefficient grids, never
-  materializing a Kronecker product.  Grids are indexed (x, y); sweeps run
-  y-then-x (the order is mathematically irrelevant and fixed for
-  reproducibility).
+* ``kron_solve`` / ``kron_matvec`` -- (F_split (x) A_other)^{-1} and
+  (Ax (x) Ay) on coefficient grids indexed (x, y), never materializing a
+  Kronecker product.  A solve runs the other direction first: a saddle's
+  right-hand side [F; 0] has zero trial rows, so A_other^{-1} acts on the m
+  test rows only.  A product contracts its cheaper axis first.
 
 Every factorization and solve adds its floating-point work to an
 ``OpCounter``; counted operations, not wall clock, are the cost metric the
@@ -43,7 +43,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .banded import BandedMatrix
 from .exceptions import SingularMatrixError
 
-__all__ = ["OpCounter", "BandLayout", "BandedLU", "SaddleFactor", "kron_solve", "kron_matvec"]
+__all__ = ["OpCounter", "BandLayout", "BandedLU", "SaddleFactor", "kron_solve", "kron_matvec",
+           "along", "x_first_cheaper"]
 
 
 class OpCounter:
@@ -155,44 +156,58 @@ class SaddleFactor:
             raise SingularMatrixError(
                 "saddle system is singular; the trial/test pair is incompatible") from exc
 
-    def solve(self, stacked: np.ndarray) -> np.ndarray:
-        """Solve for a stacked RHS [(F rows for r); (G rows for u)], a vector or columns."""
-        b = np.asarray(stacked, dtype=float)
-        if b.shape[0] != self.m + self.n:
-            raise ValueError("stacked rhs must have m + n rows")
-        perm = np.empty_like(b)
-        perm[self._pos] = b
-        return self._lu.solve(perm)[self._pos]
+    def solve(self, F: np.ndarray):
+        """Solve [[A, B], [B^T, 0]] (r, u) = (F, 0) for F's m rows; returns (r, u).
+
+        F's rows go straight to their interleaved places in dgbtrs's
+        Fortran-ordered right-hand side.
+        """
+        F = np.asarray(F, dtype=float)
+        if F.shape[0] != self.m:
+            raise ValueError(f"rhs has {F.shape[0]} rows, expected the {self.m} test rows")
+        b = np.zeros((self.m + self.n,) + F.shape[1:], order="F")
+        b[self._pos[:self.m]] = F
+        x = self._lu.solve(b)
+        return x[self._pos[:self.m]], x[self._pos[self.m:]]
 
 
 def kron_solve(split_factor, other_lu: BandedLU, split_axis: str,
-               rhs: np.ndarray) -> np.ndarray:
-    """Apply (F_split (x) A_other)^{-1} to a coefficient grid.
+               rhs: np.ndarray):
+    """Apply (F_split (x) A_other)^{-1} to a grid indexed (x, y): other_lu first.
 
-    ``split_factor`` is a SaddleFactor (stabilized) or BandedLU (plain
-    Galerkin) acting along ``split_axis``; ``other_lu`` factors the matrix of
-    the orthogonal direction.  The grid is indexed (x, y).  When the split
-    factor is a SaddleFactor the grid is stacked along the split axis:
-    (m+n) x n_y for an x split, n_x x (m+n) for a y split.  Sweeps are
-    y-then-x in both orientations.
+    ``split_factor`` acts along ``split_axis``: a BandedLU (plain Galerkin)
+    returns the grid, a SaddleFactor the grids (r, u) for rhs's m test rows.
     """
     if split_axis not in ("x", "y"):
         raise ValueError("split_axis must be 'x' or 'y'")
     rhs = np.asarray(rhs, dtype=float)
-    if split_axis == "y":
-        z = split_factor.solve(rhs.T).T
-        return other_lu.solve(z)
-    z = other_lu.solve(rhs.T).T
-    return split_factor.solve(z)
+    out = split_factor.solve(other_lu.solve(rhs.T if split_axis == "x" else rhs).T)
+    if split_axis == "x":
+        return out
+    return tuple(a.T for a in out) if isinstance(out, tuple) else out.T
 
 
-def kron_matvec(Ax, Ay, grid: np.ndarray) -> np.ndarray:
+def along(a, grid: np.ndarray, axis: int) -> np.ndarray:
+    """a contracted with one axis of a 2D grid: a @ grid (0) or grid @ a^T (1)."""
+    return a @ grid if axis == 0 else (a @ grid.T).T
+
+
+def x_first_cheaper(Ax, Ay) -> bool:
+    """Whether Ax @ grid @ Ay^T takes fewer multiply-adds x first; a tie goes to y."""
+    (p, q), (r, s) = Ax.shape, Ay.shape
+    return Ax.nnz * s + Ay.nnz * p < Ay.nnz * q + Ax.nnz * r
+
+
+def kron_matvec(Ax, Ay, grid: np.ndarray, x_first: bool | None = None) -> np.ndarray:
     """(Ax (x) Ay) applied to a grid indexed (x, y): returns Ax @ grid @ Ay^T.
 
-    Ax and Ay are BandedMatrix or scipy sparse matrices.
+    Ax and Ay are BandedMatrix or scipy sparse matrices.  The cheaper axis is
+    contracted first unless ``x_first`` is given; the result is stored with
+    that axis fastest.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.shape != (Ax.shape[1], Ay.shape[1]):
         raise ValueError(
             f"grid shape {grid.shape} does not match ({Ax.shape[1]}, {Ay.shape[1]})")
-    return Ax @ (Ay @ grid.T).T
+    x_first = x_first_cheaper(Ax, Ay) if x_first is None else x_first
+    return along(Ay, Ax @ grid, 1) if x_first else Ax @ along(Ay, grid, 1)

@@ -33,7 +33,8 @@ import numpy as np
 from .assembly import advection, block, mass, stiffness
 from .exceptions import ParameterError
 from .banded import common_entries, csr
-from .kron import BandedLU, BandLayout, OpCounter, SaddleFactor, kron_matvec, kron_solve
+from .kron import (BandedLU, BandLayout, OpCounter, SaddleFactor, along, kron_matvec,
+                   kron_solve, x_first_cheaper)
 from .splines import SplineSpace, eval_matrix, gauss_rule
 
 __all__ = ["SolutionState", "DirectionalOperator", "LoadAssembler",
@@ -52,25 +53,30 @@ class SolutionState:
 class LoadAssembler:
     """Caches quadrature data for load grids  L[k,l] = (f(.,.,t), phi_k psi_l).
 
-    A load given the box outside which f is zero reads only the Gauss points
-    inside it; px and py stay the full grids.
+    The cheaper contraction order is fixed on the full grids, and f evaluated
+    in the orientation it reads.  A load given the box outside which f is
+    zero reads only the Gauss points inside it, in that order, bit for bit
+    the full-grid load; px and py stay the full grids.
     """
 
     def __init__(self, space_x: SplineSpace, space_y: SplineSpace):
         self.px, wx = _weighted_basis(space_x)
-        self.wx_t = wx.T.tocsr()  # basis x points, transposed once
-        self.py, self.wy = _weighted_basis(space_y)
-        self._cuts = {None: (self.px, self.wx_t, self.py, self.wy)}
+        self.py, wy = _weighted_basis(space_y)
+        wx_t, wy_t = wx.T.tocsr(), wy.T  # basis x points; a transposed CSR is a CSC
+        self._x_first = x_first_cheaper(wx_t, wy_t)
+        self._cuts = {None: (self.px, wx_t, self.py, wy_t)}
 
     def load(self, f, t: float, support=None) -> np.ndarray:
         if support not in self._cuts:
             ix, iy = (slice(np.searchsorted(p, lo), np.searchsorted(p, hi, side="right"))
                       for p, (lo, hi) in zip((self.px, self.py), support))
-            self._cuts[support] = (self.px[ix], self.wx_t[:, ix], self.py[iy], self.wy[iy])
-        px, wx_t, py, wy = self._cuts[support]
-        vals = np.asarray(f(px[:, None], py[None, :], t), dtype=float)
-        vals = np.broadcast_to(vals, (px.size, py.size))
-        return (wx_t @ vals @ wy)[1:-1, 1:-1]
+            px, wx_t, py, wy_t = self._cuts[None]
+            self._cuts[support] = (px[ix], wx_t[:, ix], py[iy], wy_t[:, iy])
+        px, wx_t, py, wy_t = self._cuts[support]
+        x, y = (px[:, None], py[None, :]) if self._x_first else (px[None, :], py[:, None])
+        vals = np.broadcast_to(np.asarray(f(x, y, t), dtype=float), np.broadcast(x, y).shape)
+        return kron_matvec(wx_t, wy_t, vals if self._x_first else vals.T,
+                           self._x_first)[1:-1, 1:-1]
 
 
 def _weighted_basis(space: SplineSpace):
@@ -131,8 +137,8 @@ class DirectionalOperator:
         self.rhs_ops = {"m_rect": self.m_rect, "m_other": self.m_other,
                         "rect_minus": csr(rows, cols, 0.0 * rows, self.m_rect.shape),
                         "other_minus": csr(*other, 0.0 * other[0], self.m_other.shape)}
-        for read in (self.m_rect, self.m_test):  # the blocks steps read, built here once
-            read.to_csr()
+        for read in (self.m_rect, self.m_test, self.a_split, self.m_other):
+            read.to_csr()  # the blocks steps read, built here once
         if stabilized:
             self.split_factor = SaddleFactor(self.a_split, (rows, cols, self.m_rect.n_cols),
                                              counter)
@@ -186,28 +192,20 @@ def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace
 
 
 def substep(op: DirectionalOperator, rhs_grid: np.ndarray) -> SolutionState:
-    """Solve one substep for the given tested load grid; returns (u, r)."""
-    rhs_grid = np.asarray(rhs_grid, dtype=float)
-    if not op.stabilized:
-        u = kron_solve(op.split_factor, op.other_lu, op.direction, rhs_grid)
-        return SolutionState(u=u, r=None)
-    m, n = op.m_rect.shape
-    if op.direction == "x":
-        stacked = np.vstack([rhs_grid, np.zeros((n, rhs_grid.shape[1]))])
-        out = kron_solve(op.split_factor, op.other_lu, op.direction, stacked)
-        return SolutionState(u=out[m:], r=out[:m])
-    stacked = np.hstack([rhs_grid, np.zeros((rhs_grid.shape[0], n))])
-    out = kron_solve(op.split_factor, op.other_lu, op.direction, stacked)
-    return SolutionState(u=out[:, m:], r=out[:, :m])
+    """Solve one substep for the tested load grid (m test rows in the split
+    direction), the other direction's mass first; returns (u, r)."""
+    out = kron_solve(op.split_factor, op.other_lu, op.direction, rhs_grid)
+    return SolutionState(u=out[1], r=out[0]) if op.stabilized else SolutionState(u=out)
 
 
 def residual_norms(op: DirectionalOperator, r: np.ndarray) -> tuple[float, float]:
-    """L2 and split-H1 norms of the residual representative (test-space V-norm)."""
+    """L2 and split-H1 norms of the residual representative (test-space V-norm).
+
+    m_other is symmetric, so (r, (S (x) M_other) r) sums (M_other r) * (S r),
+    each along its direction: S = m_test (L2) and a_split (H1) share M_other r.
+    """
     r = np.asarray(r, dtype=float)
-    if op.direction == "x":
-        l2sq = np.sum(r * kron_matvec(op.m_test, op.m_other, r))
-        h1sq = np.sum(r * kron_matvec(op.a_split, op.m_other, r))
-    else:
-        l2sq = np.sum(r * kron_matvec(op.m_other, op.m_test, r))
-        h1sq = np.sum(r * kron_matvec(op.m_other, op.a_split, r))
+    other = along(op.m_other, r, 1 - op.axis)
+    l2sq, h1sq = (np.einsum("ij,ij->", other, along(s, r, op.axis))
+                  for s in (op.m_test, op.a_split))
     return float(np.sqrt(max(l2sq, 0.0))), float(np.sqrt(max(h1sq, 0.0)))

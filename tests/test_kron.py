@@ -9,13 +9,14 @@ pivots, same counts, same solutions.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from splitmin.assembly import apply_dirichlet, block, gram, mass
 from splitmin.banded import BandedMatrix
 from splitmin.exceptions import SingularMatrixError
 from splitmin.kron import (BandedLU, BandLayout, OpCounter, SaddleFactor,
-                           kron_matvec, kron_solve)
+                           kron_matvec, kron_solve, x_first_cheaper)
 from splitmin.splines import make_space
 
 from helpers import from_dense
@@ -273,18 +274,17 @@ def _spline_saddle_blocks(n_el, trial_pc=(2, 1), test_pc=(3, 0)):
     return a, b
 
 
-def _solve_blocks(sf, F, G=None):
-    """Solve with RHS (F, G) (G defaults to zero); returns (r, u)."""
-    F = np.asarray(F, dtype=float)
-    cols = F.shape[1] if F.ndim > 1 else 1
-    stacked = np.zeros((sf.m + sf.n, cols))
-    stacked[:sf.m] = F.reshape(sf.m, cols)
-    if G is not None:
-        stacked[sf.m:] = np.asarray(G, dtype=float).reshape(sf.n, cols)
-    out = sf.solve(stacked)
-    if F.ndim == 1:
-        return out[:sf.m, 0], out[sf.m:, 0]
-    return out[:sf.m], out[sf.m:]
+def _dense_saddle(a, b):
+    m, n = b.shape
+    return np.block([[a, b], [b.T, np.zeros((n, n))]])
+
+
+def _saddle_oracle(dense, F):
+    """Dense solve of the saddle system for the right-hand side [F; 0]; returns (r, u)."""
+    m = F.shape[0]
+    zeros = np.zeros((dense.shape[0] - m,) + F.shape[1:])
+    sol = np.linalg.solve(dense, np.concatenate([F, zeros]))
+    return sol[:m], sol[m:]
 
 
 def test_saddle_factor_matches_dense_block_solve():
@@ -293,17 +293,14 @@ def test_saddle_factor_matches_dense_block_solve():
                                     (5, (3, 2), (3, 2))):
         a, b = _spline_saddle_blocks(n_el, trial_pc, test_pc)
         sf = SaddleFactor(a, b)
-        ad, bd = a.to_dense(), b.to_dense()
-        m, n = bd.shape
-        dense = np.block([[ad, bd], [bd.T, np.zeros((n, n))]])
-        stacked = rng.standard_normal((m + n, 3))
-        np.testing.assert_allclose(sf.solve(stacked),
-                                   np.linalg.solve(dense, stacked), atol=1e-10)
-        # block interface with zero second block
-        F = rng.standard_normal(m)
-        r, u = _solve_blocks(sf, F)
-        ref = np.linalg.solve(dense, np.concatenate([F, np.zeros(n)]))
-        np.testing.assert_allclose(np.concatenate([r, u]), ref, atol=1e-10)
+        dense = _dense_saddle(a.to_dense(), b.to_dense())
+        # columns and a single vector, with a zero trial block
+        for F in (rng.standard_normal((a.n_rows, 3)), rng.standard_normal(a.n_rows)):
+            for got, want in zip(sf.solve(F), _saddle_oracle(dense, F)):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, atol=1e-10)
+        with pytest.raises(ValueError, match="test rows"):
+            sf.solve(np.zeros(sf.m + sf.n))
 
 
 def test_saddle_bandwidth_and_cost_stay_linear_in_mesh():
@@ -327,8 +324,9 @@ def test_saddle_refactor_reuses_the_layout_and_rejects_zero_b():
     assert counter.factor_ops == 0  # a bare pattern is laid out, not factored
     sf.refactor(2.0 * vals)
     ref = SaddleFactor(a, 2.0 * b, OpCounter())
-    rhs = np.random.default_rng(4).standard_normal((sf.m + sf.n, 2))
-    assert np.array_equal(sf.solve(rhs), ref.solve(rhs))
+    rhs = np.random.default_rng(4).standard_normal((sf.m, 2))
+    for got, want in zip(sf.solve(rhs), ref.solve(rhs)):
+        assert np.array_equal(got, want)
     with pytest.raises(SingularMatrixError, match="incompatible"):
         sf.refactor(np.zeros_like(vals))
 
@@ -374,11 +372,11 @@ def _saddle_cases(draw):
 @given(_saddle_cases())
 def test_saddle_factor_matches_dense_solve_on_random_blocks(case):
     a, b, rng = case
-    m, n = b.shape
+    m = b.shape[0]
     sf = SaddleFactor(from_dense(a), from_dense(b))
-    dense = np.block([[a, b], [b.T, np.zeros((n, n))]])
-    for rhs in (rng.standard_normal(m + n), rng.standard_normal((m + n, 4))):
-        got, want = sf.solve(rhs), np.linalg.solve(dense, rhs)
+    dense = _dense_saddle(a, b)
+    for F in (rng.standard_normal(m), rng.standard_normal((m, 4))):
+        got, want = np.concatenate(sf.solve(F)), np.concatenate(_saddle_oracle(dense, F))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -392,6 +390,53 @@ def test_kron_matvec_equals_kronecker_product():
                       grid)
     ref = (np.kron(ax, ay) @ grid.ravel()).reshape(5, 4)
     np.testing.assert_allclose(got, ref, atol=1e-13)
+
+
+@st.composite
+def _kron_matvec_cases(draw):
+    """Random sparse Ax (p x q) and Ay (r x s), each a BandedMatrix or CSR, and
+    a q x s grid stored C-ordered, F-ordered or as a strided view."""
+    p, q, r, s = (draw(st.integers(1, 12)) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dense = []
+    for shape in ((p, q), (r, s)):
+        a = rng.standard_normal(shape)
+        a[rng.random(shape) < draw(st.floats(0.0, 0.9))] = 0.0
+        dense.append(a)
+    ops = [from_dense(a) if draw(st.booleans()) else sp.csr_matrix(a) for a in dense]
+    layout = draw(st.sampled_from(("C", "F", "strided")))
+    if layout == "strided":
+        grid = rng.standard_normal((2 * q, 3 * s))[::2, ::3]
+    else:
+        grid = np.asarray(rng.standard_normal((q, s)), order=layout)
+    return dense, ops, grid
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_kron_matvec_cases(), st.sampled_from((None, True, False)))
+def test_kron_matvec_matches_dense_kron_in_either_order(case, x_first):
+    (ax, ay), (opx, opy), grid = case
+    got = kron_matvec(opx, opy, grid, x_first)
+    ref = (np.kron(ax, ay) @ grid.ravel()).reshape(ax.shape[0], ay.shape[0])
+    # relative to the sums of the terms' magnitudes, which bound the rounding
+    scale = np.kron(np.abs(ax), np.abs(ay)) @ np.abs(grid).ravel()
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * np.max(scale, initial=0.0)
+
+
+def test_kron_matvec_contracts_the_cheaper_axis_first():
+    # a slanted 383 x 128 block is cheaper contracted last, on the square
+    # block's output: y first for (rect, square), x first when swapped
+    rect = _spline_saddle_blocks(128)[1]
+    square = from_dense(_tridiag(128, 1.0, 4.0, 1.0))
+    assert rect.shape == (383, 128)
+    assert not x_first_cheaper(rect, square)
+    assert x_first_cheaper(square, rect)
+    assert not x_first_cheaper(square, square)  # a tie goes to y first
+    grid = np.random.default_rng(5).standard_normal((128, 128))
+    # the layout says which axis went first: the second is stored slowest
+    assert kron_matvec(rect, square, grid).flags.c_contiguous
+    assert kron_matvec(square, rect, grid).flags.f_contiguous
 
 
 def test_kron_matvec_rejects_shape_mismatch():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from splitmin.acceptance import _dense_substep
 from splitmin.assembly import advection, apply_dirichlet
 from splitmin.exceptions import ParameterError
-from splitmin.kron import BandedLU, OpCounter, SaddleFactor
+from splitmin.kron import BandedLU, BandLayout, OpCounter, SaddleFactor
 from splitmin.problems import Wind, WindComponent, pollution
 from splitmin.resmin import (LoadAssembler, build_directional, residual_norms,
                              substep)
@@ -129,8 +129,9 @@ def test_set_wind_refactors_as_a_fresh_factor(case):
         fresh = (SaddleFactor(op.a_split, b, fresh_counter) if stabilized
                  else BandedLU(b, fresh_counter))
         assert counter.factor_ops - before == fresh_counter.factor_ops
-        rhs = rng.standard_normal((sum(b.shape) if stabilized else b.shape[0], 3))
-        assert np.array_equal(op.split_factor.solve(rhs), fresh.solve(rhs))
+        rhs = rng.standard_normal((b.shape[0], 3))  # a saddle solves for (r, u)
+        assert np.array_equal(np.vstack(op.split_factor.solve(rhs)),
+                              np.vstack(fresh.solve(rhs)))
         rect_minus = op.m_rect - dt * (op.k_rect + s[axis] * g_rect)
         other_minus = op.m_other - dt * (op.k_other + s[1 - axis] * g_other)
         for name, ref in (("rect_minus", rect_minus), ("other_minus", other_minus)):
@@ -223,6 +224,25 @@ def test_substep_satisfies_saddle_equations(direction):
     scale = np.linalg.norm(rhs)
     assert np.linalg.norm(first) / scale < 1e-10
     assert np.linalg.norm(second) / scale < 1e-10
+
+
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_stabilized_substep_solve_ops_are_pinned(direction):
+    # the other direction on the m test columns, then the saddle on n_other
+    tx, ty = make_space(2, 1, 7, (0.0, 1.0)), make_space(2, 1, 5, (0.0, 1.0))
+    test = make_space(3, 0, 7 if direction == "x" else 5, (0.0, 1.0))
+    counter = OpCounter()
+    op = build_directional(direction, tx, ty, test, (1e-2, 1e-2), (1.0, 0.5), 0.1,
+                           True, counter)
+    m, n = op.m_rect.shape
+    n_other = op.m_other.n_rows
+    c_other = BandLayout(op.m_other.rows, op.m_other.cols, n_other).solve_ops_per_column
+    c_saddle = op.split_factor._layout.solve_ops_per_column
+    rhs = np.ones((m, n_other)) if direction == "x" else np.ones((n_other, m))
+    before = counter.solve_ops
+    state = substep(op, rhs)
+    assert counter.solve_ops - before == m * c_other + n_other * c_saddle
+    assert state.u.shape == ((n, n_other) if direction == "x" else (n_other, n))
 
 
 def test_unstabilized_substep_solves_square_system():
@@ -326,9 +346,11 @@ def _load_cases(draw):
 
 
 @settings(max_examples=80, deadline=None, database=None)
-@given(_load_cases())
-def test_load_matches_dense_contraction_on_random_spaces(case):
+@given(_load_cases(), st.booleans())
+def test_load_matches_dense_contraction_on_random_spaces(case, swapped):
     sx, sy, f, t = case
+    if swapped:  # trial space in x, test space in y, as a y substep loads
+        sx, sy = sy, sx
     loads = LoadAssembler(sx, sy)
     # the perfbench mass balance counts degree+1 Gauss points per element
     assert loads.px.size == (sx.degree + 1) * sx.n_elements
@@ -344,6 +366,13 @@ def _pollution_load_spaces(n):
     trial_y, test_x = make_space(2, 1, n, (y0, y1)), make_space(3, 0, n, (x0, x1))
     trial_x, test_y = make_space(2, 1, n, (x0, x1)), make_space(3, 0, n, (y0, y1))
     return (test_x, trial_y), (trial_x, test_y)
+
+
+def test_the_two_substeps_loads_contract_in_opposite_orders():
+    # the test space has more functions and Gauss points, so each load
+    # contracts its trial direction first
+    (x_load, y_load) = (LoadAssembler(*spaces) for spaces in _pollution_load_spaces(50))
+    assert (x_load._x_first, y_load._x_first) == (False, True)
 
 
 # chimneys inside; with a box across the element boundary at 2500 in both

@@ -254,6 +254,30 @@ def test_moving_wind_steps_build_no_banded_matrix(monkeypatch):
     assert calls == ["BandedMatrix"]
 
 
+@pytest.mark.parametrize("scheme", ("pr", "strang-cn"))
+def test_steps_build_no_csr(monkeypatch, scheme):
+    # every block a step reads, residual norms included, has its CSR from set-up
+    from splitmin import banded
+
+    stepper = Stepper(get_problem("pollution"),
+                      RunConfig(mesh=(8, 8), scheme=scheme, tau=1.0, n_steps=3))
+    state = stepper.initial_state()
+    calls = []
+    build = banded.csr
+
+    def counted_csr(*args):
+        calls.append(args[-1])
+        return build(*args)
+
+    monkeypatch.setattr(banded, "csr", counted_csr)
+    for _ in range(3):
+        state = stepper.step(state)
+    assert stepper.last_residual_norms[1] > 0.0
+    assert calls == []
+    BandedMatrix([0], [0], [1.0], (1, 1)).to_csr()  # the counter counts
+    assert calls == [(1, 1)]
+
+
 def _unsteady_manufactured():
     """manufactured with the wind (b(t), 0), b(t) = 1 + 0.8 sin 3t, and its forcing."""
     base = get_problem("manufactured")

@@ -55,6 +55,30 @@ def test_split_step_goes_through_banded_apply():
     assert tracer.layer_totals()["banded.apply"]["calls"] > 0
 
 
+def test_pr_step_solves_the_mass_direction_on_the_test_rows_only(monkeypatch):
+    # four solves: other-direction mass on the m test columns, then the
+    # interleaved saddle (m + n rows) on the other direction's n columns
+    from splitmin.kron import BandedLU
+    from splitmin.problems import get_problem
+    from splitmin.stepping import Stepper
+
+    stepper = Stepper(get_problem("manufactured"),
+                      RunConfig(mesh=(6, 5), trial=(2, 1), test=(3, 0), tau=0.01))
+    state = stepper.initial_state()
+    shapes = []
+    solve = BandedLU.solve
+
+    def recorded(self, rhs):
+        shapes.append(np.shape(rhs))
+        return solve(self, rhs)
+
+    monkeypatch.setattr(BandedLU, "solve", recorded)
+    stepper.step(state)
+    (m_x, n_x), (m_y, n_y) = stepper.x_op.m_rect.shape, stepper.y_op.m_rect.shape
+    assert (m_x, n_x, m_y, n_y) == (17, 6, 14, 5)
+    assert shapes == [(n_y, m_x), (m_x + n_x, n_y), (n_x, m_y), (m_y + n_y, n_x)]
+
+
 @pytest.mark.parametrize("config", (
     RunConfig(problem="pollution", mesh=(8, 8), tau=1.0, n_steps=5),
     RunConfig(problem="circular-wind", mesh=(6, 6), tau=0.1, n_steps=4),
