@@ -275,7 +275,7 @@ def _spline_saddle_blocks(n_el, trial_pc=(2, 1), test_pc=(3, 0)):
 
 
 def _dense_saddle(a, b):
-    m, n = b.shape
+    n = b.shape[1]
     return np.block([[a, b], [b.T, np.zeros((n, n))]])
 
 
