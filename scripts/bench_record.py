@@ -16,8 +16,11 @@ repository:
 - per end-to-end metric, its unit, median, quartiles (``statistics.quantiles``,
   as ``perfbench/steadiness.py`` takes them) and the value of every run in
   run order, null for a failed run;
-- the host's processor count, the Python, numpy and scipy versions, and the
-  checkout's git SHA, with ``-dirty`` when its tree has uncommitted changes.
+- the host's CPU model (``model name`` in ``/proc/cpuinfo``, else
+  ``platform.processor()``) and processor count, the Python, numpy and scipy
+  versions, and the checkout's git SHA, with ``-dirty`` when its tree has
+  uncommitted changes.  The CPU model makes a change of host visible in the
+  files.
 """
 
 from __future__ import annotations
@@ -42,6 +45,18 @@ def git_sha(checkout: Path) -> str:
     return subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
                           cwd=checkout, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def cpu_model() -> str:
+    """The first ``model name`` of /proc/cpuinfo, else platform.processor()."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return platform.processor()
 
 
 def one_run(checkout: Path, workload: str, seconds: float) -> dict:
@@ -107,7 +122,8 @@ def main(argv=None) -> int:
                       f"{json.dumps({k: v['value'] for k, v in record['metrics'].items()})}",
                       file=sys.stderr)
 
-    host = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+    host = {"cpu_model": cpu_model(), "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__}
     for label, _ in sides:
         out = {"label": label, "git_sha": shas[label], **host,

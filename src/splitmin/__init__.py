@@ -7,7 +7,7 @@ sparse path for direction-coupling winds, benchmark problems, and a
 reporting CLI.
 """
 
-from .assembly import advection, apply_dirichlet, gram, mass, stiffness
+from .assembly import advection, block, mass, stiffness
 from .banded import BandedMatrix
 from .exceptions import (DomainError, NonFiniteStateError, ParameterError,
                          SingularMatrixError)
@@ -29,10 +29,10 @@ __all__ = [
     "NonFiniteStateError", "OpCounter", "ParameterError",
     "ProblemDefinition", "RotatingFlowStepper", "RunConfig", "SaddleFactor",
     "SchemeKind", "SingularMatrixError", "SolutionState", "Space2D",
-    "SplineSpace", "Stepper", "advection", "apply_dirichlet",
-    "assemble_2d_saddle", "build_directional", "circular_wind",
+    "SplineSpace", "Stepper", "advection", "assemble_2d_saddle", "block",
+    "build_directional", "circular_wind",
     "convergence_study", "eval_matrix", "export_field",
-    "get_problem", "gram", "kron_matvec", "kron_solve", "make_space",
+    "get_problem", "kron_matvec", "kron_solve", "make_space",
     "manufactured", "mass", "pollution", "project_initial", "residual_norms",
     "run", "sample_field", "solution_norms", "sparse_lu", "stiffness",
     "substep", "timing_study",

@@ -5,7 +5,6 @@ Entry conventions (k = test row, i = trial column):
     mass:       M[k,i] = int w(x)  trial_i(x)  test_k(x)  dx
     stiffness:  K[k,i] = int d(x)  trial_i'(x) test_k'(x) dx
     advection:  G[k,i] = int v(x)  trial_i'(x) test_k(x)  dx
-    gram:       A      = mass(test,test,1) + stiffness(test,test,1)
 
 Coefficients are constants or callables of x (None means 1).  Trial and test
 spaces share one mesh.  The quadrature rule uses ceil((p_trial + p_test)/2) + 1
@@ -14,8 +13,8 @@ local block enters as (row, column, value) triplets, which
 ``BandedMatrix.from_entries`` sums into the block's nonzeros; a block thus
 holds O(n) entries whatever its slant.  Homogeneous Dirichlet conditions are
 imposed by eliminating the first and last basis function of each space;
-``block`` assembles and eliminates in one call, the way every solver builds
-its 1D blocks.
+``block`` assembles and eliminates in one call, the one way every solver and
+norm builds its 1D blocks (a test Gram is block(mass, ...) + block(stiffness, ...)).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .banded import BandedMatrix
 from .exceptions import ParameterError
 from .splines import SplineSpace, element_table
 
-__all__ = ["mass", "stiffness", "advection", "gram", "apply_dirichlet", "block"]
+__all__ = ["mass", "stiffness", "advection", "block"]
 
 
 def _nq(p_trial: int, p_test: int) -> int:
@@ -65,22 +64,7 @@ def advection(trial: SplineSpace, test: SplineSpace, velocity=None) -> BandedMat
     return _assemble(trial, test, velocity, True, False)
 
 
-def gram(test: SplineSpace) -> BandedMatrix:
-    """Test-space inner product matrix: L2 plus the split-direction gradient term."""
-    return mass(test, test) + stiffness(test, test)
-
-
-def apply_dirichlet(matrix: BandedMatrix, space_rows: SplineSpace,
-                    space_cols: SplineSpace) -> BandedMatrix:
-    """Eliminate the first and last basis function on both sides."""
-    if matrix.shape != (space_rows.dim, space_cols.dim):
-        raise ParameterError(
-            f"matrix shape {matrix.shape} does not match spaces "
-            f"({space_rows.dim}, {space_cols.dim})")
-    return matrix.interior()
-
-
 def block(kind, trial: SplineSpace, test: SplineSpace, coefficient=None) -> BandedMatrix:
     """kind(trial, test, coefficient) with the Dirichlet functions eliminated:
     the test x trial interior block."""
-    return apply_dirichlet(kind(trial, test, coefficient), test, trial)
+    return kind(trial, test, coefficient).interior()

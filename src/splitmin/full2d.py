@@ -20,7 +20,8 @@ product form, beta_x = s_x(t) a_x(x) b_x(y) and beta_y = s_y(t) a_y(x) b_y(y),
         + s_x G_x[a_x] (x) M_y[b_x] + s_y M_x[a_y] (x) G_y[b_y],
 
 with K, G and M the 1D stiffness, advection and (weighted) mass blocks.
-Loads come from the split path's LoadAssembler on the test spaces.
+Loads come from the split path's LoadAssembler on the test spaces, and the
+residual norms from kron_norms on the 1D test blocks.
 
 All matrices are homogeneous-Dirichlet eliminated; 2D dof order is
 row-major, index = ix * n_y + iy over interior 1D indices.
@@ -35,10 +36,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import advection, mass, stiffness
+from .assembly import advection, block, mass, stiffness
 from .banded import BandedMatrix
 from .exceptions import ParameterError, SingularMatrixError
-from .kron import OpCounter
+from .kron import OpCounter, kron_norms
 from .resmin import LoadAssembler, SolutionState
 from .splines import SplineSpace
 from .stepping import RunConfig, StepperBase
@@ -53,10 +54,6 @@ class Space2D:
     y: SplineSpace
 
     @property
-    def dim(self) -> int:
-        return self.x.dim * self.y.dim
-
-    @property
     def interior_dim(self) -> int:
         return (self.x.dim - 2) * (self.y.dim - 2)
 
@@ -66,15 +63,14 @@ class Space2D:
 
 
 def _kron(ax: BandedMatrix, ay: BandedMatrix) -> sp.csr_matrix:
-    """Kronecker product of two 1D blocks, interior-eliminated."""
-    return sp.kron(ax.interior().to_csr(), ay.interior().to_csr(), format="csr")
+    """Kronecker product of two 1D blocks from ``block``."""
+    return sp.kron(ax.to_csr(), ay.to_csr(), format="csr")
 
 
 def assemble_2d_operators(trial: Space2D, test: Space2D, diffusion, wind, t: float):
-    """Return (gram, m_test, m_rect, w_rect), all interior-eliminated CSR.
+    """Return (gram, m_rect, w_rect), all interior-eliminated CSR.
 
     gram   test x test, (psi, phi) + (grad psi, grad phi)
-    m_test test x test mass (the L2 part of gram)
     m_rect test x trial mass
     w_rect test x trial, (eps grad u, grad psi) + (beta . grad u, psi)
 
@@ -84,24 +80,22 @@ def assemble_2d_operators(trial: Space2D, test: Space2D, diffusion, wind, t: flo
     """
     (ax, bx), (ay, by) = wind.factors
     sx, sy = wind.scales(t)
-    mx, my = mass(test.x, test.x), mass(test.y, test.y)
-    m_test = _kron(mx, my)
-    gram = (m_test + _kron(stiffness(test.x, test.x), my)
-            + _kron(mx, stiffness(test.y, test.y)))
-    mx, my = mass(trial.x, test.x), mass(trial.y, test.y)
+    mx, my = block(mass, test.x, test.x), block(mass, test.y, test.y)
+    gram = (_kron(mx, my) + _kron(block(stiffness, test.x, test.x), my)
+            + _kron(mx, block(stiffness, test.y, test.y)))
+    mx, my = block(mass, trial.x, test.x), block(mass, trial.y, test.y)
     m_rect = _kron(mx, my)
-    w_rect = (_kron(stiffness(trial.x, test.x, diffusion[0]), my)
-              + _kron(mx, stiffness(trial.y, test.y, diffusion[1]))
-              + _kron(sx * advection(trial.x, test.x, ax), mass(trial.y, test.y, bx))
-              + _kron(mass(trial.x, test.x, ay), sy * advection(trial.y, test.y, by)))
-    return gram.tocsr(), m_test, m_rect, w_rect.tocsr()
+    w_rect = (_kron(block(stiffness, trial.x, test.x, diffusion[0]), my)
+              + _kron(mx, block(stiffness, trial.y, test.y, diffusion[1]))
+              + _kron(sx * block(advection, trial.x, test.x, ax),
+                      block(mass, trial.y, test.y, bx))
+              + _kron(block(mass, trial.x, test.x, ay),
+                      sy * block(advection, trial.y, test.y, by)))
+    return gram.tocsr(), m_rect, w_rect.tocsr()
 
 
 class SaddleSystem(NamedTuple):
     matrix: sp.csc_matrix      # [[A, B], [B^T, 0]]
-    gram: sp.csr_matrix
-    m_test: sp.csr_matrix
-    b: sp.csr_matrix
     m_rect: sp.csr_matrix
     w_rect: sp.csr_matrix
     test_shape: tuple[int, int]
@@ -110,11 +104,10 @@ class SaddleSystem(NamedTuple):
 
 def assemble_2d_saddle(trial: Space2D, test: Space2D, diffusion, wind, t: float,
                        dt_eff: float) -> SaddleSystem:
-    gram, m_test, m_rect, w_rect = assemble_2d_operators(trial, test, diffusion,
-                                                         wind, t)
+    gram, m_rect, w_rect = assemble_2d_operators(trial, test, diffusion, wind, t)
     b = (m_rect + dt_eff * w_rect).tocsr()
     saddle = sp.bmat([[gram, b], [b.T, None]], format="csc")
-    return SaddleSystem(saddle, gram, m_test, b, m_rect, w_rect,
+    return SaddleSystem(saddle, m_rect, w_rect,
                         test.interior_shape, trial.interior_shape)
 
 
@@ -174,7 +167,12 @@ class RotatingFlowStepper(StepperBase):
         self.b_rhs = (system.m_rect - 0.5 * tau * system.w_rect).tocsr()
         self.factor = sparse_lu(system.matrix)
         self.loads = LoadAssembler(self.test_x, self.test_y)
-        self._m_test = system.test_shape[0] * system.test_shape[1]
+        # the residual's V-norm blocks: test masses and H1 Grams
+        mx, my = block(mass, self.test_x, self.test_x), block(mass, self.test_y, self.test_y)
+        self._norm_blocks = (mx, my, mx + block(stiffness, self.test_x, self.test_x),
+                             my + block(stiffness, self.test_y, self.test_y))
+        for b in self._norm_blocks:
+            b.to_csr()  # built here once, not in the first step
 
     def step(self, state: SolutionState) -> SolutionState:
         tau = self.config.tau
@@ -186,10 +184,7 @@ class RotatingFlowStepper(StepperBase):
             rhs_top = rhs_top + 0.5 * tau * load.ravel()
         rhs = np.concatenate([rhs_top, np.zeros(self.trial.interior_dim)])
         sol = self.factor.solve(rhs)
-        rvec = sol[:self._m_test]
-        r = rvec.reshape(self.system.test_shape)
-        u = sol[self._m_test:].reshape(self.system.trial_shape)
-        self.last_residual_norms = (
-            float(np.sqrt(max(rvec @ (self.system.m_test @ rvec), 0.0))),
-            float(np.sqrt(max(rvec @ (self.system.gram @ rvec), 0.0))))
+        r = sol[:self.test.interior_dim].reshape(self.system.test_shape)
+        u = sol[self.test.interior_dim:].reshape(self.system.trial_shape)
+        self.last_residual_norms = kron_norms(r, *self._norm_blocks)
         return SolutionState(u=u, r=r, time=state.time + tau)

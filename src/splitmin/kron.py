@@ -21,11 +21,12 @@ Three pieces:
   each solve stay O(m + n).  The merged pattern and its ``BandLayout`` are
   found once: ``refactor`` factors for new values of B on the same pattern.
 
-* ``kron_solve`` / ``kron_matvec`` -- (F_split (x) A_other)^{-1} and
-  (Ax (x) Ay) on coefficient grids indexed (x, y), never materializing a
-  Kronecker product.  A solve runs the other direction first: a saddle's
-  right-hand side [F; 0] has zero trial rows, so A_other^{-1} acts on the m
-  test rows only.  A product contracts its cheaper axis first.
+* ``kron_solve`` / ``kron_matvec`` / ``kron_norms`` -- (F_split (x) A_other)^{-1},
+  (Ax (x) Ay) and the L2/H1 norms of Kronecker-product inner products on
+  coefficient grids indexed (x, y), never materializing a Kronecker product.
+  A solve runs the other direction first: a saddle's right-hand side [F; 0]
+  has zero trial rows, so A_other^{-1} acts on the m test rows only.  A
+  product contracts its cheaper axis first.
 
 Every factorization and solve adds its floating-point work to an
 ``OpCounter``; counted operations, not wall clock, are the cost metric the
@@ -44,7 +45,7 @@ from .banded import BandedMatrix
 from .exceptions import SingularMatrixError
 
 __all__ = ["OpCounter", "BandLayout", "BandedLU", "SaddleFactor", "kron_solve", "kron_matvec",
-           "along", "x_first_cheaper"]
+           "kron_norms", "along", "x_first_cheaper"]
 
 
 class OpCounter:
@@ -121,17 +122,14 @@ class BandedLU:
 class SaddleFactor:
     """Banded factorization of [[A, B], [B^T, 0]] via positional interleaving.
 
-    B is a BandedMatrix, factored at once, or the fixed pattern (rows, cols,
-    n_cols) of its nonzeros.  The interleaving and band layout are found
-    once; ``refactor`` factors for new values of B on them.
+    ``pattern`` is (rows, cols, n_cols) of B's nonzeros.  The interleaving and
+    band layout are found once; ``refactor`` factors for B's values on them.
     """
 
-    def __init__(self, A: BandedMatrix, B, counter: OpCounter | None = None):
+    def __init__(self, A: BandedMatrix, pattern, counter: OpCounter | None = None):
         if A.n_rows != A.n_cols:
             raise ValueError("Gram block must be square")
-        if isinstance(B, BandedMatrix) and B.n_rows != A.n_rows:
-            raise ValueError("weak-form block row count must match the Gram block")
-        rows_b, cols_b, n_cols = B if isinstance(B, tuple) else (B.rows, B.cols, B.n_cols)
+        rows_b, cols_b, n_cols = pattern
         self.m, self.n, self.counter = A.n_rows, n_cols, counter
         # merge test (r) and trial (u) unknowns by 1D position, Gram rows first
         keys = np.concatenate([(np.arange(self.m) + 0.5) / self.m,
@@ -144,8 +142,6 @@ class SaddleFactor:
         pj = np.concatenate([pos[A.cols], pos[self.m + cols_b], pos[rows_b]])
         self._layout = BandLayout(pi, pj, self.m + self.n)
         self._vals_a = A.vals
-        if isinstance(B, BandedMatrix):
-            self.refactor(B.vals)
 
     def refactor(self, vals_b) -> None:
         """Factor again with B's values vals_b on its pattern."""
@@ -211,3 +207,21 @@ def kron_matvec(Ax, Ay, grid: np.ndarray, x_first: bool | None = None) -> np.nda
             f"grid shape {grid.shape} does not match ({Ax.shape[1]}, {Ay.shape[1]})")
     x_first = x_first_cheaper(Ax, Ay) if x_first is None else x_first
     return along(Ay, Ax @ grid, 1) if x_first else Ax @ along(Ay, grid, 1)
+
+
+def kron_norms(grid: np.ndarray, mx, my, gx=None, gy=None) -> tuple[float, float]:
+    """L2 and H1 norms of a grid indexed (x, y) in Kronecker-product inner products.
+
+    L2^2 = (u, (mx (x) my) u).  gx and gy are the H1 Gram blocks (mass plus
+    stiffness) of the directions a derivative enters, None elsewhere:
+    H1^2 = (u, (gx (x) my) u) + (u, (mx (x) gy) u) - L2^2 with both, one
+    term with one, L2^2 with neither.  The blocks are symmetric, so
+    (u, (A (x) B) u) sums (A u) * (u B), and the mass products are shared.
+    """
+    grid = np.asarray(grid, dtype=float)
+    mu, um = along(mx, grid, 0), along(my, grid, 1)
+    l2sq = np.einsum("ij,ij->", mu, um)
+    terms = [np.einsum("ij,ij->", along(g, grid, axis), m)
+             for g, axis, m in ((gx, 0, um), (gy, 1, mu)) if g is not None]
+    h1sq = sum(terms) - (len(terms) - 1) * l2sq
+    return float(np.sqrt(max(l2sq, 0.0))), float(np.sqrt(max(h1sq, 0.0)))

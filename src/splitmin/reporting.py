@@ -21,7 +21,7 @@ import numpy as np
 from .assembly import _nq, block, mass, stiffness
 from .exceptions import ParameterError
 from .full2d import RotatingFlowStepper
-from .kron import OpCounter, kron_matvec
+from .kron import OpCounter, kron_norms
 from .problems import get_problem
 from .splines import SplineSpace, eval_matrix, gauss_rule
 from .stepping import RunConfig, Stepper, march, spaces
@@ -392,8 +392,5 @@ def solution_norms(u_grid: np.ndarray, trial_x: SplineSpace,
     plus u^T (Kx (x) My + Mx (x) Ky) u.
     """
     mx, my = block(mass, trial_x, trial_x), block(mass, trial_y, trial_y)
-    kx, ky = block(stiffness, trial_x, trial_x), block(stiffness, trial_y, trial_y)
-    l2sq = float(np.sum(u_grid * kron_matvec(mx, my, u_grid)))
-    h1sq = l2sq + float(np.sum(u_grid * kron_matvec(kx, my, u_grid))) \
-        + float(np.sum(u_grid * kron_matvec(mx, ky, u_grid)))
-    return float(np.sqrt(max(l2sq, 0.0))), float(np.sqrt(max(h1sq, 0.0)))
+    return kron_norms(u_grid, mx, my, mx + block(stiffness, trial_x, trial_x),
+                      my + block(stiffness, trial_y, trial_y))

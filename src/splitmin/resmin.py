@@ -33,7 +33,7 @@ import numpy as np
 from .assembly import advection, block, mass, stiffness
 from .exceptions import ParameterError
 from .banded import common_entries, csr
-from .kron import (BandedLU, BandLayout, OpCounter, SaddleFactor, along, kron_matvec,
+from .kron import (BandedLU, BandLayout, OpCounter, SaddleFactor, kron_matvec, kron_norms,
                    kron_solve, x_first_cheaper)
 from .splines import SplineSpace, eval_matrix, gauss_rule
 
@@ -91,10 +91,11 @@ class DirectionalOperator:
     """Assembled blocks and factors for one split direction.
 
     Block naming (all Dirichlet-eliminated):
-      m_rect/k_rect/g_rect  trial->test blocks in the split direction,
-      b_split = m_rect + dt_eff*(k_rect + g_rect),
+      m_rect/k_rect  trial->test blocks in the split direction,
+      b_split = m_rect + dt_eff*(k_rect + s*g_rect), with g_rect the advection
+        block of the wind's time-free factor and s its scale,
       a_split = test Gram (m_test + k_test) in the split direction,
-      m_other/k_other/g_other  square trial blocks in the orthogonal direction.
+      m_other/k_other  square trial blocks in the orthogonal direction.
     rhs_ops holds the explicit blocks the schemes' right-hand sides use.
     split_factor factors b_split (with a_split when stabilized) along the
     split direction; other_lu factors m_other.
@@ -104,8 +105,7 @@ class DirectionalOperator:
     loads, and one fixed pattern per wind-dependent matrix (b_split,
     rect_minus, other_minus), the union of its blocks' nonzeros, with the
     CSR matrices and split_factor's band layout on it.  set_wind(s_x, s_y)
-    forms values there and refactors; g_rect, g_other and b_split are
-    derived on read.
+    forms values there and refactors; b_split is derived on read.
     """
 
     def __init__(self, direction, dt_eff, stabilized, trial_split, test_split,
@@ -127,13 +127,11 @@ class DirectionalOperator:
         self.k_other = block(stiffness, trial_other, trial_other, diffusion[1 - self.axis])
         self.other_lu = BandedLU(self.m_other, counter)
         self._g_rect_free = block(advection, trial_split, test_split, velocity[self.axis])
-        self._g_other_free = block(advection, trial_other, trial_other,
-                                   velocity[1 - self.axis])
+        g_other = block(advection, trial_other, trial_other, velocity[1 - self.axis])
         # (mass, stiffness, advection) values on each pattern
         rows, cols, self._rect = common_entries(self.m_rect, self.k_rect,
                                                 self._g_rect_free)
-        *other, self._other = common_entries(self.m_other, self.k_other,
-                                             self._g_other_free)
+        *other, self._other = common_entries(self.m_other, self.k_other, g_other)
         self.rhs_ops = {"m_rect": self.m_rect, "m_other": self.m_other,
                         "rect_minus": csr(rows, cols, 0.0 * rows, self.m_rect.shape),
                         "other_minus": csr(*other, 0.0 * other[0], self.m_other.shape)}
@@ -161,9 +159,8 @@ class DirectionalOperator:
         else:
             self.split_factor = BandedLU((self._layout, m + step), self.counter)
 
-    g_rect = property(lambda self: self._scales[self.axis] * self._g_rect_free)
-    g_other = property(lambda self: self._scales[1 - self.axis] * self._g_other_free)
-    b_split = property(lambda self: self.m_rect + self.dt_eff * (self.k_rect + self.g_rect))
+    b_split = property(lambda self: self.m_rect + self.dt_eff * (
+        self.k_rect + self._scales[self.axis] * self._g_rect_free))
 
 
 def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace,
@@ -199,13 +196,8 @@ def substep(op: DirectionalOperator, rhs_grid: np.ndarray) -> SolutionState:
 
 
 def residual_norms(op: DirectionalOperator, r: np.ndarray) -> tuple[float, float]:
-    """L2 and split-H1 norms of the residual representative (test-space V-norm).
-
-    m_other is symmetric, so (r, (S (x) M_other) r) sums (M_other r) * (S r),
-    each along its direction: S = m_test (L2) and a_split (H1) share M_other r.
-    """
-    r = np.asarray(r, dtype=float)
-    other = along(op.m_other, r, 1 - op.axis)
-    l2sq, h1sq = (np.einsum("ij,ij->", other, along(s, r, op.axis))
-                  for s in (op.m_test, op.a_split))
-    return float(np.sqrt(max(l2sq, 0.0))), float(np.sqrt(max(h1sq, 0.0)))
+    """L2 and split-H1 norms of the residual representative (test-space V-norm):
+    the test Gram a_split stands in the split direction only."""
+    if op.axis == 0:
+        return kron_norms(r, op.m_test, op.m_other, gx=op.a_split)
+    return kron_norms(r, op.m_other, op.m_test, gy=op.a_split)

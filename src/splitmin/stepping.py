@@ -74,10 +74,6 @@ class SchemeKind(Enum):
         raise ParameterError(f"unknown scheme {name!r}; expected one of "
                              f"{[k.value for k in cls]}")
 
-    @property
-    def order(self) -> int:
-        return 2 if self in (SchemeKind.PEACEMAN_RACHFORD, SchemeKind.STRANG_CN) else 1
-
 
 # One row per implicit substep: direction, dt_eff as a fraction of tau, the
 # explicit blocks (rhs_ops keys) in the split and in the other direction, and

@@ -3,6 +3,7 @@
 import numpy as np
 
 from splitmin.banded import BandedMatrix
+from splitmin.kron import SaddleFactor
 
 
 def from_dense(dense) -> BandedMatrix:
@@ -10,3 +11,10 @@ def from_dense(dense) -> BandedMatrix:
     dense = np.asarray(dense, dtype=float)
     rows, cols = np.nonzero(dense)
     return BandedMatrix.from_entries(rows, cols, dense[rows, cols], dense.shape)
+
+
+def saddle_factor(a: BandedMatrix, b: BandedMatrix, counter=None) -> SaddleFactor:
+    """The saddle of the Gram a and the block b, laid out on b's pattern and factored."""
+    sf = SaddleFactor(a, (b.rows, b.cols, b.n_cols), counter)
+    sf.refactor(b.vals)
+    return sf

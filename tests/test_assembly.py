@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from splitmin.assembly import (advection, apply_dirichlet, gram, mass,
-                               stiffness, _nq)
+from splitmin.assembly import advection, block, mass, stiffness, _nq
 from splitmin.exceptions import ParameterError
 from splitmin.splines import eval_matrix, gauss_rule, make_space
 
@@ -77,12 +76,22 @@ def test_mass_and_stiffness_symmetric():
 
 def test_gram_is_mass_plus_stiffness_and_interior_spd():
     space = make_space(3, 0, 6, (0.0, 1.0))
-    g = gram(space)
+    g = (block(mass, space, space) + block(stiffness, space, space)).to_dense()
     ref = mass(space, space).to_dense() + stiffness(space, space).to_dense()
-    np.testing.assert_allclose(g.to_dense(), ref, atol=1e-13)
-    gi = apply_dirichlet(g, space, space).to_dense()
-    eig = np.linalg.eigvalsh(0.5 * (gi + gi.T))
+    np.testing.assert_allclose(g, ref[1:-1, 1:-1], atol=1e-13)
+    eig = np.linalg.eigvalsh(0.5 * (g + g.T))
     assert eig.min() > 0.0
+
+
+@pytest.mark.parametrize("kind", [mass, stiffness, advection])
+def test_block_is_the_interior_of_the_assembled_matrix(kind):
+    trial = make_space(2, 1, 5, (0.0, 1.0))
+    test = make_space(3, 0, 5, (0.0, 1.0))
+    coefficient = lambda x: 1.0 + x
+    got = block(kind, trial, test, coefficient)
+    assert got.shape == (test.dim - 2, trial.dim - 2)
+    assert np.array_equal(got.to_dense(),
+                          kind(trial, test, coefficient).to_dense()[1:-1, 1:-1])
 
 
 def _scipy_dense_assembly(trial, test, coefficient, trial_deriv, test_deriv,
@@ -139,14 +148,6 @@ def test_bandwidth_reflects_local_support():
     space = make_space(2, 1, 8, (0.0, 1.0))
     m = mass(space, space)
     assert np.all(np.abs(m.rows - m.cols) <= space.degree)
-
-
-def test_apply_dirichlet_validates_shapes():
-    space = make_space(2, 1, 4, (0.0, 1.0))
-    other = make_space(3, 0, 4, (0.0, 1.0))
-    matrix = mass(space, space)
-    with pytest.raises(ParameterError):
-        apply_dirichlet(matrix, other, space)
 
 
 def test_mismatched_intervals_rejected():

@@ -14,7 +14,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from splitmin.assembly import apply_dirichlet, mass
+from splitmin import assembly
+from splitmin.assembly import mass
 from splitmin.banded import BandedMatrix
 from splitmin.splines import make_space
 
@@ -55,7 +56,7 @@ def test_rectangular_block_apply_to_transposed_grid():
     # a trial-to-test block is slanted: row i holds columns near i n / m
     trial = make_space(2, 1, 32, (0.0, 1.0))
     test = make_space(3, 0, 32, (0.0, 1.0))
-    block = apply_dirichlet(mass(trial, test), test, trial)
+    block = assembly.block(mass, trial, test)
     grid = np.random.default_rng(17).standard_normal((7, trial.dim - 2)).T
     assert not grid.flags.c_contiguous
     np.testing.assert_allclose(block.apply(grid), block.to_dense() @ grid,
@@ -69,7 +70,7 @@ def test_slanted_block_memory_is_linear_in_its_nonzeros():
     test = make_space(3, 0, 1024, (0.0, 1.0))
     tracemalloc.start()
     try:
-        block = apply_dirichlet(mass(trial, test), test, trial)
+        block = assembly.block(mass, trial, test)
         block.to_csr()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -205,7 +206,7 @@ def _columns(rng, n):
 def test_to_csr_is_built_once():
     trial = make_space(2, 1, 16, (0.0, 1.0))
     test = make_space(3, 0, 16, (0.0, 1.0))
-    block = apply_dirichlet(mass(trial, test), test, trial)
+    block = assembly.block(mass, trial, test)
     csr = block.to_csr()
     assert block.to_csr() is csr
     block.apply(np.ones(block.n_cols))

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from splitmin import full2d
-from splitmin.assembly import advection, mass, stiffness
+from splitmin.assembly import advection, block, mass, stiffness
 from splitmin.exceptions import ParameterError, SingularMatrixError
 from splitmin.full2d import (RotatingFlowStepper, Space2D,
                              assemble_2d_operators, assemble_2d_saddle,
@@ -41,7 +41,6 @@ def _space2d(pc, n, interval=(0.0, 1.0)):
 
 def test_space2d_dimensions():
     s = _space2d((2, 1), 4)
-    assert s.dim == 36
     assert s.interior_shape == (4, 4)
     assert s.interior_dim == 16
 
@@ -76,7 +75,7 @@ def _dense_advection_reference(trial, test, beta, n_points):
 
 
 def _advection_only(trial, test, wind):
-    return assemble_2d_operators(trial, test, (0.0, 0.0), wind, 0.0)[3]
+    return assemble_2d_operators(trial, test, (0.0, 0.0), wind, 0.0)[2]
 
 
 def test_advection_2d_matches_dense_quadrature_route():
@@ -119,7 +118,7 @@ def test_separable_wind_reduces_to_kronecker_of_1d_blocks():
     test = _space2d((3, 0), 4)
     alpha = 0.07
     bx0, by0 = 1.3, -0.4
-    gram, m_test, m_rect, w_rect = assemble_2d_operators(
+    gram, m_rect, w_rect = assemble_2d_operators(
         trial, test, (alpha, alpha),
         Wind(WindComponent(s=lambda t: bx0), WindComponent(s=lambda t: by0)), 0.0)
 
@@ -141,7 +140,6 @@ def test_separable_wind_reduces_to_kronecker_of_1d_blocks():
     myt = interior(mass(test.y, test.y))
     kxt = interior(stiffness(test.x, test.x))
     kyt = interior(stiffness(test.y, test.y))
-    np.testing.assert_allclose(m_test.toarray(), np.kron(mxt, myt), atol=1e-13)
     np.testing.assert_allclose(gram.toarray(),
                                np.kron(mxt, myt) + np.kron(kxt, myt)
                                + np.kron(mxt, kyt), atol=1e-12)
@@ -151,17 +149,16 @@ def test_saddle_matrix_blocks_and_symmetry():
     trial = _space2d((2, 1), 3)
     test = _space2d((3, 0), 3)
     system = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.0, 0.05)
+    gram = assemble_2d_operators(trial, test, (0.01, 0.01), _ROTATION, 0.0)[0]
+    b = (system.m_rect + 0.05 * system.w_rect).toarray()
     m = test.interior_dim
     n = trial.interior_dim
     dense = system.matrix.toarray()
     assert dense.shape == (m + n, m + n)
-    np.testing.assert_allclose(dense[:m, :m], system.gram.toarray(), atol=0.0)
-    np.testing.assert_allclose(dense[:m, m:], system.b.toarray(), atol=0.0)
-    np.testing.assert_allclose(dense[m:, :m], system.b.toarray().T, atol=0.0)
+    np.testing.assert_allclose(dense[:m, :m], gram.toarray(), atol=0.0)
+    np.testing.assert_allclose(dense[:m, m:], b, atol=0.0)
+    np.testing.assert_allclose(dense[m:, :m], b.T, atol=0.0)
     np.testing.assert_allclose(dense[m:, m:], 0.0, atol=0.0)
-    np.testing.assert_allclose(
-        system.b.toarray(),
-        (system.m_rect + 0.05 * system.w_rect).toarray(), atol=1e-14)
 
 
 def test_sparse_lu_matches_dense_solve():
@@ -311,6 +308,29 @@ def test_rotating_stepper_single_step_matches_dense_solve():
     assert h1 >= l2 >= 0.0
 
 
+@pytest.mark.parametrize("trial_pc, test_pc", [((2, 1), (3, 0)), ((1, 0), (2, 0))])
+def test_residual_norms_are_the_test_space_quadratic_forms(trial_pc, test_pc):
+    # L2 and H1 of r against its 2D quadratic forms: M_test = Mx (x) My and
+    # the gram that the saddle is assembled from
+    problem = get_problem("circular-wind")
+    stepper = RotatingFlowStepper(problem, RunConfig(mesh=(6, 4), trial=trial_pc,
+                                                     test=test_pc, tau=0.05))
+    test = stepper.test
+    m_test = sp.kron(block(mass, test.x, test.x).to_csr(),
+                     block(mass, test.y, test.y).to_csr())
+    gram = assemble_2d_operators(stepper.trial, test,
+                                 (problem.diffusion_x, problem.diffusion_y),
+                                 problem.wind, 0.0)[0]
+    state = stepper.initial_state()
+    for _ in range(3):
+        state = stepper.step(state)
+        r = state.r.ravel()
+        l2, h1 = stepper.last_residual_norms
+        assert h1 > l2 > 0.0
+        assert abs(l2 - np.sqrt(r @ (m_test @ r))) <= 1e-13 * l2
+        assert abs(h1 - np.sqrt(r @ (gram @ r))) <= 1e-13 * h1
+
+
 def test_rotating_stepper_conserves_mass_norm_approximately():
     problem = get_problem("circular-wind")
     stepper = _general(problem, 12, tau=0.1)
@@ -347,5 +367,5 @@ def test_forced_monolithic_step_uses_trapezoidal_loads():
                           np.zeros(stepper.trial.interior_dim)])
     ref = np.linalg.solve(stepper.system.matrix.toarray(), rhs)
     np.testing.assert_allclose(out.u.ravel(),
-                               ref[stepper.system.m_test.shape[0]:],
+                               ref[stepper.test.interior_dim:],
                                atol=1e-10)

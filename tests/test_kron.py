@@ -12,14 +12,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from splitmin.assembly import apply_dirichlet, block, gram, mass
+from splitmin.assembly import block, mass, stiffness
 from splitmin.banded import BandedMatrix
 from splitmin.exceptions import SingularMatrixError
 from splitmin.kron import (BandedLU, BandLayout, OpCounter, SaddleFactor,
-                           kron_matvec, kron_solve, x_first_cheaper)
+                           kron_matvec, kron_norms, kron_solve, x_first_cheaper)
 from splitmin.splines import make_space
 
-from helpers import from_dense
+from helpers import from_dense, saddle_factor
 
 
 class LoopBandedLU:
@@ -269,8 +269,8 @@ def test_lu_singular_step_matches_loop_reference(dense):
 def _spline_saddle_blocks(n_el, trial_pc=(2, 1), test_pc=(3, 0)):
     trial = make_space(*trial_pc, n_el, (0.0, 1.0))
     test = make_space(*test_pc, n_el, (0.0, 1.0))
-    a = apply_dirichlet(gram(test), test, test)
-    b = apply_dirichlet(mass(trial, test), test, trial)
+    a = block(mass, test, test) + block(stiffness, test, test)
+    b = block(mass, trial, test)
     return a, b
 
 
@@ -292,7 +292,7 @@ def test_saddle_factor_matches_dense_block_solve():
     for n_el, trial_pc, test_pc in ((4, (2, 1), (3, 0)), (6, (1, 0), (2, 0)),
                                     (5, (3, 2), (3, 2))):
         a, b = _spline_saddle_blocks(n_el, trial_pc, test_pc)
-        sf = SaddleFactor(a, b)
+        sf = saddle_factor(a, b)
         dense = _dense_saddle(a.to_dense(), b.to_dense())
         # columns and a single vector, with a zero trial block
         for F in (rng.standard_normal((a.n_rows, 3)), rng.standard_normal(a.n_rows)):
@@ -308,7 +308,7 @@ def test_saddle_bandwidth_and_cost_stay_linear_in_mesh():
     for n_el in (16, 32, 64):
         a, b = _spline_saddle_blocks(n_el)
         counter = OpCounter()
-        sf = SaddleFactor(a, b, counter)
+        sf = saddle_factor(a, b, counter)
         ops[n_el] = counter.factor_ops
         bands[n_el] = (sf._lu.lb, sf._lu.ub)
     assert bands[16] == bands[32] == bands[64]
@@ -323,7 +323,7 @@ def test_saddle_refactor_reuses_the_layout_and_rejects_zero_b():
     sf = SaddleFactor(a, (rows, cols, b.n_cols), counter)
     assert counter.factor_ops == 0  # a bare pattern is laid out, not factored
     sf.refactor(2.0 * vals)
-    ref = SaddleFactor(a, 2.0 * b, OpCounter())
+    ref = saddle_factor(a, 2.0 * b, OpCounter())
     rhs = np.random.default_rng(4).standard_normal((sf.m, 2))
     for got, want in zip(sf.solve(rhs), ref.solve(rhs)):
         assert np.array_equal(got, want)
@@ -334,10 +334,7 @@ def test_saddle_refactor_reuses_the_layout_and_rejects_zero_b():
 def test_saddle_factor_validates_block_shapes():
     a, b = _spline_saddle_blocks(4)
     with pytest.raises(ValueError):
-        SaddleFactor(b, b)  # first block must be square
-    b_wrong = from_dense(np.ones((a.n_rows + 1, b.n_cols)))
-    with pytest.raises(ValueError):
-        SaddleFactor(a, b_wrong)
+        SaddleFactor(b, (b.rows, b.cols, b.n_cols))  # first block must be square
 
 
 @st.composite
@@ -373,7 +370,7 @@ def _saddle_cases(draw):
 def test_saddle_factor_matches_dense_solve_on_random_blocks(case):
     a, b, rng = case
     m = b.shape[0]
-    sf = SaddleFactor(from_dense(a), from_dense(b))
+    sf = saddle_factor(from_dense(a), from_dense(b))
     dense = _dense_saddle(a, b)
     for F in (rng.standard_normal(m), rng.standard_normal((m, 4))):
         got, want = np.concatenate(sf.solve(F)), np.concatenate(_saddle_oracle(dense, F))
@@ -463,3 +460,38 @@ def test_kron_solve_rejects_bad_axis():
     lu = BandedLU(from_dense(np.eye(3)))
     with pytest.raises(ValueError):
         kron_solve(lu, lu, "z", np.eye(3))
+
+
+@st.composite
+def _norm_cases(draw):
+    """A grid on the interiors of two random spaces, each on its own interval."""
+    spaces = []
+    for _ in range(2):
+        p = draw(st.integers(1, 4))
+        c = draw(st.integers(0, p - 1))
+        n_el = draw(st.integers(2, 9))
+        spaces.append(make_space(p, c, n_el, (0.0, draw(st.floats(0.25, 4.0)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return spaces, rng.standard_normal(tuple(s.dim - 2 for s in spaces))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_norm_cases())
+def test_kron_norms_match_dense_kronecker_quadratic_forms(case):
+    (sx, sy), grid = case
+    mx, my = block(mass, sx, sx), block(mass, sy, sy)
+    kx, ky = block(stiffness, sx, sx), block(stiffness, sy, sy)
+    gx, gy = mx + kx, my + ky
+    u = grid.ravel()
+    l2_form = np.kron(mx.to_dense(), my.to_dense())
+    l2_ref = np.sqrt(u @ l2_form @ u)
+    # a derivative in x, in y, in both and in neither
+    for g, h1_form in (((gx, None), l2_form + np.kron(kx.to_dense(), my.to_dense())),
+                       ((None, gy), l2_form + np.kron(mx.to_dense(), ky.to_dense())),
+                       ((gx, gy), l2_form + np.kron(kx.to_dense(), my.to_dense())
+                        + np.kron(mx.to_dense(), ky.to_dense())),
+                       ((None, None), l2_form)):
+        l2, h1 = kron_norms(grid, mx, my, *g)
+        h1_ref = np.sqrt(u @ h1_form @ u)
+        assert abs(l2 - l2_ref) <= 1e-13 * l2_ref
+        assert abs(h1 - h1_ref) <= 1e-13 * h1_ref

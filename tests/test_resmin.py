@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitmin.acceptance import _dense_substep
-from splitmin.assembly import advection, apply_dirichlet
+from splitmin.assembly import advection, block
 from splitmin.exceptions import ParameterError
-from splitmin.kron import BandedLU, BandLayout, OpCounter, SaddleFactor
+from splitmin.kron import BandedLU, BandLayout, OpCounter
 from splitmin.problems import Wind, WindComponent, pollution
 from splitmin.resmin import (LoadAssembler, build_directional, residual_norms,
                              substep)
 from splitmin.splines import eval_matrix, gauss_rule, make_space
+
+from helpers import saddle_factor
 
 
 def _spaces(n_el=4, trial_pc=(2, 1), test_pc=(3, 0)):
@@ -36,11 +38,12 @@ def _build(direction, dt_eff=0.02, stabilized=True, n_el=4,
 
 def test_one_step_block_combines_mass_stiffness_advection():
     op = _build("x", dt_eff=0.05)
+    g_rect = block(advection, op.trial_split, op.test_split, lambda x: 1.0 + 0.5 * x)
     ref = (op.m_rect.to_dense()
-           + 0.05 * (op.k_rect.to_dense() + op.g_rect.to_dense()))
+           + 0.05 * (op.k_rect.to_dense() + g_rect.to_dense()))
     np.testing.assert_allclose(op.b_split.to_dense(), ref, atol=1e-14)
     minus = (op.m_rect.to_dense()
-             - 0.05 * (op.k_rect.to_dense() + op.g_rect.to_dense()))
+             - 0.05 * (op.k_rect.to_dense() + g_rect.to_dense()))
     np.testing.assert_allclose(op.rhs_ops["rect_minus"].toarray(), minus,
                                atol=1e-14)
 
@@ -68,15 +71,18 @@ def test_set_wind_rescales_to_directly_assembled_blocks(direction):
         def direct(trial, test, d):
             """The advection block with axis d's coefficient s_d(t) (1 + z)."""
             coef = lambda z: s[d](t) * (1.0 + z)
-            return apply_dirichlet(advection(trial, test, coef), test, trial)
+            return block(advection, trial, test, coef)
 
         g_rect = direct(op.trial_split, op.test_split, axis)
         g_other = direct(op.trial_other, op.trial_other, 1 - axis)
         b_split = op.m_rect + 0.05 * (op.k_rect + g_rect)
-        for got, ref in ((op.g_rect, g_rect), (op.g_other, g_other),
-                         (op.b_split, b_split)):
+        rect_minus = op.m_rect - 0.05 * (op.k_rect + g_rect)
+        other_minus = op.m_other - 0.05 * (op.k_other + g_other)
+        for got, ref in ((op.b_split.to_dense(), b_split),
+                         (op.rhs_ops["rect_minus"].toarray(), rect_minus),
+                         (op.rhs_ops["other_minus"].toarray(), other_minus)):
             ref = ref.to_dense()
-            err = np.max(np.abs(got.to_dense() - ref))
+            err = np.max(np.abs(got - ref))
             assert err <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -116,7 +122,7 @@ def test_set_wind_refactors_as_a_fresh_factor(case):
     axis = "xy".index(direction)
 
     def fresh_block(trial, test_space, d):
-        return apply_dirichlet(advection(trial, test_space, velocity[d]), test_space, trial)
+        return block(advection, trial, test_space, velocity[d])
 
     g_rect = fresh_block(op.trial_split, op.test_split, axis)
     g_other = fresh_block(op.trial_other, op.trial_other, 1 - axis)
@@ -126,7 +132,7 @@ def test_set_wind_refactors_as_a_fresh_factor(case):
         op.set_wind(s)
         b = op.m_rect + dt * (op.k_rect + s[axis] * g_rect)
         fresh_counter = OpCounter()
-        fresh = (SaddleFactor(op.a_split, b, fresh_counter) if stabilized
+        fresh = (saddle_factor(op.a_split, b, fresh_counter) if stabilized
                  else BandedLU(b, fresh_counter))
         assert counter.factor_ops - before == fresh_counter.factor_ops
         rhs = rng.standard_normal((b.shape[0], 3))  # a saddle solves for (r, u)
