@@ -16,6 +16,11 @@ repository:
 - per end-to-end metric, its unit, median, quartiles (``statistics.quantiles``,
   as ``perfbench/steadiness.py`` takes them) and the value of every run in
   run order, null for a failed run;
+- per workload, a calibration kernel timed in this process right after
+  each run: the median of 200 ``dgbtrs`` solves of one fixed banded system
+  the size of ``manufactured-split``'s saddle (n = 511, lb = ub = 6, 128
+  right-hand-side columns), in microseconds.  The kernel never changes, so
+  a shift in its time is a shift of the host, not of the code;
 - the host's CPU model (``model name`` in ``/proc/cpuinfo``, else
   ``platform.processor()``) and processor count, the Python, numpy and scipy
   versions, and the checkout's git SHA, with ``-dirty`` when its tree has
@@ -32,13 +37,21 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+# one BLAS thread for the calibration kernel, as perfbench/run.py pins it for
+# the runs; OpenBLAS and OpenMP read these once, when numpy loads
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
 
 import numpy as np
 import scipy
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 10
+CALIBRATION = (511, 6, 128)  # n, lb = ub, right-hand-side columns
 
 
 def git_sha(checkout: Path) -> str:
@@ -57,6 +70,26 @@ def cpu_model() -> str:
     except OSError:
         pass
     return platform.processor()
+
+
+def calibration_us(repeats: int = 200) -> float:
+    """Median microseconds of one dgbtrs solve of a fixed banded system."""
+    n, band, cols = CALIBRATION
+    rng = np.random.default_rng(0)
+    ab = rng.standard_normal((3 * band + 1, n))
+    ab[2 * band] += 4.0 * band  # the diagonal row: diagonally dominant
+    lu, piv, _ = dgbtrf(ab, band, band)
+    rhs = np.asfortranarray(rng.standard_normal((n, cols)))
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        dgbtrs(lu, band, band, rhs, piv)
+        times.append(time.perf_counter() - started)
+    return 1e6 * statistics.median(times)
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
 
 
 def one_run(checkout: Path, workload: str, seconds: float) -> dict:
@@ -83,18 +116,22 @@ def summary(runs: list[dict], end_to_end: list[str]) -> dict:
         made = [v for v in values if v is not None]
         if not made:
             continue
-        q1, median, q3 = (statistics.quantiles(made, n=4) if len(made) > 1
-                          else (made[0],) * 3)
+        q1, median, q3 = quartiles(made)
         unit = next(r["metrics"][name]["unit"] for r in runs if name in r["metrics"])
         metrics[name] = {"unit": unit,
                          "median": float(median), "q1": float(q1), "q3": float(q3),
                          "values": values}
+    kernel = [r["calibration_us"] for r in runs]
+    q1, median, q3 = quartiles(kernel)
     return {"runs": len(runs),
             "rounds_attempted": sum(r["attempted"] for r in runs),
             "rounds_failed": sum(r["failed"] for r in runs),
             "correct": all(r["correct"] for r in runs),
             "failed_exits": [r["exit"] for r in runs if "exit" in r],
-            "metrics": metrics}
+            "metrics": metrics,
+            "calibration": {"kernel": "dgbtrs n={} lb=ub={} columns={}".format(*CALIBRATION),
+                            "unit": "us", "median": median, "q1": q1, "q3": q3,
+                            "values": kernel}}
 
 
 def main(argv=None) -> int:
@@ -117,6 +154,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             for label, checkout in order:
                 record = one_run(checkout, workload, seconds)
+                record["calibration_us"] = calibration_us()
                 results[label][workload].append(record)
                 print(f"run {i + 1}/{RUNS} {workload} {label}: "
                       f"{json.dumps({k: v['value'] for k, v in record['metrics'].items()})}",

@@ -109,8 +109,8 @@ def _final_error(scheme: str, tau: float) -> float:
     stepper = Stepper(problem, cfg)
     for _, state in march(stepper, cfg.n_steps):
         pass
-    row = ErrorEvaluator(stepper.trial_x, stepper.trial_y, problem.exact,
-                         problem.exact_grad).errors(state.u, state.time)
+    row = ErrorEvaluator(stepper.trial_x, stepper.trial_y,
+                         problem.exact).errors(state.u, state.time)
     return row.l2_percent / 100.0
 
 

@@ -25,7 +25,7 @@ from .banded import BandedMatrix
 from .exceptions import ParameterError
 from .splines import SplineSpace, element_table
 
-__all__ = ["mass", "stiffness", "advection", "block"]
+__all__ = ["mass", "stiffness", "advection", "block", "norm_blocks"]
 
 
 def _nq(p_trial: int, p_test: int) -> int:
@@ -68,3 +68,10 @@ def block(kind, trial: SplineSpace, test: SplineSpace, coefficient=None) -> Band
     """kind(trial, test, coefficient) with the Dirichlet functions eliminated:
     the test x trial interior block."""
     return kind(trial, test, coefficient).interior()
+
+
+def norm_blocks(space_x: SplineSpace, space_y: SplineSpace):
+    """(mx, my, gx, gy): the interior masses and H1 Grams (mass plus stiffness)
+    of two spaces, the blocks of kron_norms' L2 and H1 forms."""
+    mx, my = block(mass, space_x, space_x), block(mass, space_y, space_y)
+    return mx, my, mx + block(stiffness, space_x, space_x), my + block(stiffness, space_y, space_y)

@@ -21,7 +21,8 @@ product form, beta_x = s_x(t) a_x(x) b_x(y) and beta_y = s_y(t) a_y(x) b_y(y),
 
 with K, G and M the 1D stiffness, advection and (weighted) mass blocks.
 Loads come from the split path's LoadAssembler on the test spaces, and the
-residual norms from kron_norms on the 1D test blocks.
+residual norms from kron_norms on the 1D test blocks.  The stepper keeps the
+factor and the right-hand-side operator, not the assembled saddle.
 
 All matrices are homogeneous-Dirichlet eliminated; 2D dof order is
 row-major, index = ix * n_y + iy over interior 1D indices.
@@ -36,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import advection, block, mass, stiffness
+from .assembly import advection, block, mass, norm_blocks, stiffness
 from .banded import BandedMatrix
 from .exceptions import ParameterError, SingularMatrixError
 from .kron import OpCounter, kron_norms
@@ -98,8 +99,6 @@ class SaddleSystem(NamedTuple):
     matrix: sp.csc_matrix      # [[A, B], [B^T, 0]]
     m_rect: sp.csr_matrix
     w_rect: sp.csr_matrix
-    test_shape: tuple[int, int]
-    trial_shape: tuple[int, int]
 
 
 def assemble_2d_saddle(trial: Space2D, test: Space2D, diffusion, wind, t: float,
@@ -107,8 +106,7 @@ def assemble_2d_saddle(trial: Space2D, test: Space2D, diffusion, wind, t: float,
     gram, m_rect, w_rect = assemble_2d_operators(trial, test, diffusion, wind, t)
     b = (m_rect + dt_eff * w_rect).tocsr()
     saddle = sp.bmat([[gram, b], [b.T, None]], format="csc")
-    return SaddleSystem(saddle, m_rect, w_rect,
-                        test.interior_shape, trial.interior_shape)
+    return SaddleSystem(saddle, m_rect, w_rect)
 
 
 class _SparseFactor:
@@ -163,14 +161,11 @@ class RotatingFlowStepper(StepperBase):
         system = assemble_2d_saddle(self.trial, self.test,
                                     (problem.diffusion_x, problem.diffusion_y),
                                     problem.wind, config.t0, 0.5 * tau)
-        self.system = system
         self.b_rhs = (system.m_rect - 0.5 * tau * system.w_rect).tocsr()
         self.factor = sparse_lu(system.matrix)
         self.loads = LoadAssembler(self.test_x, self.test_y)
         # the residual's V-norm blocks: test masses and H1 Grams
-        mx, my = block(mass, self.test_x, self.test_x), block(mass, self.test_y, self.test_y)
-        self._norm_blocks = (mx, my, mx + block(stiffness, self.test_x, self.test_x),
-                             my + block(stiffness, self.test_y, self.test_y))
+        self._norm_blocks = norm_blocks(self.test_x, self.test_y)
         for b in self._norm_blocks:
             b.to_csr()  # built here once, not in the first step
 
@@ -184,7 +179,7 @@ class RotatingFlowStepper(StepperBase):
             rhs_top = rhs_top + 0.5 * tau * load.ravel()
         rhs = np.concatenate([rhs_top, np.zeros(self.trial.interior_dim)])
         sol = self.factor.solve(rhs)
-        r = sol[:self.test.interior_dim].reshape(self.system.test_shape)
-        u = sol[self.test.interior_dim:].reshape(self.system.trial_shape)
+        r = sol[:self.test.interior_dim].reshape(self.test.interior_shape)
+        u = sol[self.test.interior_dim:].reshape(self.trial.interior_shape)
         self.last_residual_norms = kron_norms(r, *self._norm_blocks)
         return SolutionState(u=u, r=r, time=state.time + tau)

@@ -20,6 +20,8 @@ Three pieces:
   Locally the Gram rows eliminate the B^T rows, and both factorization and
   each solve stay O(m + n).  The merged pattern and its ``BandLayout`` are
   found once: ``refactor`` factors for new values of B on the same pattern.
+  ``solve_deferred`` gathers u at once and returns r as a function that
+  gathers it, for the callers that may not read r.
 
 * ``kron_solve`` / ``kron_matvec`` / ``kron_norms`` -- (F_split (x) A_other)^{-1},
   (Ax (x) Ay) and the L2/H1 norms of Kronecker-product inner products on
@@ -153,10 +155,15 @@ class SaddleFactor:
                 "saddle system is singular; the trial/test pair is incompatible") from exc
 
     def solve(self, F: np.ndarray):
-        """Solve [[A, B], [B^T, 0]] (r, u) = (F, 0) for F's m rows; returns (r, u).
+        """Solve [[A, B], [B^T, 0]] (r, u) = (F, 0) for F's m rows; returns (r, u)."""
+        gather_r, u = self.solve_deferred(F)
+        return gather_r(), u
+
+    def solve_deferred(self, F: np.ndarray):
+        """solve, with r returned as a function that gathers it from the solution.
 
         F's rows go straight to their interleaved places in dgbtrs's
-        Fortran-ordered right-hand side.
+        Fortran-ordered right-hand side; u's rows are gathered at once.
         """
         F = np.asarray(F, dtype=float)
         if F.shape[0] != self.m:
@@ -164,7 +171,7 @@ class SaddleFactor:
         b = np.zeros((self.m + self.n,) + F.shape[1:], order="F")
         b[self._pos[:self.m]] = F
         x = self._lu.solve(b)
-        return x[self._pos[:self.m]], x[self._pos[self.m:]]
+        return (lambda: x[self._pos[:self.m]]), x[self._pos[self.m:]]
 
 
 def kron_solve(split_factor, other_lu: BandedLU, split_axis: str,
@@ -172,15 +179,20 @@ def kron_solve(split_factor, other_lu: BandedLU, split_axis: str,
     """Apply (F_split (x) A_other)^{-1} to a grid indexed (x, y): other_lu first.
 
     ``split_factor`` acts along ``split_axis``: a BandedLU (plain Galerkin)
-    returns the grid, a SaddleFactor the grids (r, u) for rhs's m test rows.
+    returns the grid, a SaddleFactor the pair (r, u) for rhs's m test rows,
+    with r a function that gathers the grid: only a step's last r is read.
     """
     if split_axis not in ("x", "y"):
         raise ValueError("split_axis must be 'x' or 'y'")
     rhs = np.asarray(rhs, dtype=float)
-    out = split_factor.solve(other_lu.solve(rhs.T if split_axis == "x" else rhs).T)
+    other = other_lu.solve(rhs.T if split_axis == "x" else rhs).T
+    if not isinstance(split_factor, SaddleFactor):
+        out = split_factor.solve(other)
+        return out if split_axis == "x" else out.T
+    gather_r, u = split_factor.solve_deferred(other)
     if split_axis == "x":
-        return out
-    return tuple(a.T for a in out) if isinstance(out, tuple) else out.T
+        return gather_r, u
+    return (lambda: gather_r().T), u.T
 
 
 def along(a, grid: np.ndarray, axis: int) -> np.ndarray:

@@ -17,6 +17,11 @@ Each wind component is a product s(t) a(x) b(y) of 1D factors (Wind).  The
 solvers assemble 1D blocks once from the time-free factors a and b and
 scale them by s(t); the split path takes s at each step's midpoint.  All
 solvers impose homogeneous Dirichlet conditions on the full boundary.
+
+The same product type (WindComponent) carries data: a ProductSum is a sum of
+products, callable as (x, y, t).  manufactured gives its exact solution as
+one product, with the derivative factors da and db its H1 error reads, and
+its forcing as two; loads and errors of such data are made from 1D factors.
 """
 
 from __future__ import annotations
@@ -29,17 +34,54 @@ import numpy as np
 
 from .exceptions import ParameterError
 
-__all__ = ["ProblemDefinition", "Wind", "WindComponent", "manufactured",
-           "pollution", "circular_wind", "get_problem", "PROBLEMS", "wind_angle"]
+__all__ = ["ProblemDefinition", "ProductSum", "Wind", "WindComponent", "factor_values",
+           "manufactured", "pollution", "circular_wind", "get_problem", "PROBLEMS",
+           "wind_angle"]
 
 
 @dataclass(frozen=True)
 class WindComponent:
-    """One wind component s(t) a(x) b(y); a None factor is 1."""
+    """One product s(t) a(x) b(y); a None factor is 1.
+
+    The program's one product type: a wind component, or a term of a
+    ProductSum.  da and db are the derivatives of a and b, where known (the
+    derivative of a None factor is 0).
+    """
 
     s: Optional[Callable] = None
     a: Optional[Callable] = None
     b: Optional[Callable] = None
+    da: Optional[Callable] = None
+    db: Optional[Callable] = None
+
+    def scale(self, t: float) -> float:
+        return 1.0 if self.s is None else float(self.s(t))
+
+    def __call__(self, x, y, t):
+        """s(t) a(x) b(y): the t and x factors first, the y factor last."""
+        value = 1.0 if self.s is None else self.s(t)
+        if self.a is not None:
+            value = value * self.a(x)
+        return value if self.b is None else value * self.b(y)
+
+
+def factor_values(f, z: np.ndarray) -> np.ndarray:
+    """A 1D factor's values at the points z; a None factor is 1."""
+    return np.ones_like(z) if f is None else np.broadcast_to(f(z), z.shape)
+
+
+class ProductSum(tuple):
+    """A sum of WindComponent products, callable as (x, y, t) -> sum_k s_k(t) a_k(x) b_k(y).
+
+    Arguments broadcast; the value has the shape of all three broadcast.
+    """
+
+    def __call__(self, x, y, t):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
+        return sum((p(x, y, t) for p in self), np.zeros(shape))
+
+    def scales(self, t: float) -> np.ndarray:
+        return np.array([p.scale(t) for p in self])
 
 
 @dataclass(frozen=True)
@@ -70,8 +112,7 @@ class Wind:
 
     def scales(self, t: float) -> tuple[float, float]:
         """(s_x(t), s_y(t)): 1 where s is None, 0 for a missing component."""
-        return tuple(0.0 if c is None else 1.0 if c.s is None else float(c.s(t))
-                     for c in (self.x, self.y))
+        return tuple(0.0 if c is None else c.scale(t) for c in (self.x, self.y))
 
 
 @dataclass(frozen=True)
@@ -79,8 +120,10 @@ class ProblemDefinition:
     """Coefficients, data, and metadata for one benchmark.
 
     Diffusion is componentwise, each a function of its own coordinate; the
-    wind is one Wind, read by both solver paths.  forcing_support is the box
-    ((x0, x1), (y0, y1)) outside which the forcing is exactly zero, or None.
+    wind is one Wind, read by both solver paths.  The forcing is a ProductSum
+    or any callable (x, y, t); forcing_support is the box ((x0, x1), (y0, y1))
+    outside which a callable forcing is exactly zero, or None.  exact, where
+    known, is a ProductSum with derivative factors.
     """
 
     name: str
@@ -91,8 +134,7 @@ class ProblemDefinition:
     wind: Wind = Wind()
     forcing: Optional[Callable] = None
     forcing_support: Optional[tuple] = None
-    exact: Optional[Callable] = None
-    exact_grad: Optional[Callable] = None
+    exact: Optional[ProductSum] = None
 
 
 # -- manufactured -----------------------------------------------------------
@@ -100,23 +142,24 @@ class ProblemDefinition:
 _MANUFACTURED_ALPHA = 1e-2
 
 
-# Product forms: the t and x factors multiply first, the y factor last, so a
-# broadcast (n x 1, 1 x m) grid takes one full-grid multiply per output.
-
-def _manufactured_exact(x, y, t):
-    return (np.sin(np.pi * t) * np.sin(np.pi * x)) * np.sin(np.pi * y)
+def _sin_pi(z):
+    return np.sin(np.pi * z)
 
 
-def _manufactured_exact_grad(x, y, t):
-    pst = np.pi * np.sin(np.pi * t)
-    return ((pst * np.cos(np.pi * x)) * np.sin(np.pi * y),
-            (pst * np.sin(np.pi * x)) * np.cos(np.pi * y))
+def _pi_cos_pi(z):
+    return np.pi * np.cos(np.pi * z)
 
 
-def _manufactured_forcing(x, y, t):
-    st, ct = np.sin(np.pi * t), np.cos(np.pi * t)
-    return (((np.pi * ct + 2.0 * _MANUFACTURED_ALPHA * np.pi ** 2 * st) * np.sin(np.pi * x)
-             + np.pi * st * np.cos(np.pi * x)) * np.sin(np.pi * y))
+def _cos_pi(z):
+    return np.cos(np.pi * z)
+
+
+def _manufactured_forcing_scale(t):
+    return np.pi * np.cos(np.pi * t) + 2.0 * _MANUFACTURED_ALPHA * np.pi ** 2 * np.sin(np.pi * t)
+
+
+def _pi_sin_pi(t):
+    return np.pi * np.sin(np.pi * t)
 
 
 def _manufactured_initial(x, y):
@@ -128,6 +171,9 @@ def _constant_coefficient(s, value):
 
 
 def manufactured() -> ProblemDefinition:
+    """u = sin(pi t) sin(pi x) sin(pi y); the forcing u_t + u_x - alpha lap u
+    is the sum of the products (pi cos pi t + 2 alpha pi^2 sin pi t) sin pi x
+    sin pi y and pi sin pi t cos pi x sin pi y."""
     return ProblemDefinition(
         name="manufactured",
         domain=((0.0, 1.0), (0.0, 1.0)),
@@ -136,10 +182,10 @@ def manufactured() -> ProblemDefinition:
         diffusion_y=functools.partial(_constant_coefficient,
                                       value=_MANUFACTURED_ALPHA),
         wind=Wind(x=WindComponent()),
-        forcing=_manufactured_forcing,
+        forcing=ProductSum((WindComponent(_manufactured_forcing_scale, _sin_pi, _sin_pi),
+                            WindComponent(_pi_sin_pi, _cos_pi, _sin_pi))),
         initial=_manufactured_initial,
-        exact=_manufactured_exact,
-        exact_grad=_manufactured_exact_grad,
+        exact=ProductSum((WindComponent(_sin_pi, _sin_pi, _sin_pi, _pi_cos_pi, _pi_cos_pi),)),
     )
 
 

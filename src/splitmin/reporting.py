@@ -1,5 +1,8 @@
 """Run orchestration, error reporting, studies, and artifact export.
 
+Errors against a product-form exact solution are made from 1D data alone,
+with no evaluation on the 2D Gauss grid (ErrorEvaluator).
+
 Artifacts are deterministic for a fixed configuration: CSV files use
 shortest-roundtrip float formatting and fixed row orders, so two runs with
 the same config are byte-identical.  Wall-clock measurements go only to
@@ -18,11 +21,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assembly import _nq, block, mass, stiffness
+from .assembly import _nq, norm_blocks
 from .exceptions import ParameterError
 from .full2d import RotatingFlowStepper
-from .kron import OpCounter, kron_norms
-from .problems import get_problem
+from .kron import BandedLU, OpCounter, kron_norms
+from .problems import ProductSum, factor_values, get_problem
 from .splines import SplineSpace, eval_matrix, gauss_rule
 from .stepping import RunConfig, Stepper, march, spaces
 
@@ -31,7 +34,6 @@ __all__ = ["RunConfig", "ErrorRow", "ErrorEvaluator", "make_stepper", "run",
            "solution_norms"]
 
 _ZERO_NORM_GUARD = 1e-14
-_BLOCK_POINTS = 1 << 15  # Gauss points per error block: 256 kB of float64
 
 
 @dataclass(frozen=True)
@@ -47,54 +49,100 @@ def _format(value) -> str:
 
 
 class ErrorEvaluator:
-    """Relative L2/H1 errors of a coefficient grid against a closed form.
+    """Relative L2/H1 errors of a coefficient grid against a product-form solution.
 
-    Quadrature: one Gauss order above the assembly rule of the trial space,
-    summed over blocks of x rows: grid-sized temporaries cost more in page
-    faults than in arithmetic.  When the exact solution's norm vanishes at t
-    (below 1e-14), absolute norms are reported and the row is flagged relative=False.
+    The exact solution u = sum_k s_k(t) a_k(x) b_k(y) is a ProductSum; H1
+    reads the derivative factors da, db (a None factor is 1, its derivative
+    0) and is NaN where one is missing.  The norms are those of the Gauss
+    rule Q with degree+2 points per element, and no 2D grid is evaluated.
+    P, the L2 projection of each product onto the interior trial space,
+    (Pi_x a_k)(Pi_y b_k), is a pair of 1D banded solves.  It splits u - u_h
+    into eta = u - Pu and d = Pu - u_h, in the trial space:
+
+        |u - u_h|_Q^2 = s^T G s + |d|^2 + 2 <eta, d>_Q
+
+    for the L2 part and each derivative.  eta sums the products (a - Pi a) b
+    and (Pi a)(b - Pi b), or their derivatives: pointwise 1D differences, so
+    G and the cross vectors of <eta, d> are 1D integrals made once.  A call
+    forms d, its norms by kron_norms and the cross terms by one small
+    product; no term cancels.  When the exact solution's norm vanishes at t
+    (below 1e-14), absolute norms are reported, flagged relative=False.
     """
 
-    def __init__(self, trial_x: SplineSpace, trial_y: SplineSpace,
-                 exact, exact_grad=None):
-        if exact is None:
-            raise ParameterError("error evaluation requires an exact solution")
-        self.exact, self.exact_grad = exact, exact_grad
-        px, wx = gauss_rule(trial_x, _nq(trial_x.degree, trial_x.degree) + 1)
-        self.py, self.wy = gauss_rule(trial_y, _nq(trial_y.degree, trial_y.degree) + 1)
-        vx, dx = eval_matrix(trial_x, px)
-        self.vy, self.dy = eval_matrix(trial_y, self.py)
-        self._dims = (trial_x.dim, trial_y.dim)
-        rows = max(1, _BLOCK_POINTS // self.py.size)
-        # (x points as a column, x weights, basis rows, derivative rows)
-        self._blocks = [(px[s:s + rows, None], wx[s:s + rows], vx[s:s + rows],
-                         dx[s:s + rows]) for s in range(0, px.size, rows)]
-
-    def _squares(self, exact, wx, values) -> tuple[float, float]:
-        """Integrals of (exact - values)^2 and exact^2 over a block; overwrites values."""
-        exact = np.broadcast_to(np.asarray(exact, dtype=float), values.shape)
-        np.square(np.subtract(exact, values, out=values), out=values)
-        return wx @ values @ self.wy, wx @ np.square(exact) @ self.wy
+    def __init__(self, trial_x: SplineSpace, trial_y: SplineSpace, exact):
+        if not isinstance(exact, ProductSum):
+            raise ParameterError("error evaluation requires an exact solution in "
+                                 "product form")
+        if min(trial_x.dim, trial_y.dim) < 3:
+            raise ParameterError("error evaluation needs an interior basis function "
+                                 "in each direction")
+        self.exact = exact
+        self._blocks = norm_blocks(trial_x, trial_y)
+        (wx, ax, xs), (wy, by, ys) = (
+            _projections(space, factors, m) for space, factors, m in (
+                (trial_x, [(p.a, p.da) for p in exact], self._blocks[0]),
+                (trial_y, [(p.b, p.db) for p in exact], self._blocks[1])))
+        self._coefs = (ax, by)
+        # (x, y) derivative orders of the L2 part and of the d/dx, d/dy parts
+        orders = ((0, 0),) + (((1, 0), (0, 1)) if xs[1] and ys[1] else ())
+        grams, refs, cross_x, cross_y = [], [], [], []
+        for ox, oy in orders:
+            (f, ef, pf, vx), (g, eg, pg, vy) = xs[ox], ys[oy]
+            # eta's x and y factors, stacked: (f - Pi f) g + (Pi f)(g - Pi g)
+            ex, ey = np.vstack([ef, pf]), np.vstack([g, eg])
+            grams.append(((ex * wx) @ ex.T) * ((ey * wy) @ ey.T))
+            refs.append(((f * wx) @ f.T) * ((g * wy) @ g.T))
+            cross_x.append((vx.T @ (ex * wx).T).T)
+            cross_y.append((vy.T @ (ey * wy).T).T)
+        self._grams, self._refs = np.array(grams), np.array(refs)
+        self._cross = (np.vstack(cross_x), np.vstack(cross_y))
 
     def errors(self, u_grid: np.ndarray, t: float) -> ErrorRow:
-        u = np.zeros(self._dims)
-        u[1:-1, 1:-1] = u_grid
-        # u through the y basis and its derivative at the y Gauss points
-        uy, duy = (np.ascontiguousarray((m @ u.T).T) for m in (self.vy, self.dy))
-        Y = self.py[None, :]
-        sums = np.zeros((3, 2))  # (error, reference) of u, d/dx u, d/dy u
-        sums[1:] = 0.0 if self.exact_grad is not None else np.nan
-        for X, wx, vx, dx in self._blocks:
-            sums[0] += self._squares(self.exact(X, Y, t), wx, vx @ uy)
-            if self.exact_grad is not None:
-                gx, gy = self.exact_grad(X, Y, t)
-                sums[1] += self._squares(gx, wx, dx @ uy)
-                sums[2] += self._squares(gy, wx, vx @ duy)
-        (l2_err, l2_ref), (h1_err, h1_ref) = np.sqrt(sums[0]), np.sqrt(sums.sum(axis=0))
+        s = self.exact.scales(t)
+        s2 = np.concatenate([s, s])
+        ax, by = self._coefs
+        d = (ax.T * s) @ by - u_grid
+        cx, cy = self._cross
+        cross = np.einsum("rj,rj->r", cx @ d, cy).reshape(len(self._grams), -1) @ s2
+        parts = np.einsum("i,cij,j->c", s2, self._grams, s2) + 2.0 * cross
+        refs = np.einsum("i,cij,j->c", s, self._refs, s)
+        err = np.array([parts[0], parts.sum()]) + np.square(kron_norms(d, *self._blocks))
+        ref = np.array([refs[0], refs.sum()])
+        if len(parts) == 1:  # no derivative factors: no H1 norm
+            err[1] = ref[1] = np.nan
+        (l2_err, h1_err), (l2_ref, h1_ref) = np.sqrt(np.maximum(err, 0.0)), np.sqrt(ref)
         if l2_ref < _ZERO_NORM_GUARD:
             return ErrorRow(t, float(l2_err), float(h1_err), relative=False)
         return ErrorRow(t, float(100.0 * l2_err / l2_ref),
                         float(100.0 * h1_err / h1_ref), relative=True)
+
+
+def _projections(space: SplineSpace, factors, mass_block):
+    """One direction's factors f_k and their L2 projections Pi f_k onto the
+    interior space, at the points of the error rule.
+
+    factors are (f, df) pairs.  Returns the weights, Pi f's coefficients
+    (K, n) and, for derivative orders 0 and 1, (f, f - Pi f, Pi f, interior
+    basis): values (K, points) and basis (points, n).  Pi f is summed, and
+    f - Pi f formed, in extended precision: f - Pi f keeps only the digits
+    that f and Pi f do not share.  The order-1 entry is None when a df is
+    missing for a factor that is not None.
+    """
+    points, w = gauss_rule(space, _nq(space.degree, space.degree) + 1)
+    full = eval_matrix(space, points)  # degree+1 entries per row
+    f = np.array([factor_values(a, points) for a, _ in factors])
+    coefs = np.zeros((space.dim, len(factors)))
+    coefs[1:-1] = BandedLU(mass_block).solve(full[0][:, 1:-1].T @ (f * w).T)
+    rows = [f]
+    if all(a is None or da is not None for a, da in factors):
+        rows.append(np.array([np.zeros_like(points) if a is None else factor_values(da, points)
+                              for a, da in factors]))
+    out = [None, None]
+    for order, (values, b) in enumerate(zip(rows, full)):
+        local = b.data.reshape(points.size, -1).astype(np.longdouble)
+        proj = np.einsum("qi,qik->kq", local, coefs[b.indices.reshape(local.shape)])
+        out[order] = (values, (values - proj).astype(float), proj.astype(float), b[:, 1:-1])
+    return w, coefs[1:-1].T, out
 
 
 def make_stepper(problem, config: RunConfig, counter: OpCounter | None = None):
@@ -130,8 +178,7 @@ def run(config: RunConfig):
 
     evaluator = None
     if problem.exact is not None:
-        evaluator = ErrorEvaluator(trial_x, trial_y, problem.exact,
-                                   problem.exact_grad)
+        evaluator = ErrorEvaluator(trial_x, trial_y, problem.exact)
 
     error_rows, residual_rows = [], []
 
@@ -240,8 +287,7 @@ def convergence_study(config: RunConfig, taus: Sequence[float],
     trial_x, trial_y = spaces(problem.domain, config.mesh, config.trial)
     points = {}
     if reference == "exact":
-        evaluator = ErrorEvaluator(trial_x, trial_y, problem.exact,
-                                   problem.exact_grad)
+        evaluator = ErrorEvaluator(trial_x, trial_y, problem.exact)
         t_final = config.t0 + horizon
         for scheme in schemes:
             for tau in taus:
@@ -391,6 +437,4 @@ def solution_norms(u_grid: np.ndarray, trial_x: SplineSpace,
     Exact for the discrete field: the squares are u^T (Mx (x) My) u and that
     plus u^T (Kx (x) My + Mx (x) Ky) u.
     """
-    mx, my = block(mass, trial_x, trial_x), block(mass, trial_y, trial_y)
-    return kron_norms(u_grid, mx, my, mx + block(stiffness, trial_x, trial_x),
-                      my + block(stiffness, trial_y, trial_y))
+    return kron_norms(u_grid, *norm_blocks(trial_x, trial_y))

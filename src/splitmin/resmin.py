@@ -20,13 +20,14 @@ included: each wind component is s(t) times a time-free factor, so the blocks
 are assembled once from the factors.  set_wind only forms values for the
 scalars s_x(t), s_y(t), on nonzero patterns and a saddle layout fixed at
 set-up, and refactors.  The split stepper takes the wind at each step's
-midpoint.  Loads of a forcing with a declared support box read only the
-Gauss points inside it.
+midpoint.  A forcing in product form loads as a sum of outer products of 1D
+loads made once; any other forcing is evaluated on the Gauss grid, and with
+a declared support box only at the Gauss points inside it.  A substep
+gathers its residual representative r from the saddle solution only when r
+is read, which a step does for its last substep alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,28 +36,40 @@ from .exceptions import ParameterError
 from .banded import common_entries, csr
 from .kron import (BandedLU, BandLayout, OpCounter, SaddleFactor, kron_matvec, kron_norms,
                    kron_solve, x_first_cheaper)
+from .problems import ProductSum, factor_values
 from .splines import SplineSpace, eval_matrix, gauss_rule
 
 __all__ = ["SolutionState", "DirectionalOperator", "LoadAssembler",
            "build_directional", "substep", "residual_norms"]
 
 
-@dataclass
 class SolutionState:
-    """Interior trial coefficients, optional residual representative, time."""
+    """Interior trial coefficients u, residual representative r or None, time.
 
-    u: np.ndarray
-    r: np.ndarray | None = None
-    time: float = 0.0
+    r may be given as a function of no arguments, called on the first read
+    of r: a substep's r that nothing reads is never gathered.
+    """
+
+    def __init__(self, u: np.ndarray, r=None, time: float = 0.0):
+        self.u, self._r, self.time = u, r, time
+
+    @property
+    def r(self) -> np.ndarray | None:
+        if callable(self._r):
+            self._r = self._r()
+        return self._r
 
 
 class LoadAssembler:
     """Caches quadrature data for load grids  L[k,l] = (f(.,.,t), phi_k psi_l).
 
-    The cheaper contraction order is fixed on the full grids, and f evaluated
-    in the orientation it reads.  A load given the box outside which f is
-    zero reads only the Gauss points inside it, in that order, bit for bit
-    the full-grid load; px and py stay the full grids.
+    A ProductSum forcing sum_k s_k(t) a_k(x) b_k(y) loads as
+    sum_k s_k(t) (Wx a_k)(Wy b_k)^T, with W the weighted basis at the Gauss
+    points: the 1D loads Wx a_k and Wy b_k are made on its first load and
+    kept.  Any other callable is evaluated on the Gauss grid, in the
+    orientation the cheaper contraction order reads; given the box outside
+    which f is zero, it reads only the Gauss points inside it, bit for bit
+    the full-grid load.  px and py stay the full grids.
     """
 
     def __init__(self, space_x: SplineSpace, space_y: SplineSpace):
@@ -65,8 +78,20 @@ class LoadAssembler:
         wx_t, wy_t = wx.T.tocsr(), wy.T  # basis x points; a transposed CSR is a CSC
         self._x_first = x_first_cheaper(wx_t, wy_t)
         self._cuts = {None: (self.px, wx_t, self.py, wy_t)}
+        self._products = {}
 
     def load(self, f, t: float, support=None) -> np.ndarray:
+        if isinstance(f, ProductSum):
+            if support is not None:
+                raise ParameterError("a product forcing is loaded whole; it takes no "
+                                     f"support box, got {support!r}")
+            if f not in self._products:
+                px, wx_t, py, wy_t = self._cuts[None]
+                self._products[f] = tuple(
+                    np.array([(w @ factor_values(getattr(p, name), points))[1:-1] for p in f])
+                    for name, points, w in (("a", px, wx_t), ("b", py, wy_t)))
+            ax, by = self._products[f]
+            return (ax.T * f.scales(t)) @ by
         if support not in self._cuts:
             ix, iy = (slice(np.searchsorted(p, lo), np.searchsorted(p, hi, side="right"))
                       for p, (lo, hi) in zip((self.px, self.py), support))
@@ -190,7 +215,8 @@ def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace
 
 def substep(op: DirectionalOperator, rhs_grid: np.ndarray) -> SolutionState:
     """Solve one substep for the tested load grid (m test rows in the split
-    direction), the other direction's mass first; returns (u, r)."""
+    direction), the other direction's mass first; returns (u, r), with r
+    gathered from the saddle solution only when it is read."""
     out = kron_solve(op.split_factor, op.other_lu, op.direction, rhs_grid)
     return SolutionState(u=out[1], r=out[0]) if op.stabilized else SolutionState(u=out)
 

@@ -14,7 +14,7 @@ from splitmin.assembly import _nq
 from splitmin.cli import main
 from splitmin.exceptions import NonFiniteStateError, ParameterError
 from splitmin.full2d import RotatingFlowStepper
-from splitmin.problems import get_problem, manufactured
+from splitmin.problems import ProductSum, WindComponent, get_problem, manufactured
 from splitmin.reporting import (ErrorEvaluator, RunConfig, convergence_study,
                                 export_field, full_dof_count, run,
                                 sample_field, solution_norms, timing_study)
@@ -30,7 +30,7 @@ def _unit_spaces(n=8, degree=2, continuity=1):
 def test_zero_field_scores_hundred_percent():
     problem = get_problem("manufactured")
     tx, ty = _unit_spaces()
-    ev = ErrorEvaluator(tx, ty, problem.exact, problem.exact_grad)
+    ev = ErrorEvaluator(tx, ty, problem.exact)
     row = ev.errors(np.zeros((tx.dim - 2, ty.dim - 2)), t=0.5)
     assert row.relative
     assert row.l2_percent == pytest.approx(100.0)
@@ -40,21 +40,39 @@ def test_zero_field_scores_hundred_percent():
 def test_vanishing_exact_norm_switches_to_absolute():
     problem = get_problem("manufactured")
     tx, ty = _unit_spaces()
-    ev = ErrorEvaluator(tx, ty, problem.exact, problem.exact_grad)
+    ev = ErrorEvaluator(tx, ty, problem.exact)
     row = ev.errors(np.zeros((tx.dim - 2, ty.dim - 2)), t=0.0)
     assert not row.relative
     assert row.l2_percent == pytest.approx(0.0, abs=1e-14)
 
 
+def _gradient(exact):
+    """(x, y, t) -> the gradient of a ProductSum from its derivative factors,
+    or None when a factor has no derivative; a None factor is 1."""
+    def one(f, z):
+        return 1.0 if f is None else f(z)
+
+    def zero_or(f, df, z):
+        return 0.0 if f is None else df(z)
+
+    if any((p.a is not None and p.da is None) or (p.b is not None and p.db is None)
+           for p in exact):
+        return None
+    return lambda x, y, t: (
+        sum(p.scale(t) * zero_or(p.a, p.da, x) * one(p.b, y) for p in exact),
+        sum(p.scale(t) * one(p.a, x) * zero_or(p.b, p.db, y) for p in exact))
+
+
 class DenseErrorEvaluator:
     """ErrorEvaluator's rows through dense (points, dim) basis matrices.
 
-    Same Gauss rule; u_h and its gradient are dense grid products and the
-    squares are summed against the tensor weights w_x w_y^T.
+    Same Gauss rule; the exact solution, its gradient, u_h and u_h's
+    gradient are evaluated on the whole grid, and the squares are summed
+    against the tensor weights w_x w_y^T.
     """
 
-    def __init__(self, trial_x, trial_y, exact, exact_grad=None):
-        self.exact, self.exact_grad = exact, exact_grad
+    def __init__(self, trial_x, trial_y, exact):
+        self.exact, self.exact_grad = exact, _gradient(exact)
         px, wx = gauss_rule(trial_x, _nq(trial_x.degree, trial_x.degree) + 1)
         py, wy = gauss_rule(trial_y, _nq(trial_y.degree, trial_y.degree) + 1)
         self.vx, self.dx = (m.toarray()[:, 1:-1] for m in eval_matrix(trial_x, px))
@@ -82,12 +100,15 @@ class DenseErrorEvaluator:
                 100.0 * np.sqrt(h1_err2 / h1_ref2), True)
 
 
-_EXACT = (  # (exact, exact_grad): with a gradient, without one, vanishing
-    (lambda x, y, t: np.sin(2.0 * x) * np.cos(y) * np.exp(-t) + 0.5,
-     lambda x, y, t: (2.0 * np.cos(2.0 * x) * np.cos(y) * np.exp(-t),
-                      -np.sin(2.0 * x) * np.sin(y) * np.exp(-t))),
-    (lambda x, y, t: x * y * (1.0 + t), None),
-    (lambda x, y, t: 0.0, lambda x, y, t: (0.0, 0.0)),
+_EXACT = (
+    # a sum of two products, 0.5 on the boundary, with derivative factors
+    ProductSum((WindComponent(lambda t: np.exp(-t), lambda x: np.sin(2.0 * x), np.cos,
+                              lambda x: 2.0 * np.cos(2.0 * x), lambda y: -np.sin(y)),
+                WindComponent(lambda t: 0.5))),
+    # without derivative factors: H1 is NaN
+    ProductSum((WindComponent(lambda t: 1.0 + t, lambda x: x, lambda y: y),)),
+    # vanishing at every t: absolute norms
+    ProductSum((WindComponent(lambda t: 0.0 * t, np.sin, np.sin, np.cos, np.cos),)),
 )
 
 
@@ -95,30 +116,54 @@ _EXACT = (  # (exact, exact_grad): with a gradient, without one, vanishing
 def _error_cases(draw):
     p = draw(st.integers(0, 4))
     c = draw(st.integers(-1, p - 1))
-    mesh = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    # at least one interior function: dim = n (p - c) + c + 1 >= 3
+    mesh = (draw(st.integers(max(1, 3 - p), 12)), draw(st.integers(max(1, 3 - p), 12)))
     intervals = ((x0 := draw(st.floats(-2.0, 2.0)), x0 + draw(st.floats(0.5, 1.5))),
                  (y0 := draw(st.floats(-2.0, 2.0)), y0 + draw(st.floats(2.0, 4.0))))
     tx, ty = (make_space(p, c, n, iv) for n, iv in zip(mesh, intervals))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    u = rng.standard_normal((max(tx.dim - 2, 0), max(ty.dim - 2, 0)))
+    u = rng.standard_normal((tx.dim - 2, ty.dim - 2))
     return tx, ty, draw(st.sampled_from(_EXACT)), u, draw(st.floats(0.0, 2.0))
 
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(_error_cases())
 def test_errors_match_dense_evaluation_on_random_spaces(case):
-    tx, ty, (exact, exact_grad), u, t = case
-    row = ErrorEvaluator(tx, ty, exact, exact_grad).errors(u, t)
-    l2, h1, relative = DenseErrorEvaluator(tx, ty, exact, exact_grad).errors(u, t)
+    tx, ty, exact, u, t = case
+    row = ErrorEvaluator(tx, ty, exact).errors(u, t)
+    l2, h1, relative = DenseErrorEvaluator(tx, ty, exact).errors(u, t)
     assert row.t == t and row.relative == relative
     np.testing.assert_allclose([row.l2_percent, row.h1_percent], [l2, h1],
                                rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n,trial", [(8, (2, 1)), (32, (2, 1)), (16, (3, 2)), (6, (4, 0))])
+def test_errors_match_dense_evaluation_near_the_exact_solution(n, trial):
+    # u_h the projection of u: relative errors of 1e-2 down to 1e-7, where
+    # the pointwise differences of both evaluators cancel most digits
+    problem = get_problem("manufactured")
+    tx, ty = _unit_spaces(n, *trial)
+    for t in (0.3, 1.1):
+        u = project_initial(lambda x, y: problem.exact(x, y, t), tx, ty).u
+        row = ErrorEvaluator(tx, ty, problem.exact).errors(u, t)
+        l2, h1, relative = DenseErrorEvaluator(tx, ty, problem.exact).errors(u, t)
+        assert row.relative and relative
+        np.testing.assert_allclose([row.l2_percent, row.h1_percent], [l2, h1],
+                                   rtol=1e-10, atol=0.0)
 
 
 def test_error_evaluator_requires_exact_solution():
     tx, ty = _unit_spaces()
     with pytest.raises(ParameterError):
         ErrorEvaluator(tx, ty, None)
+    with pytest.raises(ParameterError, match="product form"):
+        ErrorEvaluator(tx, ty, lambda x, y, t: x * y)
+    # a space of one or two functions has no interior function once the
+    # Dirichlet ones are eliminated
+    for degree, n in ((0, 2), (1, 1)):
+        with pytest.raises(ParameterError, match="interior"):
+            ErrorEvaluator(make_space(degree, degree - 1, n, (0.0, 1.0)), ty,
+                           get_problem("manufactured").exact)
 
 
 def test_projected_exact_solution_scores_small_error():
@@ -127,7 +172,7 @@ def test_projected_exact_solution_scores_small_error():
     t = 0.7
     state = project_initial(lambda x, y: problem.exact(x, y, t), tx, ty)
     state.time = t
-    row = ErrorEvaluator(tx, ty, problem.exact, problem.exact_grad).errors(state.u, state.time)
+    row = ErrorEvaluator(tx, ty, problem.exact).errors(state.u, state.time)
     assert row.relative
     assert row.l2_percent < 0.05
     assert row.h1_percent < 1.0

@@ -4,6 +4,8 @@ The oracle is a dense assembled 2D block solve of the same saddle system;
 loads are checked against the contraction with dense basis matrices.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,11 @@ from splitmin.acceptance import _dense_substep
 from splitmin.assembly import advection, block
 from splitmin.exceptions import ParameterError
 from splitmin.kron import BandedLU, BandLayout, OpCounter
-from splitmin.problems import Wind, WindComponent, pollution
+from splitmin.problems import ProductSum, Wind, WindComponent, manufactured, pollution
 from splitmin.resmin import (LoadAssembler, build_directional, residual_norms,
                              substep)
 from splitmin.splines import eval_matrix, gauss_rule, make_space
+from splitmin.stepping import RunConfig, Stepper
 
 from helpers import saddle_factor
 
@@ -364,6 +367,41 @@ def test_load_matches_dense_contraction_on_random_spaces(case, swapped):
     got, ref = loads.load(f, t), _dense_load(sx, sy, f, t)
     assert got.shape == ref.shape == (max(sx.dim - 2, 0), max(sy.dim - 2, 0))
     assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * np.max(np.abs(ref), initial=0.0)
+
+
+_PRODUCT_FORCINGS = (
+    ProductSum((WindComponent(lambda t: 1.0 + t, lambda x: np.sin(3.0 * x),
+                              lambda y: 1.0 + y * y),)),
+    # None factors are 1; the second product has no x or t factor
+    ProductSum((WindComponent(np.cos, np.exp, np.sin), WindComponent(b=lambda y: y - 0.5))),
+)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_load_cases(), st.sampled_from(_PRODUCT_FORCINGS), st.booleans())
+def test_product_load_matches_gauss_grid_load(case, products, swapped):
+    sx, sy, _, t = case
+    if swapped:  # trial space in x, test space in y, as a y substep loads
+        sx, sy = sy, sx
+    loads = LoadAssembler(sx, sy)
+    got = loads.load(products, t)
+    # the same data as a plain callable takes the Gauss-grid path
+    ref = loads.load(lambda x, y, t: products(x, y, t), t)
+    assert got.shape == ref.shape == (max(sx.dim - 2, 0), max(sy.dim - 2, 0))
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0)
+    # the 1D loads are kept: a second time reads them
+    assert np.array_equal(loads.load(products, t), got)
+
+
+def test_product_forcing_rejects_a_support_box():
+    sx = make_space(2, 1, 4, (0.0, 1.0))
+    loads = LoadAssembler(sx, sx)
+    with pytest.raises(ParameterError, match="support"):
+        loads.load(_PRODUCT_FORCINGS[0], 0.0, ((0.0, 0.5), (0.0, 0.5)))
+    problem = dataclasses.replace(manufactured(), forcing_support=((0.0, 0.5), (0.0, 0.5)))
+    stepper = Stepper(problem, RunConfig(mesh=(4, 4), n_steps=1))
+    with pytest.raises(ParameterError, match="support"):
+        stepper.step(stepper.initial_state())
 
 
 def _pollution_load_spaces(n):

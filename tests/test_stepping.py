@@ -87,8 +87,8 @@ def test_forced_run_tracks_exact_solution():
     for _, state in march(stepper, config.n_steps):
         pass
     assert state.time == pytest.approx(0.1)
-    row = ErrorEvaluator(stepper.trial_x, stepper.trial_y, problem.exact,
-                         problem.exact_grad).errors(state.u, state.time)
+    row = ErrorEvaluator(stepper.trial_x, stepper.trial_y,
+                         problem.exact).errors(state.u, state.time)
     assert row.relative
     assert row.l2_percent < 0.05
     assert row.h1_percent < 0.5
@@ -305,8 +305,8 @@ def test_unsteady_wind_keeps_second_order(scheme):
         return stepper, state
 
     stepper, ref = final(taus[-1] / 8.0)
-    row = ErrorEvaluator(stepper.trial_x, stepper.trial_y, problem.exact,
-                         problem.exact_grad).errors(ref.u, ref.time)
+    row = ErrorEvaluator(stepper.trial_x, stepper.trial_y,
+                         problem.exact).errors(ref.u, ref.time)
     assert row.l2_percent < 0.05  # the forcing matches the moving wind
     errs = [solution_norms(final(tau)[1].u - ref.u, stepper.trial_x,
                            stepper.trial_y)[0] for tau in taus]
@@ -328,3 +328,23 @@ def test_non_separable_problem_rejected_by_split_stepper():
     with pytest.raises(ParameterError):
         Stepper(problem, RunConfig(mesh=(8, 8), trial=(4, 3), test=(5, 0),
                                    tau=0.1, n_steps=1))
+
+
+@pytest.mark.parametrize("trial,test", [((1, 0), (2, 0)), ((2, 1), (3, 0))])
+def test_spatial_orders_at_a_small_time_step(trial, test):
+    """Refining the mesh at tau = 0.0025 (strang-cn, horizon 0.5): successive
+    L2 orders at least p + 0.75 and H1 orders at least p - 0.25."""
+    problem = get_problem("manufactured")
+    rows = []
+    for n in (8, 16, 32):
+        config = RunConfig(mesh=(n, n), trial=trial, test=test, scheme="strang-cn",
+                           tau=0.0025, n_steps=200)
+        stepper = Stepper(problem, config)
+        for _, state in march(stepper, config.n_steps):
+            pass
+        rows.append(ErrorEvaluator(stepper.trial_x, stepper.trial_y,
+                                   problem.exact).errors(state.u, state.time))
+    p = trial[0]
+    for coarse, fine in zip(rows, rows[1:]):
+        assert np.log2(coarse.l2_percent / fine.l2_percent) >= p + 0.75
+        assert np.log2(coarse.h1_percent / fine.h1_percent) >= p - 0.25
