@@ -389,7 +389,7 @@ def test_product_load_matches_gauss_grid_load(case, products, swapped):
     ref = loads.load(lambda x, y, t: products(x, y, t), t)
     assert got.shape == ref.shape == (max(sx.dim - 2, 0), max(sy.dim - 2, 0))
     assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0)
-    # the 1D loads are kept: a second time reads them
+    # a second load reads the kept 1D loads
     assert np.array_equal(loads.load(products, t), got)
 
 
