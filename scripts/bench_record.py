@@ -21,6 +21,11 @@ repository:
   the size of ``manufactured-split``'s saddle (n = 511, lb = ub = 6, 128
   right-hand-side columns), in microseconds.  The kernel never changes, so
   a shift in its time is a shift of the host, not of the code;
+- per workload, the layer figures of one traced run per checkout
+  (``--trace 1``), made after all untraced runs, under ``layers``: each
+  layer's calls, self time and work count per round, the counted
+  ``kron.solve_ops`` and ``kron.factor_ops``, ``kron.solve.ns_per_op`` and
+  the tracing overhead, each the median over the run's traced rounds;
 - the host's CPU model (``model name`` in ``/proc/cpuinfo``, else
   ``platform.processor()``) and processor count, the Python, numpy and scipy
   versions, and the checkout's git SHA, with ``-dirty`` when its tree has
@@ -92,11 +97,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
 
 
-def one_run(checkout: Path, workload: str, seconds: float) -> dict:
-    """One untraced run: its last output line, or an incorrect record on failure."""
+def one_run(checkout: Path, workload: str, seconds: float, trace: int = 0) -> dict:
+    """One run: its last output line, or an incorrect record on failure."""
     # the workloads have no random inputs: the seed only names trace files
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", "1", "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", "1", "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -160,13 +165,22 @@ def main(argv=None) -> int:
                       f"{json.dumps({k: v['value'] for k, v in record['metrics'].items()})}",
                       file=sys.stderr)
 
+    layers = {label: {} for label, _ in sides}
+    for workload in workloads:
+        for label, checkout in sides:
+            record = one_run(checkout, workload, seconds, trace=1)
+            layers[label][workload] = {"correct": record["correct"],
+                                       "metrics": record["metrics"]}
+            print(f"traced {workload} {label}: correct={record['correct']}", file=sys.stderr)
+
     host = {"cpu_model": cpu_model(), "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__}
     for label, _ in sides:
         out = {"label": label, "git_sha": shas[label], **host,
                "seconds": seconds,
-               "workloads": {w: summary(results[label][w], end_to_end)
+               "workloads": {w: {**summary(results[label][w], end_to_end),
+                                 "layers": layers[label][w]}
                              for w in workloads}}
         path = ROOT / f"BENCH_{label}.json"
         path.write_text(json.dumps(out, indent=2) + "\n")

@@ -32,14 +32,24 @@ def _nq(p_trial: int, p_test: int) -> int:
     return (p_trial + p_test + 1) // 2 + 1  # ceil((p+q)/2) + 1
 
 
+def _table(space: SplineSpace, nq: int, tables):
+    """element_table(space, nq), kept in the dict ``tables`` when one is given."""
+    if tables is None:
+        return element_table(space, nq)
+    key = (space.degree, space.continuity, space.n_elements, space.interval, nq)
+    if key not in tables:
+        tables[key] = element_table(space, nq)
+    return tables[key]
+
+
 def _assemble(trial: SplineSpace, test: SplineSpace, coefficient,
-              trial_deriv: bool, test_deriv: bool) -> BandedMatrix:
+              trial_deriv: bool, test_deriv: bool, tables=None) -> BandedMatrix:
     if trial.interval != test.interval or trial.n_elements != test.n_elements:
         raise ParameterError(
             f"trial and test spaces must share one mesh: {trial.n_elements} "
             f"elements on {trial.interval} vs {test.n_elements} on {test.interval}")
     nq = _nq(trial.degree, test.degree)
-    t, s = element_table(trial, nq), element_table(test, nq)
+    t, s = _table(trial, nq, tables), _table(test, nq, tables)
     if coefficient is None:
         coefficient = 1.0
     c = coefficient(t.points) if callable(coefficient) else coefficient
@@ -52,22 +62,26 @@ def _assemble(trial: SplineSpace, test: SplineSpace, coefficient,
     return BandedMatrix.from_entries(rows[:, :, None], cols[:, None, :], local,
                                      (test.dim, trial.dim))
 
-def mass(trial: SplineSpace, test: SplineSpace, weight=None) -> BandedMatrix:
-    return _assemble(trial, test, weight, False, False)
+def mass(trial: SplineSpace, test: SplineSpace, weight=None, tables=None) -> BandedMatrix:
+    return _assemble(trial, test, weight, False, False, tables)
 
 
-def stiffness(trial: SplineSpace, test: SplineSpace, diffusion=None) -> BandedMatrix:
-    return _assemble(trial, test, diffusion, True, True)
+def stiffness(trial: SplineSpace, test: SplineSpace, diffusion=None,
+              tables=None) -> BandedMatrix:
+    return _assemble(trial, test, diffusion, True, True, tables)
 
 
-def advection(trial: SplineSpace, test: SplineSpace, velocity=None) -> BandedMatrix:
-    return _assemble(trial, test, velocity, True, False)
+def advection(trial: SplineSpace, test: SplineSpace, velocity=None,
+              tables=None) -> BandedMatrix:
+    return _assemble(trial, test, velocity, True, False, tables)
 
 
-def block(kind, trial: SplineSpace, test: SplineSpace, coefficient=None) -> BandedMatrix:
+def block(kind, trial: SplineSpace, test: SplineSpace, coefficient=None,
+          tables=None) -> BandedMatrix:
     """kind(trial, test, coefficient) with the Dirichlet functions eliminated:
-    the test x trial interior block."""
-    return kind(trial, test, coefficient).interior()
+    the test x trial interior block.  Blocks built with one dict ``tables``
+    share the element tables of equal spaces."""
+    return kind(trial, test, coefficient, tables).interior()
 
 
 def norm_blocks(space_x: SplineSpace, space_y: SplineSpace):

@@ -13,29 +13,34 @@ Three pieces:
 
       [[A, B], [B^T, 0]] (r, u) = (F, 0)
 
-  with A the m x m SPD test Gram and B the m x n trial-to-test block.  Test
-  and trial unknowns are interleaved by their 1D position (Gram unknown first
-  on ties) so the block system becomes ONE banded matrix of size m+n with
-  bandwidth independent of the mesh; a single banded LU then factors it.
-  Locally the Gram rows eliminate the B^T rows, and both factorization and
-  each solve stay O(m + n).  The merged pattern and its ``BandLayout`` are
-  found once: ``refactor`` factors for new values of B on the same pattern.
+  with A the m x m SPD test Gram and B the m x n trial-to-test block.  The
+  test functions supported in a single element are condensed out first
+  (static condensation; their Gram block is block-diagonal by element).
+  The kept test and the trial unknowns are interleaved by their 1D position
+  (Gram unknown first on ties), so the condensed system is ONE banded
+  matrix with bandwidth independent of the mesh, which a single banded LU
+  factors; factorization and each solve stay O(m + n).  Its pattern, band
+  layout and the terms of its entries are found once: ``refactor`` forms
+  the entries for new values of B on the same pattern and factors.
   ``solve_deferred`` gathers u at once and returns r as a function that
   gathers it, for the callers that may not read r.
 
-* ``kron_solve`` / ``kron_matvec`` / ``kron_norms`` -- (F_split (x) A_other)^{-1},
-  (Ax (x) Ay) and the L2/H1 norms of Kronecker-product inner products on
-  coefficient grids indexed (x, y), never materializing a Kronecker product.
-  A solve runs the other direction first: a saddle's right-hand side [F; 0]
-  has zero trial rows, so A_other^{-1} acts on the m test rows only.  A
-  product contracts its cheaper axis first.
+* ``kron_solve`` / ``kron_matvec`` / ``kron_norms`` -- the split direction's
+  solve, (Ax (x) Ay) and the L2/H1 norms of Kronecker-product inner
+  products on coefficient grids indexed (x, y), never materializing a
+  Kronecker product.  A substep's whole solve is (S^-1 (x) M^-1); as
+  (S^-1 (x) M^-1)(P (x) Q) = S^-1 P (x) M^-1 Q, its caller divides by the
+  other direction's M (``solve_along``) on whichever grid is smallest, and
+  ``kron_solve`` applies S^-1 alone.  A product contracts its cheaper axis
+  first.
 
 Every factorization and solve adds its floating-point work to an
 ``OpCounter``; counted operations, not wall clock, are the cost metric the
 linear-complexity checks assert on.  The banded LU's counts are structural
 closed forms in n, the bandwidths and the number of right-hand-side columns:
 the operations of the row-by-row band elimination, which never depend on
-the values.
+the values.  A sparse product of the condensation counts 2 nnz operations
+per right-hand-side column.
 """
 
 from __future__ import annotations
@@ -43,11 +48,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .banded import BandedMatrix
+from .banded import BandedMatrix, csr
 from .exceptions import SingularMatrixError
 
-__all__ = ["OpCounter", "BandLayout", "BandedLU", "SaddleFactor", "kron_solve", "kron_matvec",
-           "kron_norms", "along", "x_first_cheaper"]
+__all__ = ["OpCounter", "BandLayout", "BandedLU", "SaddleFactor", "kron_solve", "solve_along",
+           "kron_matvec", "kron_norms", "along", "x_first_cheaper"]
 
 
 class OpCounter:
@@ -63,15 +68,17 @@ class OpCounter:
 
 
 class BandLayout:
-    """Where a fixed square pattern goes in dgbtrf's band storage, and its op counts.
+    """Where a -1 square pattern goes in dgbtrf's band storage, and its op counts.
 
-    The bandwidths are the pattern's own: its extreme diagonal offsets.
+    The bandwidths are the pattern's own: its extreme diagonal offsets.  A
+    position may repeat: ``fill`` sums its values.
     """
 
     def __init__(self, rows, cols, n: int):
         lb, ub = int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
         self.n, self.lb, self.ub = n, lb, ub
-        self._slots = (lb + ub + rows - cols, cols)
+        self._height = 2 * lb + ub + 1
+        self._flat = lb + ub + rows - cols + self._height * cols  # in the Fortran-ordered array
         # rows below the pivot at each step, and entries of U right of the
         # diagonal, which row swaps widen by lb
         below = np.minimum(lb, np.arange(n)[::-1])
@@ -81,10 +88,10 @@ class BandLayout:
                                         + np.count_nonzero(right) + n)
 
     def fill(self, vals) -> np.ndarray:
-        """ab[lb + ub + i - j, j] = A[i, j]; the lb rows on top take the row swaps' fill-in."""
-        ab = np.zeros((2 * self.lb + self.ub + 1, self.n), order="F")
-        ab[self._slots] = vals
-        return ab
+        """ab[lb + ub + i - j, j] = A[i, j], the values at a repeated position
+        summed; the lb rows on top take the row swaps' fill-in."""
+        ab = np.bincount(self._flat, vals, self._height * self.n)
+        return ab.reshape(self.n, self._height).T
 
 
 class BandedLU:
@@ -122,34 +129,98 @@ class BandedLU:
 
 
 class SaddleFactor:
-    """Banded factorization of [[A, B], [B^T, 0]] via positional interleaving.
+    """Banded factorization of [[A, B], [B^T, 0]], element-local test functions condensed out.
 
-    ``pattern`` is (rows, cols, n_cols) of B's nonzeros.  The interleaving and
-    band layout are found once; ``refactor`` factors for B's values on them.
+    ``pattern`` is (rows, cols, n_cols) of B's nonzeros.  ``elements`` gives
+    each test function's element when it is supported in that element alone,
+    -1 otherwise (None: no such function).  These local functions l go first
+    (static condensation): A_ll is block-diagonal by element, so with
+    E = A_ll^-1 and v the other test functions the factored matrix is
+
+        [[A_vv - A_vl E A_lv,  B_v - A_vl E B_l], [(.)^T,  -B_l^T E B_l]]
+
+    on (r_v, u), interleaved as ``kron``'s docstring says.  A is fixed and its
+    entries enter once; every other entry of that matrix, of the condensing
+    product and of the product that recovers r_l is a sum of terms
+    w * b_i * b_j (b_i a value of B, or 1), listed in set-up, so ``refactor``
+    forms them for B's values with one weighted bincount and factors on the
+    band layout found once.
     """
 
-    def __init__(self, A: BandedMatrix, pattern, counter: OpCounter | None = None):
+    def __init__(self, A: BandedMatrix, pattern, counter: OpCounter | None = None,
+                 elements=None):
         if A.n_rows != A.n_cols:
             raise ValueError("Gram block must be square")
         rows_b, cols_b, n_cols = pattern
-        self.m, self.n, self.counter = A.n_rows, n_cols, counter
-        # merge test (r) and trial (u) unknowns by 1D position, Gram rows first
-        keys = np.concatenate([(np.arange(self.m) + 0.5) / self.m,
-                               (np.arange(self.n) + 0.5) / self.n])
-        # stacked index -> permuted row: the inverse of the sorting permutation
-        pos = self._pos = np.argsort(np.argsort(keys, kind="stable"))
-        # only B's nonzeros enter, so the merged bandwidth stays at its
-        # mesh-independent value
-        pi = np.concatenate([pos[A.rows], pos[rows_b], pos[self.m + cols_b]])
-        pj = np.concatenate([pos[A.cols], pos[self.m + cols_b], pos[rows_b]])
-        self._layout = BandLayout(pi, pj, self.m + self.n)
-        self._vals_a = A.vals
+        m, n = self.m, self.n = A.n_rows, n_cols
+        self.counter = counter
+        elements = np.full(m, -1) if elements is None else np.asarray(elements)
+        local = elements >= 0
+        v, self._l = np.flatnonzero(~local), np.flatnonzero(local)
+        self._v = v if self._l.size else slice(None)
+        size = v.size + n
+        # kept test (r_v) and trial (u) unknowns merged by 1D position, Gram rows first
+        keys = np.concatenate([(v + 0.5) / m, (np.arange(n) + 0.5) / n])
+        pos = np.argsort(np.argsort(keys, kind="stable"))
+        self._pos_v, self._pos_u = pos[:v.size], pos[v.size:]
+        at_v, at_u = np.zeros(m, int), self._pos_u  # band row of each r_v and u unknown
+        at_v[v] = self._pos_v
+        l_rank = np.zeros(m, int)
+        l_rank[self._l] = np.arange(self._l.size)
+
+        er, ec, ev = _local_inverse(A, local, elements)  # E; symmetric, as A is
+        ar, ac, av = A.rows, A.cols, A.vals
+        vv, vl, lv = ~local[ar] & ~local[ac], ~local[ar] & local[ac], local[ar] & ~local[ac]
+        i, j = _join(ac[vl], er)
+        g = BandedMatrix.from_entries(ar[vl][i], ec[j], av[vl][i] * ev[j], A.shape)  # A_vl E
+        ia, ja = _join(g.cols, ar[lv])          # G A_lv
+        el = np.flatnonzero(local[rows_b])      # B's entries in local rows
+        eb = np.flatnonzero(~local[rows_b])
+        ig, jg = _join(g.cols, rows_b[el])      # G B_l
+        ib, je = _join(rows_b[el], er)          # B_l^T E, and (E B_l)^T
+        kd, jd = _join(ec[je], rows_b[el])      # B_l^T E B_l
+        c_rows = np.concatenate([at_v[rows_b[eb]], at_v[g.rows[ig]]])  # C = B_v - G B_l
+        c_cols = np.concatenate([at_u[cols_b[eb]], at_u[cols_b[el[jg]]]])
+        c_e = np.concatenate([eb, el[jg]])
+        c_w = np.concatenate([np.ones(eb.size), -g.vals[ig]])
+        ebl, ebd = el[ib], el[ib[kd]]
+        # terms (row, col, e1, e2, weight) of sums of w * b[e1] * b[e2] (b[-1] = 1):
+        # the saddle [[S, C], [C^T, -D]] in band positions, its repeated
+        # positions summed by the layout; the condensing product, F to
+        # (F_v - G F_l, -B_l^T E F_l) in band rows; and the recovering one,
+        # [F; x] to r_l = E F_l - G^T r_v - (B_l^T E)^T u
+        saddle = ((at_v[ar[vv]], at_v[ac[vv]], -1, -1, av[vv]),
+                  (at_v[g.rows[ia]], at_v[ac[lv][ja]], -1, -1, -g.vals[ia] * av[lv][ja]),
+                  (c_rows, c_cols, c_e, -1, c_w), (c_cols, c_rows, c_e, -1, c_w),
+                  (at_u[cols_b[ebd]], at_u[cols_b[el[jd]]], ebd, el[jd], -ev[je[kd]]))
+        products = ((at_v[g.rows], g.cols, -1, -1, -g.vals),
+                    (at_u[cols_b[ebl]], ec[je], ebl, -1, -ev[je]),
+                    (size + l_rank[er], ec, -1, -1, ev),
+                    (size + l_rank[g.cols], m + at_v[g.rows], -1, -1, -g.vals),
+                    (size + l_rank[ec[je]], m + at_u[cols_b[ebl]], ebl, -1, -ev[je]))
+        rows, cols, *self._terms = _terms(*saddle, *products)
+        self._n_saddle = sum(group[0].size for group in saddle)
+        self._layout = BandLayout(rows[:self._n_saddle], cols[:self._n_saddle], size)
+        # the two products stacked: rows 0..size-1 condense, the rest recover
+        keys, self._target = np.unique(rows[self._n_saddle:] * (m + size)
+                                       + cols[self._n_saddle:], return_inverse=True)
+        pr, pc = divmod(keys, m + size)
+        self._split = np.searchsorted(pr, size)
+        self._condense = csr(pr[:self._split], pc[:self._split], np.zeros(self._split),
+                             (size, m))
+        self._recover = csr(pr[self._split:] - size, pc[self._split:],
+                            np.zeros(keys.size - self._split), (self._l.size, m + size))
 
     def refactor(self, vals_b) -> None:
         """Factor again with B's values vals_b on its pattern."""
+        e1, e2, w = self._terms
+        ext = np.append(vals_b, 1.0)  # index -1 reads 1
+        vals = w * ext[e1] * ext[e2]
+        products = np.bincount(self._target, vals[self._n_saddle:])
+        self._condense.data[:] = products[:self._split]
+        self._recover.data[:] = products[self._split:]
         try:
-            vals = np.concatenate([self._vals_a, vals_b, vals_b])
-            self._lu = BandedLU((self._layout, vals), self.counter)
+            self._lu = BandedLU((self._layout, vals[:self._n_saddle]), self.counter)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 "saddle system is singular; the trial/test pair is incompatible") from exc
@@ -162,22 +233,84 @@ class SaddleFactor:
     def solve_deferred(self, F: np.ndarray):
         """solve, with r returned as a function that gathers it from the solution.
 
-        F's rows go straight to their interleaved places in dgbtrs's
-        Fortran-ordered right-hand side; u's rows are gathered at once.
+        F's kept rows go straight to their interleaved places in dgbtrs's
+        Fortran-ordered right-hand side, and one sparse product condenses the
+        local rows into it; u's rows are gathered at once.  r's local rows are
+        recovered, by a second product, only when r is gathered.
         """
         F = np.asarray(F, dtype=float)
         if F.shape[0] != self.m:
             raise ValueError(f"rhs has {F.shape[0]} rows, expected the {self.m} test rows")
-        b = np.zeros((self.m + self.n,) + F.shape[1:], order="F")
-        b[self._pos[:self.m]] = F
+        b = np.zeros((self._layout.n,) + F.shape[1:], order="F")
+        b[self._pos_v] = F[self._v]
+        if self._condense.nnz:
+            b += self._product(self._condense, F)
         x = self._lu.solve(b)
-        return (lambda: x[self._pos[:self.m]]), x[self._pos[self.m:]]
+
+        def gather_r():
+            r = np.empty(F.shape)
+            r[self._v] = x[self._pos_v]
+            if self._l.size:
+                r[self._l] = self._product(self._recover, np.concatenate([F, x]))
+            return r
+        return gather_r, x[self._pos_u]
+
+    def _product(self, matrix, rhs: np.ndarray) -> np.ndarray:
+        """matrix @ rhs, counted as 2 nnz operations per column."""
+        if self.counter is not None:
+            self.counter.solve_ops += 2 * matrix.nnz * (1 if rhs.ndim == 1 else rhs.shape[1])
+        return matrix @ rhs
 
 
-def kron_solve(split_factor, other_lu: BandedLU, split_axis: str,
-               rhs: np.ndarray):
-    """Apply (F_split (x) A_other)^{-1} to a grid indexed (x, y): other_lu first.
+def _join(cols_x, rows_y):
+    """Index pairs (i, j) with cols_x[i] == rows_y[j]: the terms of a sparse product."""
+    order = np.argsort(rows_y, kind="stable")
+    start = np.searchsorted(rows_y[order], cols_x, "left")
+    count = np.searchsorted(rows_y[order], cols_x, "right") - start
+    i = np.repeat(np.arange(cols_x.size), count)
+    first = np.repeat(np.cumsum(count) - count, count)
+    return i, order[np.repeat(start, count) + np.arange(i.size) - first]
 
+
+def _terms(*groups):
+    """Concatenated (row, col, e1, e2, weight) arrays of term groups; an e1
+    or e2 given as -1 is -1 for the whole group."""
+    return tuple(np.concatenate([g[k] if np.ndim(g[k]) else np.full(g[0].size, g[k])
+                                 for g in groups]) for k in range(5))
+
+
+def _local_inverse(A: BandedMatrix, local, elements):
+    """Triplets of A_ll^-1 over the local functions, one dense block per element."""
+    l = np.flatnonzero(local)
+    if not l.size:
+        return np.zeros(0, int), np.zeros(0, int), np.zeros(0)
+    l = l[np.argsort(elements[l], kind="stable")]
+    first = np.ones(l.size, bool)
+    first[1:] = elements[l][1:] != elements[l][:-1]
+    block = np.cumsum(first) - 1
+    slot = np.arange(l.size) - np.flatnonzero(first)[block]
+    members = np.full((block[-1] + 1, slot.max() + 1), -1)
+    members[block, slot] = l
+    at_block, at_slot = np.zeros(A.n_rows, int), np.zeros(A.n_rows, int)
+    at_block[l], at_slot[l] = block, slot
+    inside = local[A.rows] & local[A.cols]
+    r, c = A.rows[inside], A.cols[inside]
+    if np.any(at_block[r] != at_block[c]):
+        raise ValueError("local test functions of two elements couple in the Gram block")
+    blocks = np.zeros(members.shape + members.shape[1:])
+    blocks[:, np.arange(members.shape[1]), np.arange(members.shape[1])] = 1.0  # padding
+    blocks[at_block[r], at_slot[r], at_slot[c]] = A.vals[inside]
+    inverse = np.linalg.inv(blocks)
+    g, i, j = np.nonzero((members[:, :, None] >= 0) & (members[:, None, :] >= 0))
+    return members[g, i], members[g, j], inverse[g, i, j]
+
+
+def kron_solve(split_factor, split_axis: str, rhs: np.ndarray):
+    """Apply (F_split (x) I)^{-1} to a grid indexed (x, y): the split direction alone.
+
+    It is the whole Kronecker solve once the other direction's factor A is
+    divided out of rhs, (F^-1 (x) A^-1) rhs = (F^-1 (x) I)(I (x) A^-1) rhs, so
+    the caller divides where that is cheapest (``solve_along``).
     ``split_factor`` acts along ``split_axis``: a BandedLU (plain Galerkin)
     returns the grid, a SaddleFactor the pair (r, u) for rhs's m test rows,
     with r a function that gathers the grid: only a step's last r is read.
@@ -185,14 +318,19 @@ def kron_solve(split_factor, other_lu: BandedLU, split_axis: str,
     if split_axis not in ("x", "y"):
         raise ValueError("split_axis must be 'x' or 'y'")
     rhs = np.asarray(rhs, dtype=float)
-    other = other_lu.solve(rhs.T if split_axis == "x" else rhs).T
+    F = rhs if split_axis == "x" else rhs.T
     if not isinstance(split_factor, SaddleFactor):
-        out = split_factor.solve(other)
+        out = split_factor.solve(F)
         return out if split_axis == "x" else out.T
-    gather_r, u = split_factor.solve_deferred(other)
+    gather_r, u = split_factor.solve_deferred(F)
     if split_axis == "x":
         return gather_r, u
     return (lambda: gather_r().T), u.T
+
+
+def solve_along(lu: BandedLU, grid: np.ndarray, axis: int) -> np.ndarray:
+    """lu's inverse applied along one axis of a 2D grid: A^-1 grid (0) or (A^-1 grid^T)^T (1)."""
+    return lu.solve(grid) if axis == 0 else lu.solve(grid.T).T
 
 
 def along(a, grid: np.ndarray, axis: int) -> np.ndarray:

@@ -73,9 +73,6 @@ class ErrorEvaluator:
         if not isinstance(exact, ProductSum):
             raise ParameterError("error evaluation requires an exact solution in "
                                  "product form")
-        if min(trial_x.dim, trial_y.dim) < 3:
-            raise ParameterError("error evaluation needs an interior basis function "
-                                 "in each direction")
         self.exact = exact
         self._blocks = norm_blocks(trial_x, trial_y)
         (wx, ax, xs), (wy, by, ys) = (

@@ -10,10 +10,13 @@ term only in that direction, so the saddle system
 
     [[A, B], [B^T, 0]] (r, u) = (F, 0)
 
-keeps the Kronecker structure  [[A_s, B_s],[B_s^T, 0]] (x) M_other  and is
-solved by two banded sweeps.  With test = trial the same substep reduces to
-the plain Galerkin ADI update (and r = 0); the unstabilized path solves the
-square system directly.
+keeps the Kronecker structure  [[A_s, B_s],[B_s^T, 0]] (x) M_other.  The
+step divides M_other out of its right-hand side on the smallest grid it can
+(the explicit part on the trial grid, a load's 1D factor once), so a substep
+solves the split direction's saddle alone, one banded sweep with the
+element-local test functions condensed out.  With test = trial the same
+substep reduces to the plain Galerkin ADI update (and r = 0); the
+unstabilized path solves the square system directly.
 
 A DirectionalOperator is built once per direction, advection blocks
 included: each wind component is s(t) times a time-free factor, so the blocks
@@ -22,7 +25,8 @@ scalars s_x(t), s_y(t), on nonzero patterns and a saddle layout fixed at
 set-up, and refactors.  The split stepper takes the wind at each step's
 midpoint.  A forcing in product form loads as a sum of outer products of 1D
 loads made once; any other forcing is evaluated on the Gauss grid, and with
-a declared support box only at the Gauss points inside it.  A substep
+a declared support box only at the Gauss points inside it.  A directional
+operator's loads come divided by its other direction's mass.  A substep
 gathers its residual representative r from the saddle solution only when r
 is read, which a step does for its last substep alone.
 """
@@ -35,12 +39,12 @@ from .assembly import advection, block, mass, stiffness
 from .exceptions import ParameterError
 from .banded import common_entries, csr
 from .kron import (BandedLU, BandLayout, OpCounter, SaddleFactor, kron_matvec, kron_norms,
-                   kron_solve, x_first_cheaper)
+                   kron_solve, solve_along, x_first_cheaper)
 from .problems import ProductSum, factor_values
-from .splines import SplineSpace, eval_matrix, gauss_rule
+from .splines import SplineSpace, element_local, eval_matrix, gauss_rule
 
 __all__ = ["SolutionState", "DirectionalOperator", "LoadAssembler",
-           "build_directional", "substep", "residual_norms"]
+           "build_directional", "substep", "divide_other", "residual_norms"]
 
 
 class SolutionState:
@@ -70,14 +74,19 @@ class LoadAssembler:
     orientation the cheaper contraction order reads; given the box outside
     which f is zero, it reads only the Gauss points inside it, bit for bit
     the full-grid load.  px and py stay the full grids.
+
+    Given divide = (axis, lu), every load comes out divided by lu along that
+    axis: a product's 1D loads on that axis are divided once, when made, and
+    a support-cut grid only on its lines that meet the box.
     """
 
-    def __init__(self, space_x: SplineSpace, space_y: SplineSpace):
+    def __init__(self, space_x: SplineSpace, space_y: SplineSpace, divide=None):
         self.px, wx = _weighted_basis(space_x)
         self.py, wy = _weighted_basis(space_y)
         wx_t, wy_t = wx.T.tocsr(), wy.T  # basis x points; a transposed CSR is a CSC
         self._x_first = x_first_cheaper(wx_t, wy_t)
-        self._cuts = {None: (self.px, wx_t, self.py, wy_t)}
+        self._divide = divide
+        self._cuts = {None: (self.px, wx_t, self.py, wy_t, slice(None))}
         self._products = {}
 
     def load(self, f, t: float, support=None) -> np.ndarray:
@@ -86,22 +95,35 @@ class LoadAssembler:
                 raise ParameterError("a product forcing is loaded whole; it takes no "
                                      f"support box, got {support!r}")
             if f not in self._products:
-                px, wx_t, py, wy_t = self._cuts[None]
-                self._products[f] = tuple(
-                    np.array([(w @ factor_values(getattr(p, name), points))[1:-1] for p in f])
-                    for name, points, w in (("a", px, wx_t), ("b", py, wy_t)))
+                px, wx_t, py, wy_t, _ = self._cuts[None]
+                loads = [np.array([(w @ factor_values(getattr(p, name), points))[1:-1]
+                                   for p in f]) for name, points, w in
+                         (("a", px, wx_t), ("b", py, wy_t))]
+                if self._divide is not None:
+                    axis, lu = self._divide
+                    loads[axis] = lu.solve(loads[axis].T).T
+                self._products[f] = loads
             ax, by = self._products[f]
             return (ax.T * f.scales(t)) @ by
         if support not in self._cuts:
             ix, iy = (slice(np.searchsorted(p, lo), np.searchsorted(p, hi, side="right"))
                       for p, (lo, hi) in zip((self.px, self.py), support))
-            px, wx_t, py, wy_t = self._cuts[None]
-            self._cuts[support] = (px[ix], wx_t[:, ix], py[iy], wy_t[:, iy])
-        px, wx_t, py, wy_t = self._cuts[support]
+            px, wx_t, py, wy_t, _ = self._cuts[None]
+            cut = (wx_t[:, ix], wy_t[:, iy])
+            # interior functions with a Gauss point in the box, across the divided axis
+            lines = (None if self._divide is None else
+                     np.flatnonzero(cut[1 - self._divide[0]].getnnz(axis=1)[1:-1]))
+            self._cuts[support] = (px[ix], cut[0], py[iy], cut[1], lines)
+        px, wx_t, py, wy_t, lines = self._cuts[support]
         x, y = (px[:, None], py[None, :]) if self._x_first else (px[None, :], py[:, None])
         vals = np.broadcast_to(np.asarray(f(x, y, t), dtype=float), np.broadcast(x, y).shape)
-        return kron_matvec(wx_t, wy_t, vals if self._x_first else vals.T,
+        grid = kron_matvec(wx_t, wy_t, vals if self._x_first else vals.T,
                            self._x_first)[1:-1, 1:-1]
+        if self._divide is not None:
+            axis, lu = self._divide
+            across = (lines, slice(None)) if axis == 1 else (slice(None), lines)
+            grid[across] = solve_along(lu, grid[across], axis)
+        return grid
 
 
 def _weighted_basis(space: SplineSpace):
@@ -121,13 +143,16 @@ class DirectionalOperator:
         block of the wind's time-free factor and s its scale,
       a_split = test Gram (m_test + k_test) in the split direction,
       m_other/k_other  square trial blocks in the orthogonal direction.
-    rhs_ops holds the explicit blocks the schemes' right-hand sides use.
-    split_factor factors b_split (with a_split when stabilized) along the
-    split direction; other_lu factors m_other.
+    rhs_ops holds the explicit blocks the schemes' right-hand sides use
+    besides m_other, which the division by m_other cancels.  split_factor
+    factors b_split (with a_split, its element-local test functions
+    condensed out, when stabilized) along the split direction; other_lu
+    factors m_other, and the loads come divided by it.
 
     The constructor builds all that does not change in time: the blocks,
-    advection of the wind's time-free (x, y) factors included, other_lu, the
-    loads, and one fixed pattern per wind-dependent matrix (b_split,
+    each space's element tables made once, advection of the wind's
+    time-free (x, y) factors included, other_lu, the loads, and one fixed
+    pattern per wind-dependent matrix (b_split,
     rect_minus, other_minus), the union of its blocks' nonzeros, with the
     CSR matrices and split_factor's band layout on it.  set_wind(s_x, s_y)
     forms values there and refactors; b_split is derived on read.
@@ -143,34 +168,38 @@ class DirectionalOperator:
         self.test_split = test_split
         self.trial_other = trial_other
         self.counter = counter
-        self.m_rect = block(mass, trial_split, test_split)
-        self.k_rect = block(stiffness, trial_split, test_split, diffusion[self.axis])
-        self.m_test = block(mass, test_split, test_split)
-        self.k_test = block(stiffness, test_split, test_split)
+        tables = {}  # each space's element tables, made once for all its blocks
+        self.m_rect = block(mass, trial_split, test_split, None, tables)
+        self.k_rect = block(stiffness, trial_split, test_split, diffusion[self.axis], tables)
+        self.m_test = block(mass, test_split, test_split, None, tables)
+        self.k_test = block(stiffness, test_split, test_split, None, tables)
         self.a_split = self.m_test + self.k_test
-        self.m_other = block(mass, trial_other, trial_other)
-        self.k_other = block(stiffness, trial_other, trial_other, diffusion[1 - self.axis])
+        self.m_other = block(mass, trial_other, trial_other, None, tables)
+        self.k_other = block(stiffness, trial_other, trial_other, diffusion[1 - self.axis],
+                             tables)
         self.other_lu = BandedLU(self.m_other, counter)
-        self._g_rect_free = block(advection, trial_split, test_split, velocity[self.axis])
-        g_other = block(advection, trial_other, trial_other, velocity[1 - self.axis])
+        self._g_rect_free = block(advection, trial_split, test_split, velocity[self.axis],
+                                  tables)
+        g_other = block(advection, trial_other, trial_other, velocity[1 - self.axis], tables)
         # (mass, stiffness, advection) values on each pattern
         rows, cols, self._rect = common_entries(self.m_rect, self.k_rect,
                                                 self._g_rect_free)
         *other, self._other = common_entries(self.m_other, self.k_other, g_other)
-        self.rhs_ops = {"m_rect": self.m_rect, "m_other": self.m_other,
+        self.rhs_ops = {"m_rect": self.m_rect,
                         "rect_minus": csr(rows, cols, 0.0 * rows, self.m_rect.shape),
                         "other_minus": csr(*other, 0.0 * other[0], self.m_other.shape)}
         for read in (self.m_rect, self.m_test, self.a_split, self.m_other):
             read.to_csr()  # the blocks steps read, built here once
         if stabilized:
             self.split_factor = SaddleFactor(self.a_split, (rows, cols, self.m_rect.n_cols),
-                                             counter)
+                                             counter, element_local(test_split))
         else:
             self._layout = BandLayout(rows, cols, self.m_rect.n_rows)
+        divide = (1 - self.axis, self.other_lu)
         if direction == "x":
-            self.loads = LoadAssembler(test_split, trial_other)
+            self.loads = LoadAssembler(test_split, trial_other, divide)
         else:
-            self.loads = LoadAssembler(trial_other, test_split)
+            self.loads = LoadAssembler(trial_other, test_split, divide)
 
     def set_wind(self, scales) -> None:
         """Form the wind-dependent values for the wind's (s_x, s_y) and refactor."""
@@ -214,11 +243,17 @@ def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace
 
 
 def substep(op: DirectionalOperator, rhs_grid: np.ndarray) -> SolutionState:
-    """Solve one substep for the tested load grid (m test rows in the split
-    direction), the other direction's mass first; returns (u, r), with r
-    gathered from the saddle solution only when it is read."""
-    out = kron_solve(op.split_factor, op.other_lu, op.direction, rhs_grid)
+    """Solve one substep in the split direction alone, for a tested load grid
+    (m test rows in the split direction) already divided by the other
+    direction's mass; returns (u, r), with r gathered from the saddle
+    solution only when it is read."""
+    out = kron_solve(op.split_factor, op.direction, rhs_grid)
     return SolutionState(u=out[1], r=out[0]) if op.stabilized else SolutionState(u=out)
+
+
+def divide_other(op: DirectionalOperator, grid: np.ndarray) -> np.ndarray:
+    """The grid divided by the other direction's mass along that direction's axis."""
+    return solve_along(op.other_lu, grid, 1 - op.axis)
 
 
 def residual_norms(op: DirectionalOperator, r: np.ndarray) -> tuple[float, float]:

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .exceptions import DomainError, ParameterError
 
-__all__ = ["SplineSpace", "ElementTable", "make_space", "active_basis",
+__all__ = ["SplineSpace", "ElementTable", "make_space", "element_local", "active_basis",
            "eval_matrix", "gauss_rule", "element_table"]
 
 
@@ -68,6 +68,21 @@ def make_space(degree: int, continuity: int, n_elements: int,
         np.full(p + 1, b),
     ])
     return SplineSpace(p, c, n_elements, (a, b), knots)
+
+
+def element_local(space: SplineSpace) -> np.ndarray:
+    """For each interior function (the Dirichlet ones eliminated), the element
+    it is supported in alone, or -1: p-1 per element for C^0, all for C^-1,
+    none for c >= 1.
+
+    Function i spans knots[i] .. knots[i+p+1], one element when those knots
+    take two distinct values.
+    """
+    k, p = space.knots, space.degree
+    breakpoint_index = np.concatenate([[0], np.cumsum(k[1:] != k[:-1])])
+    i = np.arange(1, space.dim - 1)
+    lo, hi = breakpoint_index[i], breakpoint_index[i + p + 1]
+    return np.where(hi - lo == 1, lo, -1)
 
 
 def _find_spans(space: SplineSpace, xs: np.ndarray) -> np.ndarray:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .assembly import block, mass
 from .exceptions import NonFiniteStateError, ParameterError
-from .kron import BandedLU, OpCounter, kron_matvec
-from .resmin import (LoadAssembler, SolutionState, build_directional,
+from .kron import BandedLU, OpCounter, along, solve_along
+from .resmin import (LoadAssembler, SolutionState, build_directional, divide_other,
                      residual_norms, substep)
 from .splines import SplineSpace, make_space
 
@@ -76,19 +76,20 @@ class SchemeKind(Enum):
 
 
 # One row per implicit substep: direction, dt_eff as a fraction of tau, the
-# explicit blocks (rhs_ops keys) in the split and in the other direction, and
+# explicit blocks (rhs_ops keys) in the split and in the other direction (None
+# for the other direction's mass, which the substep's division cancels), and
 # the forcing times as fractions of tau (loads summed in this order).
 _SUBSTEPS = {
     SchemeKind.PEACEMAN_RACHFORD: (("x", 0.5, "m_rect", "other_minus", (0.5,)),
                                    ("y", 0.5, "m_rect", "other_minus", (0.5,))),
-    SchemeKind.STRANG_BE: (("x", 0.5, "m_rect", "m_other", (0.5,)),
-                           ("y", 1.0, "m_rect", "m_other", ()),
-                           ("x", 0.5, "m_rect", "m_other", (1.0,))),
-    SchemeKind.STRANG_CN: (("x", 0.25, "rect_minus", "m_other", (0.5, 0.0)),
-                           ("y", 0.5, "rect_minus", "m_other", ()),
-                           ("x", 0.25, "rect_minus", "m_other", (1.0, 0.5))),
-    SchemeKind.BE_SPLIT: (("x", 1.0, "m_rect", "m_other", (1.0,)),
-                          ("y", 1.0, "m_rect", "m_other", ())),
+    SchemeKind.STRANG_BE: (("x", 0.5, "m_rect", None, (0.5,)),
+                           ("y", 1.0, "m_rect", None, ()),
+                           ("x", 0.5, "m_rect", None, (1.0,))),
+    SchemeKind.STRANG_CN: (("x", 0.25, "rect_minus", None, (0.5, 0.0)),
+                           ("y", 0.5, "rect_minus", None, ()),
+                           ("x", 0.25, "rect_minus", None, (1.0, 0.5))),
+    SchemeKind.BE_SPLIT: (("x", 1.0, "m_rect", None, (1.0,)),
+                          ("y", 1.0, "m_rect", None, ())),
 }
 # each direction has one operator, so all its rows share one dt_eff
 assert all(len({row[1] for row in rows if row[0] == d}) == 1
@@ -96,14 +97,22 @@ assert all(len({row[1] for row in rows if row[0] == d}) == 1
 
 
 def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau, support=None):
-    """One step of the scheme's substep table; returns the last (op, state)."""
+    """One step of the scheme's substep table; returns the last (op, state).
+
+    A substep solves (S^-1 (x) M_o^-1)((P (x) Q) u + dt L) with S the split
+    direction's system and M_o the other direction's mass.  As
+    (S^-1 (x) M_o^-1)(P (x) Q) = S^-1 (P (x) M_o^-1 Q), the explicit part is
+    divided on the trial grid, and not at all when Q is M_o; the loads come
+    divided from the operator's assembler, and the solve is the split
+    direction's alone.
+    """
     ops = {"x": x_op, "y": y_op}
     u = state.u
     for direction, _, split_block, other_block, fractions in _SUBSTEPS[scheme]:
         op = ops[direction]
-        split, other = op.rhs_ops[split_block], op.rhs_ops[other_block]
-        rhs = (kron_matvec(split, other, u) if direction == "x"
-               else kron_matvec(other, split, u))
+        if other_block is not None:
+            u = divide_other(op, along(op.rhs_ops[other_block], u, 1 - op.axis))
+        rhs = along(op.rhs_ops[split_block], u, op.axis)
         if forcing is not None and fractions:
             loads = [op.loads.load(forcing, state.time + a * tau, support)
                      for a in fractions]
@@ -114,9 +123,18 @@ def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau, support=None
 
 
 def spaces(domain, mesh, pair) -> tuple[SplineSpace, SplineSpace]:
-    """The x and y spaces of one (degree, continuity) pair on the mesh."""
-    return tuple(make_space(*pair, n, interval)
-                 for n, interval in zip(mesh, domain))
+    """The x and y spaces of one (degree, continuity) pair on the mesh.
+
+    A space of fewer than three functions has no interior function once the
+    Dirichlet ones are eliminated, and raises ParameterError.
+    """
+    made = tuple(make_space(*pair, n, interval) for n, interval in zip(mesh, domain))
+    for axis, space in zip("xy", made):
+        if space.dim < 3:
+            raise ParameterError(
+                f"the {tuple(pair)} space on {space.n_elements} element(s) in {axis} has "
+                f"{space.dim} basis function(s) and no interior one")
+    return made
 
 
 class StepperBase:
@@ -208,5 +226,5 @@ def project_initial(u0, trial_x: SplineSpace, trial_y: SplineSpace,
     rhs = loads.load(lambda x, y, t: u0(x, y), 0.0)
     lux = BandedLU(block(mass, trial_x, trial_x), counter)
     luy = BandedLU(block(mass, trial_y, trial_y), counter)
-    u = lux.solve(luy.solve(rhs.T).T)
+    u = lux.solve(solve_along(luy, rhs, 1))
     return SolutionState(u=u, time=0.0)

@@ -13,8 +13,8 @@ def from_dense(dense) -> BandedMatrix:
     return BandedMatrix.from_entries(rows, cols, dense[rows, cols], dense.shape)
 
 
-def saddle_factor(a: BandedMatrix, b: BandedMatrix, counter=None) -> SaddleFactor:
+def saddle_factor(a: BandedMatrix, b: BandedMatrix, counter=None, elements=None) -> SaddleFactor:
     """The saddle of the Gram a and the block b, laid out on b's pattern and factored."""
-    sf = SaddleFactor(a, (b.rows, b.cols, b.n_cols), counter)
+    sf = SaddleFactor(a, (b.rows, b.cols, b.n_cols), counter, elements)
     sf.refactor(b.vals)
     return sf

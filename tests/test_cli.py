@@ -153,6 +153,15 @@ def test_solver_failures_exit_3(monkeypatch, capsys):
     assert main(["run", "--steps", "1"]) == 3
 
 
+@pytest.mark.parametrize("problem", ["manufactured", "pollution", "circular-wind"])
+def test_spaces_without_an_interior_function_exit_2(tmp_path, capsys, problem):
+    code = main(["run", "--problem", problem, "--mesh", "1", "--trial", "1,0",
+                 "--test", "1,0", "--steps", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "no interior one" in capsys.readouterr().err
+    assert not (tmp_path / "metadata.json").exists()
+
+
 def test_bad_scheme_choice_is_rejected_by_argparse():
     with pytest.raises(SystemExit):
         main(["run", "--scheme", "leapfrog"])

@@ -12,12 +12,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from splitmin.assembly import block, mass, stiffness
-from splitmin.banded import BandedMatrix
+from splitmin.assembly import advection, block, mass, stiffness
+from splitmin.banded import BandedMatrix, common_entries
 from splitmin.exceptions import SingularMatrixError
 from splitmin.kron import (BandedLU, BandLayout, OpCounter, SaddleFactor,
-                           kron_matvec, kron_norms, kron_solve, x_first_cheaper)
-from splitmin.splines import make_space
+                           kron_matvec, kron_norms, kron_solve, solve_along,
+                           x_first_cheaper)
+from splitmin.splines import element_local, make_space
 
 from helpers import from_dense, saddle_factor
 
@@ -444,22 +445,23 @@ def test_kron_matvec_rejects_shape_mismatch():
 
 
 def test_kron_solve_square_factor_both_axes():
+    # the split solve, after the other factor is divided out of the grid, is
+    # the whole Kronecker solve: (Ax (x) Ay)^-1 = (Ax^-1 (x) I)(I (x) Ay^-1)
     rng = np.random.default_rng(31)
     ax = _tridiag(6, -1.0, 4.0, -1.0)
     ay = _tridiag(5, -1.0, 5.0, -1.0)
     rhs = rng.standard_normal((6, 5))
+    ref = np.linalg.solve(np.kron(ax, ay), rhs.ravel()).reshape(6, 5)
     for axis, split, other in (("x", ax, ay), ("y", ay, ax)):
-        got = kron_solve(BandedLU(from_dense(split)),
-                         BandedLU(from_dense(other)), axis, rhs)
-        big = np.kron(ax, ay)
-        ref = np.linalg.solve(big, rhs.ravel()).reshape(6, 5)
+        divided = solve_along(BandedLU(from_dense(other)), rhs, "yx".index(axis))
+        got = kron_solve(BandedLU(from_dense(split)), axis, divided)
         np.testing.assert_allclose(got, ref, atol=1e-11)
 
 
 def test_kron_solve_rejects_bad_axis():
     lu = BandedLU(from_dense(np.eye(3)))
     with pytest.raises(ValueError):
-        kron_solve(lu, lu, "z", np.eye(3))
+        kron_solve(lu, "z", np.eye(3))
 
 
 @st.composite
@@ -495,3 +497,50 @@ def test_kron_norms_match_dense_kronecker_quadratic_forms(case):
         h1_ref = np.sqrt(u @ h1_form @ u)
         assert abs(l2 - l2_ref) <= 1e-13 * l2_ref
         assert abs(h1 - h1_ref) <= 1e-13 * h1_ref
+
+
+@st.composite
+def _condensed_cases(draw):
+    """A test Gram and two trial-to-test blocks on one pattern, for random
+    spaces whose test continuity is -1, 0 or >= 1."""
+    p = draw(st.integers(1, 3))
+    c = draw(st.integers(0, p - 1))
+    q = draw(st.sampled_from((p, p + 1)))
+    cq = draw(st.sampled_from(sorted({-1, 0, min(c, q - 1)})))
+    n_el = draw(st.integers(2, 9))
+    interval = (0.0, draw(st.floats(0.2, 3.0)))
+    trial, test = make_space(p, c, n_el, interval), make_space(q, cq, n_el, interval)
+    a = block(mass, test, test) + block(stiffness, test, test)
+    rows, cols, (m, k, g) = common_entries(
+        *(block(kind, trial, test) for kind in (mass, stiffness, advection)))
+    values = []
+    for _ in range(2):  # B = M + dt (K + s G), two winds on one pattern
+        dt, s = draw(st.floats(1e-3, 1.0)), draw(st.floats(-3.0, 3.0))
+        values.append(m + dt * (k + s * g))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return a, (rows, cols, trial.dim - 2), element_local(test), values, rng
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_condensed_cases())
+def test_condensed_refactor_equals_a_fresh_factor_and_the_dense_solve(case):
+    a, pattern, elements, (first, second), rng = case
+    counter, fresh_counter = OpCounter(), OpCounter()
+    sf = SaddleFactor(a, pattern, counter, elements)
+    sf.refactor(first)
+    before = counter.factor_ops
+    sf.refactor(second)
+    fresh = SaddleFactor(a, pattern, fresh_counter, elements)
+    fresh.refactor(second)
+    assert counter.factor_ops - before == fresh_counter.factor_ops
+    b = BandedMatrix(*pattern[:2], second, (a.n_rows, pattern[2])).to_dense()
+    dense = _dense_saddle(a.to_dense(), b)
+    for F in (rng.standard_normal(a.n_rows), rng.standard_normal((a.n_rows, 3))):
+        got = sf.solve(F)
+        for x, y in zip(got, fresh.solve(F)):
+            assert np.array_equal(x, y)
+        want = _saddle_oracle(dense, F)
+        scale = np.max(np.abs(np.concatenate(want)))
+        for x, y in zip(got, want):
+            assert x.shape == y.shape
+            assert np.max(np.abs(x - y)) <= 1e-10 * scale

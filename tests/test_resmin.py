@@ -15,9 +15,9 @@ from splitmin.assembly import advection, block
 from splitmin.exceptions import ParameterError
 from splitmin.kron import BandedLU, BandLayout, OpCounter
 from splitmin.problems import ProductSum, Wind, WindComponent, manufactured, pollution
-from splitmin.resmin import (LoadAssembler, build_directional, residual_norms,
-                             substep)
-from splitmin.splines import eval_matrix, gauss_rule, make_space
+from splitmin.resmin import (LoadAssembler, build_directional, divide_other,
+                             residual_norms, substep)
+from splitmin.splines import element_local, eval_matrix, gauss_rule, make_space
 from splitmin.stepping import RunConfig, Stepper
 
 from helpers import saddle_factor
@@ -135,8 +135,8 @@ def test_set_wind_refactors_as_a_fresh_factor(case):
         op.set_wind(s)
         b = op.m_rect + dt * (op.k_rect + s[axis] * g_rect)
         fresh_counter = OpCounter()
-        fresh = (saddle_factor(op.a_split, b, fresh_counter) if stabilized
-                 else BandedLU(b, fresh_counter))
+        fresh = (saddle_factor(op.a_split, b, fresh_counter, element_local(op.test_split))
+                 if stabilized else BandedLU(b, fresh_counter))
         assert counter.factor_ops - before == fresh_counter.factor_ops
         rhs = rng.standard_normal((b.shape[0], 3))  # a saddle solves for (r, u)
         assert np.array_equal(np.vstack(op.split_factor.solve(rhs)),
@@ -171,7 +171,7 @@ def test_substep_matches_dense_saddle_solve(direction):
         sol = np.linalg.solve(np.vstack([top, bot]), vec)
         r_ref = sol[:mo.shape[0] * m].reshape(mo.shape[0], m)
         u_ref = sol[mo.shape[0] * m:].reshape(mo.shape[0], n)
-    state = substep(op, rhs)
+    state = substep(op, divide_other(op, rhs))
     np.testing.assert_allclose(state.u, u_ref, atol=1e-10)
     np.testing.assert_allclose(state.r, r_ref, atol=1e-10)
 
@@ -209,7 +209,7 @@ def test_substep_matches_dense_solve_on_random_spaces(case):
     # coefficients the fixed grid of criterion 1 does not reach
     op, rhs = case
     dense = _dense_substep(op, rhs)
-    rel = np.linalg.norm(substep(op, rhs).u - dense) / np.linalg.norm(dense)
+    rel = np.linalg.norm(substep(op, divide_other(op, rhs)).u - dense) / np.linalg.norm(dense)
     assert rel <= 1e-9
 
 
@@ -221,7 +221,7 @@ def test_substep_satisfies_saddle_equations(direction):
         rhs = rng.standard_normal((op.b_split.shape[0], op.m_other.shape[0]))
     else:
         rhs = rng.standard_normal((op.m_other.shape[0], op.b_split.shape[0]))
-    state = substep(op, rhs)
+    state = substep(op, divide_other(op, rhs))
     a, b = op.a_split.to_dense(), op.b_split.to_dense()
     mo = op.m_other.to_dense()
     if direction == "x":
@@ -237,7 +237,9 @@ def test_substep_satisfies_saddle_equations(direction):
 
 @pytest.mark.parametrize("direction", ["x", "y"])
 def test_stabilized_substep_solve_ops_are_pinned(direction):
-    # the other direction on the m test columns, then the saddle on n_other
+    # dividing the other direction's mass out of the m test columns, then the
+    # condensed saddle on n_other: one product condenses the local test rows
+    # (2 nnz operations per column), one banded solve
     tx, ty = make_space(2, 1, 7, (0.0, 1.0)), make_space(2, 1, 5, (0.0, 1.0))
     test = make_space(3, 0, 7 if direction == "x" else 5, (0.0, 1.0))
     counter = OpCounter()
@@ -247,10 +249,12 @@ def test_stabilized_substep_solve_ops_are_pinned(direction):
     n_other = op.m_other.n_rows
     c_other = BandLayout(op.m_other.rows, op.m_other.cols, n_other).solve_ops_per_column
     c_saddle = op.split_factor._layout.solve_ops_per_column
+    condense = op.split_factor._condense.nnz
+    assert condense > 0 and op.split_factor._layout.n == m + n - 2 * test.n_elements
     rhs = np.ones((m, n_other)) if direction == "x" else np.ones((n_other, m))
     before = counter.solve_ops
-    state = substep(op, rhs)
-    assert counter.solve_ops - before == m * c_other + n_other * c_saddle
+    state = substep(op, divide_other(op, rhs))
+    assert counter.solve_ops - before == m * c_other + n_other * (c_saddle + 2 * condense)
     assert state.u.shape == ((n, n_other) if direction == "x" else (n_other, n))
 
 
@@ -258,7 +262,7 @@ def test_unstabilized_substep_solves_square_system():
     op = _build("x", stabilized=False)
     rng = np.random.default_rng(9)
     rhs = rng.standard_normal((op.b_split.shape[0], op.m_other.shape[0]))
-    state = substep(op, rhs)
+    state = substep(op, divide_other(op, rhs))
     assert state.r is None
     big = np.kron(op.b_split.to_dense(), op.m_other.to_dense())
     ref = np.linalg.solve(big, rhs.ravel()).reshape(rhs.shape)

@@ -55,9 +55,12 @@ def test_split_step_goes_through_banded_apply():
     assert tracer.layer_totals()["banded.apply"]["calls"] > 0
 
 
-def test_pr_step_solves_the_mass_direction_on_the_test_rows_only(monkeypatch):
-    # four solves: other-direction mass on the m test columns, then the
-    # interleaved saddle (m + n rows) on the other direction's n columns
+def test_pr_step_solves_the_mass_direction_on_the_trial_rows_only(monkeypatch):
+    # per substep: the other-direction mass divides the explicit part on the
+    # n split trial columns, then the condensed saddle (the m - 2 per-element
+    # local test rows eliminated, plus the n trial rows) runs on the other
+    # direction's columns; the first step also divides the two products of the
+    # forcing's 1D loads in the other direction, once
     from splitmin.kron import BandedLU
     from splitmin.problems import get_problem
     from splitmin.stepping import Stepper
@@ -74,9 +77,14 @@ def test_pr_step_solves_the_mass_direction_on_the_test_rows_only(monkeypatch):
 
     monkeypatch.setattr(BandedLU, "solve", recorded)
     stepper.step(state)
+    first = shapes[:]
+    shapes.clear()
+    stepper.step(state)
     (m_x, n_x), (m_y, n_y) = stepper.x_op.m_rect.shape, stepper.y_op.m_rect.shape
     assert (m_x, n_x, m_y, n_y) == (17, 6, 14, 5)
-    assert shapes == [(n_y, m_x), (m_x + n_x, n_y), (n_x, m_y), (m_y + n_y, n_x)]
+    saddle_x, saddle_y = m_x - 2 * 6 + n_x, m_y - 2 * 5 + n_y
+    assert shapes == [(n_y, n_x), (saddle_x, n_y), (n_x, n_y), (saddle_y, n_x)]
+    assert first == [(n_y, n_x), (n_y, 2), (saddle_x, n_y), (n_x, n_y), (n_x, 2), (saddle_y, n_x)]
 
 
 @pytest.mark.parametrize("config", (
