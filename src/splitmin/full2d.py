@@ -12,17 +12,26 @@ gradient terms) and B the rectangular one-step operator
     B = M + dt_eff * W,    W u = (eps grad u, grad psi) + (beta . grad u, psi),
 
 and factorizes it once with a sparse LU (reused across steps while beta is
-time-independent).  Every block is a Kronecker product of the 1D blocks the
-split path assembles.  With eps = (eps_x(x), eps_y(y)) and the wind in
-product form, beta_x = s_x(t) a_x(x) b_x(y) and beta_y = s_y(t) a_y(x) b_y(y),
+time-independent).  Every block is a sum of Kronecker products of the 1D
+blocks the split path assembles.  With eps = (eps_x(x), eps_y(y)) and the
+wind in product form, beta_x = s_x(t) a_x(x) b_x(y) and
+beta_y = s_y(t) a_y(x) b_y(y),
 
     W = K_x[eps_x] (x) M_y + M_x (x) K_y[eps_y]
         + s_x G_x[a_x] (x) M_y[b_x] + s_y M_x[a_y] (x) G_y[b_y],
 
 with K, G and M the 1D stiffness, advection and (weighted) mass blocks.
-Loads come from the split path's LoadAssembler on the test spaces, and the
-residual norms from kron_norms on the 1D test blocks.  The stepper keeps the
-factor and the right-hand-side operator, not the assembled saddle.
+The 2D arrays are written straight from the 1D patterns: each side's terms
+are read on the union of their nonzeros, all values come from one product of
+the two sides' value stacks, and they land row-major in the CSR arrays, with
+no triplets, sorting or sparse sums.  The saddle is symmetric but for A's
+rounding, so the rows [A^T | B] and [B^T | 0], written as CSR arrays, are
+its CSC arrays.  When the test spaces equal the trial spaces
+(a Galerkin pair), B is square, r = 0 and the saddle reduces to B u = rhs:
+only B is assembled and factored.  The matrix is dropped once its factor has
+passed the guard; the stepper keeps the factor, the right-hand-side operator
+M - dt_eff W, the residual's 1D norm blocks, and a LoadAssembler on the test
+spaces when the problem has a forcing.
 
 All matrices are homogeneous-Dirichlet eliminated; 2D dof order is
 row-major, index = ix * n_y + iy over interior 1D indices.
@@ -31,22 +40,20 @@ row-major, index = ix * n_y + iy over interior 1D indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import advection, block, mass, norm_blocks, stiffness
-from .banded import BandedMatrix
+from .banded import BandedMatrix, common_entries
 from .exceptions import ParameterError, SingularMatrixError
 from .kron import OpCounter, kron_norms
 from .resmin import LoadAssembler, SolutionState
 from .splines import SplineSpace
 from .stepping import RunConfig, StepperBase
 
-__all__ = ["Space2D", "SaddleSystem", "assemble_2d_operators",
-           "assemble_2d_saddle", "sparse_lu", "RotatingFlowStepper"]
+__all__ = ["Space2D", "assemble_2d_saddle", "sparse_lu", "RotatingFlowStepper"]
 
 
 @dataclass(frozen=True)
@@ -63,50 +70,106 @@ class Space2D:
         return (self.x.dim - 2, self.y.dim - 2)
 
 
-def _kron(ax: BandedMatrix, ay: BandedMatrix) -> sp.csr_matrix:
-    """Kronecker product of two 1D blocks from ``block``."""
-    return sp.kron(ax.to_csr(), ay.to_csr(), format="csr")
+def _galerkin(trial: Space2D, test: Space2D) -> bool:
+    """The test spaces are the trial spaces: B is square and r = 0."""
+    return all((s.degree, s.continuity) == (v.degree, v.continuity)
+               for s, v in ((trial.x, test.x), (trial.y, test.y)))
 
 
-def assemble_2d_operators(trial: Space2D, test: Space2D, diffusion, wind, t: float):
-    """Return (gram, m_rect, w_rect), all interior-eliminated CSR.
+def _transpose(m: BandedMatrix) -> BandedMatrix:
+    return BandedMatrix.from_entries(m.cols, m.rows, m.vals, (m.n_cols, m.n_rows))
 
-    gram   test x test, (psi, phi) + (grad psi, grad phi)
-    m_rect test x trial mass
-    w_rect test x trial, (eps grad u, grad psi) + (beta . grad u, psi)
 
-    diffusion is the (x, y) pair of 1D coefficients, each a constant, a
-    callable of its own coordinate or None (1).  The wind, a Wind, enters
-    through its time-free factors scaled by Wind.scales(t).
+_CHUNK = 1 << 15  # entries written per pass, so transients stay small beside the output
+
+
+def _kron_csr(block_rows):
+    """CSR arrays (data, indices, indptr) of a block matrix of Kronecker sums.
+
+    ``block_rows`` lists the block rows, each its blocks from the left (a
+    zero block may only close a row, and is left out).  A block is a list of
+    (c, X, Y) terms of 1D blocks, summing c X (x) Y.  Each side's terms are
+    read on the union of their patterns, so the entry at x entry a and y
+    entry b is (V_x diag(c) V_y^T)[a, b].  Entries are written row-major
+    straight into the arrays: 2D row (i, k) holds lenx[i] * leny[k] entries of
+    each block, columns ascending.  No triplets are formed and nothing is
+    sorted.
     """
-    (ax, bx), (ay, by) = wind.factors
-    sx, sy = wind.scales(t)
-    mx, my = block(mass, test.x, test.x), block(mass, test.y, test.y)
-    gram = (_kron(mx, my) + _kron(block(stiffness, test.x, test.x), my)
-            + _kron(mx, block(stiffness, test.y, test.y)))
-    mx, my = block(mass, trial.x, test.x), block(mass, trial.y, test.y)
-    m_rect = _kron(mx, my)
-    w_rect = (_kron(block(stiffness, trial.x, test.x, diffusion[0]), my)
-              + _kron(mx, block(stiffness, trial.y, test.y, diffusion[1]))
-              + _kron(sx * block(advection, trial.x, test.x, ax),
-                      block(mass, trial.y, test.y, bx))
-              + _kron(block(mass, trial.x, test.x, ay),
-                      sy * block(advection, trial.y, test.y, by)))
-    return gram.tocsr(), m_rect, w_rect.tocsr()
-
-
-class SaddleSystem(NamedTuple):
-    matrix: sp.csc_matrix      # [[A, B], [B^T, 0]]
-    m_rect: sp.csr_matrix
-    w_rect: sp.csr_matrix
+    plans, lengths, width = [], [], 0
+    for row in block_rows:
+        before, col = 0, 0
+        for terms in row:
+            c, xs, ys = zip(*terms)
+            x, y = common_entries(*xs), common_entries(*ys)
+            lx = np.bincount(x[0], minlength=xs[0].n_rows)
+            ly = np.bincount(y[0], minlength=ys[0].n_rows)
+            plans.append((len(lengths), before, col, x, y, ly, np.array(c), ys[0].n_cols))
+            before = before + np.outer(lx, ly).ravel()
+            col += xs[0].n_cols * ys[0].n_cols
+        lengths.append(before)
+        width = max(width, col)
+    row0 = np.cumsum([0] + [n.size for n in lengths])
+    nnz = int(sum(n.sum() for n in lengths))
+    index = np.int32 if max(nnz, width) < 2 ** 31 else np.int64
+    indptr = np.zeros(row0[-1] + 1, dtype=index)
+    np.cumsum(np.concatenate(lengths), out=indptr[1:])
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=index)
+    for r, before, col, (rx, cx, vx), (ry, cy, vy), ly, c, n_cols_y in plans:
+        if rx.size == 0 or ry.size == 0:
+            continue
+        starts = (indptr[row0[r]:row0[r + 1]] + before).reshape(-1, ly.size)
+        vx, vy = np.column_stack(vx) * c, np.array(vy)
+        a_off = np.arange(rx.size) - np.searchsorted(rx, rx)
+        b_off = np.arange(ry.size) - np.searchsorted(ry, ry)
+        row_len, y_cols = ly[ry], cy + col
+        step = max(1, _CHUNK // ry.size)
+        for a0 in range(0, rx.size, step):
+            a = slice(a0, a0 + step)
+            dest = starts[rx[a, None], ry] + a_off[a, None] * row_len + b_off
+            data[dest] = vx[a] @ vy
+            indices[dest] = cx[a, None] * n_cols_y + y_cols
+    return data, indices, indptr
 
 
 def assemble_2d_saddle(trial: Space2D, test: Space2D, diffusion, wind, t: float,
-                       dt_eff: float) -> SaddleSystem:
-    gram, m_rect, w_rect = assemble_2d_operators(trial, test, diffusion, wind, t)
-    b = (m_rect + dt_eff * w_rect).tocsr()
-    saddle = sp.bmat([[gram, b], [b.T, None]], format="csc")
-    return SaddleSystem(saddle, m_rect, w_rect)
+                       dt_eff: float):
+    """(matrix, b_rhs): the CSC matrix the stepper factors and the CSR
+    right-hand-side operator M - dt_eff W, test x trial.
+
+    ``matrix`` is the saddle [[A, B], [B^T, 0]] with B = M + dt_eff W, or B
+    alone for a Galerkin pair.  diffusion is the (x, y) pair of 1D
+    coefficients, each a constant, a callable of its own coordinate or None
+    (1).  The wind, a Wind, enters through its time-free factors scaled by
+    Wind.scales(t).
+    """
+    (ax, bx), (ay, by) = wind.factors
+    sx, sy = wind.scales(t)
+    tables = {}  # each space's element tables, made once for all its blocks
+
+    def on_x(kind, coefficient=None, source=trial):
+        return block(kind, source.x, test.x, coefficient, tables)
+
+    def on_y(kind, coefficient=None, source=trial):
+        return block(kind, source.y, test.y, coefficient, tables)
+
+    mx, my = on_x(mass), on_y(mass)
+    w = [(1.0, on_x(stiffness, diffusion[0]), my),
+         (1.0, mx, on_y(stiffness, diffusion[1])),
+         (sx, on_x(advection, ax), on_y(mass, bx)),
+         (sy, on_x(mass, ay), on_y(advection, by))]
+    b, b_rhs = ([(1.0, mx, my)] + [(sign * dt_eff * c, x, y) for c, x, y in w]
+                for sign in (1.0, -1.0))
+    b_t = [(c, _transpose(x), _transpose(y)) for c, x, y in b]
+    m, n = test.interior_dim, trial.interior_dim
+    b_rhs = sp.csr_matrix(_kron_csr([[b_rhs]]), shape=(m, n))
+    if _galerkin(trial, test):  # B^T's CSR arrays are B's CSC arrays
+        return sp.csc_matrix(_kron_csr([[b_t]]), shape=(n, n)), b_rhs
+    mx, my = on_x(mass, source=test), on_y(mass, source=test)
+    gram = [(1.0, mx, my), (1.0, on_x(stiffness, source=test), my),
+            (1.0, mx, on_y(stiffness, source=test))]
+    # rows [A^T | B] and [B^T | 0]: read as CSC, they are the saddle as assembled
+    gram_t = [(c, _transpose(x), _transpose(y)) for c, x, y in gram]
+    return sp.csc_matrix(_kron_csr([[gram_t, b], [b_t]]), shape=(m + n, m + n)), b_rhs
 
 
 class _SparseFactor:
@@ -114,16 +177,19 @@ class _SparseFactor:
 
     Pivots below 1e-4 of their column are passed over: at 0, Galerkin and
     smooth-test pairs lose all accuracy; at 1e-2, row swaps undo the ordering.
-    A relative residual above 1e-8 on matrix @ ones raises.  fill_nnz = nnz(L+U).
+    B alone (``saddle=False``) takes SuperLU's defaults: COLAMD and partial
+    pivoting.  A relative residual above 1e-8 on matrix @ ones raises.
+    fill_nnz is SuperLU's count of the entries it stores in L and U.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, saddle: bool = True):
+        options = (dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-4,
+                        options={"SymmetricMode": True}) if saddle else {})
         try:
-            self._lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                            diag_pivot_thresh=1e-4, options={"SymmetricMode": True})
+            self._lu = splu(matrix.tocsc(), **options)
         except RuntimeError as exc:
             raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc
-        self.fill_nnz = int(self._lu.L.nnz + self._lu.U.nnz)
+        self.fill_nnz = int(self._lu.nnz)
         rhs = matrix @ np.ones(matrix.shape[1])
         rel = np.linalg.norm(matrix @ self._lu.solve(rhs) - rhs) / np.linalg.norm(rhs)
         if not rel <= 1e-8:  # also NaN, from a singular matrix with rhs = 0
@@ -133,8 +199,8 @@ class _SparseFactor:
         return self._lu.solve(rhs)
 
 
-def sparse_lu(matrix) -> _SparseFactor:
-    return _SparseFactor(matrix)
+def sparse_lu(matrix, saddle: bool = True) -> _SparseFactor:
+    return _SparseFactor(matrix, saddle)
 
 
 class RotatingFlowStepper(StepperBase):
@@ -142,10 +208,11 @@ class RotatingFlowStepper(StepperBase):
 
     dt_eff = tau / 2 enters the one-step operator; the right side uses the
     mirrored operator M - dt_eff W.  The factorization is computed once and
-    reused, so the wind must be steady; any steady wind is accepted.  The
-    counter receives the banded work of the initial projection; the sparse
-    LU is not counted as ops.  Its cost figure is factor.fill_nnz, the L+U
-    nonzeros, which run writes to metadata.json.
+    reused, so the wind must be steady; any steady wind is accepted.  A
+    Galerkin pair factors B alone and returns r = 0.  The counter receives
+    the banded work of the initial projection; the sparse LU is not counted
+    as ops.  Its cost figure is factor.fill_nnz, SuperLU's count of the L and
+    U entries, which run writes to metadata.json.
     """
 
     def __init__(self, problem, config: RunConfig,
@@ -157,17 +224,19 @@ class RotatingFlowStepper(StepperBase):
         super().__init__(problem, config, counter)
         self.trial = Space2D(self.trial_x, self.trial_y)
         self.test = Space2D(self.test_x, self.test_y)
-        tau = config.tau
-        system = assemble_2d_saddle(self.trial, self.test,
-                                    (problem.diffusion_x, problem.diffusion_y),
-                                    problem.wind, config.t0, 0.5 * tau)
-        self.b_rhs = (system.m_rect - 0.5 * tau * system.w_rect).tocsr()
-        self.factor = sparse_lu(system.matrix)
-        self.loads = LoadAssembler(self.test_x, self.test_y)
-        # the residual's V-norm blocks: test masses and H1 Grams
-        self._norm_blocks = norm_blocks(self.test_x, self.test_y)
-        for b in self._norm_blocks:
-            b.to_csr()  # built here once, not in the first step
+        self.galerkin = _galerkin(self.trial, self.test)
+        matrix, self.b_rhs = assemble_2d_saddle(
+            self.trial, self.test, (problem.diffusion_x, problem.diffusion_y),
+            problem.wind, config.t0, 0.5 * config.tau)
+        self.factor = sparse_lu(matrix, saddle=not self.galerkin)
+        del matrix  # steps read only the factor
+        self.loads = (None if problem.forcing is None
+                      else LoadAssembler(self.test_x, self.test_y))
+        if not self.galerkin:
+            # the residual's V-norm blocks: test masses and H1 Grams
+            self._norm_blocks = norm_blocks(self.test_x, self.test_y)
+            for b in self._norm_blocks:
+                b.to_csr()  # built here once, not in the first step
 
     def step(self, state: SolutionState) -> SolutionState:
         tau = self.config.tau
@@ -177,9 +246,13 @@ class RotatingFlowStepper(StepperBase):
             load = (self.loads.load(f, state.time, support)
                     + self.loads.load(f, state.time + tau, support))
             rhs_top = rhs_top + 0.5 * tau * load.ravel()
-        rhs = np.concatenate([rhs_top, np.zeros(self.trial.interior_dim)])
-        sol = self.factor.solve(rhs)
-        r = sol[:self.test.interior_dim].reshape(self.test.interior_shape)
-        u = sol[self.test.interior_dim:].reshape(self.trial.interior_shape)
-        self.last_residual_norms = kron_norms(r, *self._norm_blocks)
-        return SolutionState(u=u, r=r, time=state.time + tau)
+        if self.galerkin:
+            u, r = self.factor.solve(rhs_top), np.zeros(self.test.interior_shape)
+        else:
+            rhs = np.concatenate([rhs_top, np.zeros(self.trial.interior_dim)])
+            sol = self.factor.solve(rhs)
+            r = sol[:self.test.interior_dim].reshape(self.test.interior_shape)
+            u = sol[self.test.interior_dim:]
+            self.last_residual_norms = kron_norms(r, *self._norm_blocks)
+        return SolutionState(u=u.reshape(self.trial.interior_shape), r=r,
+                             time=state.time + tau)

@@ -145,13 +145,10 @@ def _projections(space: SplineSpace, factors, mass_block):
 def make_stepper(problem, config: RunConfig, counter: OpCounter | None = None):
     if problem.wind.separable:
         return Stepper(problem, config, counter)
-    ignored = [name for name, set_ in (("--galerkin", not config.stabilized),
-                                       ("scheme", config.scheme != "pr")) if set_]
-    if ignored:
+    if config.scheme != "pr":
         raise ParameterError(
-            f"{', '.join(ignored)} not supported for the non-separable problem "
-            f"{problem.name!r}: the general path runs stabilized monolithic "
-            "Crank-Nicolson")
+            f"scheme not supported for the non-separable problem {problem.name!r}: "
+            "the general path runs monolithic Crank-Nicolson")
     return RotatingFlowStepper(problem, config, counter)
 
 

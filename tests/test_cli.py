@@ -223,7 +223,6 @@ def test_converge_rejects_scheme_from_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option,extra", (
-    ("--galerkin", ["--galerkin"]),
     ("scheme", ["--scheme", "be"]),
 ))
 def test_run_general_path_rejects_options_it_ignores(tmp_path, monkeypatch,
@@ -235,6 +234,20 @@ def test_run_general_path_rejects_options_it_ignores(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "configuration error:" in err and option in err
     assert not (tmp_path / "out" / "metadata.json").exists()
+
+
+def test_run_general_path_galerkin(tmp_path, monkeypatch):
+    # a Galerkin pair on the general path factors B alone: r = 0, no
+    # residual table, and the fill of that factor in metadata.json
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--problem", "circular-wind", "--mesh", "4",
+                 "--tau", "0.1", "--steps", "2", "--out", "out", "--galerkin"])
+    assert code == 0
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["config"]["stabilized"] is False
+    assert meta["effective_scheme"] == "monolithic-cn"
+    assert meta["fill_nnz"] > 0
+    assert not (tmp_path / "out" / "residuals.csv").exists()
 
 
 def test_run_general_path_starts_at_t0(tmp_path):

@@ -7,6 +7,7 @@ loop that bypassed the instance would only show up as failed benchmark
 rounds; these tests catch both on the imported package.
 """
 
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -100,3 +101,22 @@ def test_benchmark_round_hooks_see_every_step(tmp_path, monkeypatch, config):
     assert rnd.setup_s > 0.0
     assert len(rnd.states) == config.n_steps + 1
     assert np.array_equal(rnd.states[-1][1], final.u)
+
+
+def test_general_set_up_goes_through_the_traced_names(tmp_path):
+    # one traced circular-wind round records one assembly and one factor,
+    # whose L+U count is the fill_nnz that run writes
+    config = RunConfig(problem="circular-wind", mesh=(6, 6), tau=0.1, n_steps=2,
+                       out_dir=str(tmp_path))
+    tracer = _import_perfbench("spans").Tracer()
+    try:
+        tracer.install()
+        reporting.run(config)
+    finally:
+        tracer.uninstall()
+    totals = tracer.layer_totals()
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert totals["full2d.assemble_2d_saddle"]["calls"] == 1
+    assert totals["full2d.factor"]["calls"] == 1
+    assert totals["full2d.factor"]["count"] == meta["fill_nnz"] > 0
+    assert totals["full2d.solve"]["calls"] == 2
