@@ -157,11 +157,11 @@ def assemble_2d_saddle(trial: Space2D, test: Space2D, diffusion, wind, t: float,
          (1.0, mx, on_y(stiffness, diffusion[1])),
          (sx, on_x(advection, ax), on_y(mass, bx)),
          (sy, on_x(mass, ay), on_y(advection, by))]
-    b, b_rhs = ([(1.0, mx, my)] + [(sign * dt_eff * c, x, y) for c, x, y in w]
-                for sign in (1.0, -1.0))
+    b, rhs = ([(1.0, mx, my)] + [(sign * dt_eff * c, x, y) for c, x, y in w]
+              for sign in (1.0, -1.0))
     b_t = [(c, _transpose(x), _transpose(y)) for c, x, y in b]
     m, n = test.interior_dim, trial.interior_dim
-    b_rhs = sp.csr_matrix(_kron_csr([[b_rhs]]), shape=(m, n))
+    b_rhs = sp.csr_matrix(_kron_csr([[rhs]]), shape=(m, n))
     if _galerkin(trial, test):  # B^T's CSR arrays are B's CSC arrays
         return sp.csc_matrix(_kron_csr([[b_t]]), shape=(n, n)), b_rhs
     mx, my = on_x(mass, source=test), on_y(mass, source=test)
