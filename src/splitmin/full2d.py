@@ -95,7 +95,7 @@ def _kron_csr(block_rows):
     each block, columns ascending.  No triplets are formed and nothing is
     sorted.
     """
-    plans, lengths, width = [], [], 0
+    plans, lengths = [], []
     for row in block_rows:
         before, col = 0, 0
         for terms in row:
@@ -107,13 +107,11 @@ def _kron_csr(block_rows):
             before = before + np.outer(lx, ly).ravel()
             col += xs[0].n_cols * ys[0].n_cols
         lengths.append(before)
-        width = max(width, col)
     row0 = np.cumsum([0] + [n.size for n in lengths])
     nnz = int(sum(n.sum() for n in lengths))
-    index = np.int32 if max(nnz, width) < 2 ** 31 else np.int64
-    indptr = np.zeros(row0[-1] + 1, dtype=index)
+    indptr = np.zeros(row0[-1] + 1, dtype=np.int32)
     np.cumsum(np.concatenate(lengths), out=indptr[1:])
-    data, indices = np.empty(nnz), np.empty(nnz, dtype=index)
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=np.int32)
     for r, before, col, (rx, cx, vx), (ry, cy, vy), ly, c, n_cols_y in plans:
         if rx.size == 0 or ry.size == 0:
             continue
@@ -173,20 +171,21 @@ def assemble_2d_saddle(trial: Space2D, test: Space2D, diffusion, wind, t: float,
 
 
 class _SparseFactor:
-    """SuperLU of the saddle: minimum degree on A+A^T, diagonal pivots.
+    """SuperLU of the saddle, or of B alone: minimum degree on A+A^T,
+    diagonal pivots.
 
-    Pivots below 1e-4 of their column are passed over: at 0, Galerkin and
-    smooth-test pairs lose all accuracy; at 1e-2, row swaps undo the ordering.
-    B alone (``saddle=False``) takes SuperLU's defaults: COLAMD and partial
-    pivoting.  A relative residual above 1e-8 on matrix @ ones raises.
-    fill_nnz is SuperLU's count of the entries it stores in L and U.
+    Pivots below 1e-4 of their column are passed over: at 0, smooth-test
+    saddles lose all accuracy; at 1e-2, row swaps undo the ordering.  On B
+    alone this ordering fills less than COLAMD with partial pivoting
+    (0.20M against 0.51M at 32^2, (2,0)/(2,0)).  A relative residual above
+    1e-8 on matrix @ ones raises.  fill_nnz is SuperLU's count of the
+    entries it stores in L and U.
     """
 
-    def __init__(self, matrix, saddle: bool = True):
-        options = (dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-4,
-                        options={"SymmetricMode": True}) if saddle else {})
+    def __init__(self, matrix):
         try:
-            self._lu = splu(matrix.tocsc(), **options)
+            self._lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=1e-4, options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc
         self.fill_nnz = int(self._lu.nnz)
@@ -199,8 +198,8 @@ class _SparseFactor:
         return self._lu.solve(rhs)
 
 
-def sparse_lu(matrix, saddle: bool = True) -> _SparseFactor:
-    return _SparseFactor(matrix, saddle)
+def sparse_lu(matrix) -> _SparseFactor:
+    return _SparseFactor(matrix)
 
 
 class RotatingFlowStepper(StepperBase):
@@ -224,11 +223,11 @@ class RotatingFlowStepper(StepperBase):
         super().__init__(problem, config, counter)
         self.trial = Space2D(self.trial_x, self.trial_y)
         self.test = Space2D(self.test_x, self.test_y)
-        self.galerkin = _galerkin(self.trial, self.test)
         matrix, self.b_rhs = assemble_2d_saddle(
             self.trial, self.test, (problem.diffusion_x, problem.diffusion_y),
             problem.wind, config.t0, 0.5 * config.tau)
-        self.factor = sparse_lu(matrix, saddle=not self.galerkin)
+        self.galerkin = matrix.shape[0] == self.trial.interior_dim  # B alone
+        self.factor = sparse_lu(matrix)
         del matrix  # steps read only the factor
         self.loads = (None if problem.forcing is None
                       else LoadAssembler(self.test_x, self.test_y))

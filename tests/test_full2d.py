@@ -296,7 +296,7 @@ def test_sparse_lu_matches_dense_solve_on_random_saddles(case):
     galerkin = matrix.shape[0] == trial.interior_dim
     if galerkin:
         rhs[m:] = 0.0
-        got = np.concatenate([np.zeros(m), sparse_lu(matrix, saddle=False).solve(rhs[:m])])
+        got = np.concatenate([np.zeros(m), sparse_lu(matrix).solve(rhs[:m])])
     else:
         got = sparse_lu(matrix).solve(rhs)
     dense, b = (matrix.toarray(), rhs[:m]) if galerkin else (saddle, rhs)
@@ -375,8 +375,8 @@ def _galerkin_stepper(n):
 
 
 def test_galerkin_pair_factors_b_alone_with_small_fill():
-    # ordered as a saddle, (2,0)/(2,0) at 32^2 filled L+U with 29.8M nonzeros;
-    # B alone with COLAMD fills about 0.51M
+    # factored as a saddle, (2,0)/(2,0) at 32^2 filled L+U with 29.8M
+    # nonzeros; B alone fills about 0.20M
     stepper = _galerkin_stepper(32)
     assert stepper.galerkin
     assert 0 < stepper.factor.fill_nnz < 1_000_000
