@@ -12,7 +12,7 @@ from .banded import BandedMatrix
 from .exceptions import (DomainError, NonFiniteStateError, ParameterError,
                          SingularMatrixError)
 from .full2d import RotatingFlowStepper, Space2D, assemble_2d_saddle, sparse_lu
-from .kron import BandedLU, OpCounter, SaddleFactor, kron_matvec, kron_solve
+from .kron import BandedLU, OpCounter, SaddleFactor, kron_matvec
 from .problems import (ProblemDefinition, circular_wind, get_problem,
                        manufactured, pollution)
 from .reporting import (ErrorEvaluator, convergence_study, export_field, run,
@@ -32,7 +32,7 @@ __all__ = [
     "SplineSpace", "Stepper", "advection", "assemble_2d_saddle", "block",
     "build_directional", "circular_wind",
     "convergence_study", "eval_matrix", "export_field",
-    "get_problem", "kron_matvec", "kron_solve", "make_space",
+    "get_problem", "kron_matvec", "make_space",
     "manufactured", "mass", "pollution", "project_initial", "residual_norms",
     "run", "sample_field", "solution_norms", "sparse_lu", "stiffness",
     "substep", "timing_study",

@@ -27,6 +27,7 @@ from pathlib import Path
 from .exceptions import (DomainError, NonFiniteStateError, ParameterError,
                          SingularMatrixError)
 from .reporting import RunConfig, convergence_study, run, timing_study
+from .stepping import SchemeKind
 
 __all__ = ["main"]
 
@@ -192,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one simulation")
     _add_common(p_run)
     p_run.add_argument("--scheme",
-                       choices=("pr", "strang-be", "strang-cn", "be"),
+                       choices=[k.value for k in SchemeKind],
                        help="time integrator (split path)")
     p_run.add_argument("--snapshot-stride", type=int, dest="snapshot_stride",
                        help="write a field snapshot every k steps (0: final only)")
@@ -207,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="parallel workers for study points")
     p_conv.add_argument("--taus", required=True,
                         help="comma-separated time steps, e.g. 0.02,0.01,0.005")
-    p_conv.add_argument("--schemes", default="pr,strang-be,strang-cn,be",
+    p_conv.add_argument("--schemes", default=",".join(k.value for k in SchemeKind),
                         help="comma-separated scheme list")
     p_conv.add_argument("--reference", default="exact",
                         choices=("exact", "self"),

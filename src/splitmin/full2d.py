@@ -29,9 +29,9 @@ rounding, so the rows [A^T | B] and [B^T | 0], written as CSR arrays, are
 its CSC arrays.  When the test spaces equal the trial spaces
 (a Galerkin pair), B is square, r = 0 and the saddle reduces to B u = rhs:
 only B is assembled and factored.  The matrix is dropped once its factor has
-passed the guard; the stepper keeps the factor, the right-hand-side operator
-M - dt_eff W, the residual's 1D norm blocks, and a LoadAssembler on the test
-spaces when the problem has a forcing.
+passed the guard; the stepper keeps the factor, the 1D test x trial masses,
+the residual's 1D norm blocks, and a LoadAssembler on the test spaces when
+the problem has a forcing.
 
 All matrices are homogeneous-Dirichlet eliminated; 2D dof order is
 row-major, index = ix * n_y + iy over interior 1D indices.
@@ -48,7 +48,7 @@ from scipy.sparse.linalg import splu
 from .assembly import advection, block, mass, norm_blocks, stiffness
 from .banded import BandedMatrix, common_entries
 from .exceptions import ParameterError, SingularMatrixError
-from .kron import OpCounter, kron_norms
+from .kron import OpCounter, kron_matvec, kron_norms
 from .resmin import LoadAssembler, SolutionState
 from .splines import SplineSpace
 from .stepping import RunConfig, StepperBase
@@ -131,14 +131,12 @@ def _kron_csr(block_rows):
 
 def assemble_2d_saddle(trial: Space2D, test: Space2D, diffusion, wind, t: float,
                        dt_eff: float):
-    """(matrix, b_rhs): the CSC matrix the stepper factors and the CSR
-    right-hand-side operator M - dt_eff W, test x trial.
+    """The CSC matrix the stepper factors: the saddle [[A, B], [B^T, 0]] with
+    B = M + dt_eff W, or B alone for a Galerkin pair.
 
-    ``matrix`` is the saddle [[A, B], [B^T, 0]] with B = M + dt_eff W, or B
-    alone for a Galerkin pair.  diffusion is the (x, y) pair of 1D
-    coefficients, each a constant, a callable of its own coordinate or None
-    (1).  The wind, a Wind, enters through its time-free factors scaled by
-    Wind.scales(t).
+    diffusion is the (x, y) pair of 1D coefficients, each a constant, a
+    callable of its own coordinate or None (1).  The wind, a Wind, enters
+    through its time-free factors scaled by Wind.scales(t).
     """
     (ax, bx), (ay, by) = wind.factors
     sx, sy = wind.scales(t)
@@ -155,19 +153,17 @@ def assemble_2d_saddle(trial: Space2D, test: Space2D, diffusion, wind, t: float,
          (1.0, mx, on_y(stiffness, diffusion[1])),
          (sx, on_x(advection, ax), on_y(mass, bx)),
          (sy, on_x(mass, ay), on_y(advection, by))]
-    b, rhs = ([(1.0, mx, my)] + [(sign * dt_eff * c, x, y) for c, x, y in w]
-              for sign in (1.0, -1.0))
+    b = [(1.0, mx, my)] + [(dt_eff * c, x, y) for c, x, y in w]
     b_t = [(c, _transpose(x), _transpose(y)) for c, x, y in b]
     m, n = test.interior_dim, trial.interior_dim
-    b_rhs = sp.csr_matrix(_kron_csr([[rhs]]), shape=(m, n))
     if _galerkin(trial, test):  # B^T's CSR arrays are B's CSC arrays
-        return sp.csc_matrix(_kron_csr([[b_t]]), shape=(n, n)), b_rhs
+        return sp.csc_matrix(_kron_csr([[b_t]]), shape=(n, n))
     mx, my = on_x(mass, source=test), on_y(mass, source=test)
     gram = [(1.0, mx, my), (1.0, on_x(stiffness, source=test), my),
             (1.0, mx, on_y(stiffness, source=test))]
     # rows [A^T | B] and [B^T | 0]: read as CSC, they are the saddle as assembled
     gram_t = [(c, _transpose(x), _transpose(y)) for c, x, y in gram]
-    return sp.csc_matrix(_kron_csr([[gram_t, b], [b_t]]), shape=(m + n, m + n)), b_rhs
+    return sp.csc_matrix(_kron_csr([[gram_t, b], [b_t]]), shape=(m + n, m + n))
 
 
 class _SparseFactor:
@@ -205,9 +201,12 @@ def sparse_lu(matrix) -> _SparseFactor:
 class RotatingFlowStepper(StepperBase):
     """Monolithic Crank-Nicolson stepping of the full 2D saddle system.
 
-    dt_eff = tau / 2 enters the one-step operator; the right side uses the
-    mirrored operator M - dt_eff W.  The factorization is computed once and
-    reused, so the wind must be steady; any steady wind is accepted.  A
+    dt_eff = tau / 2 enters the one-step operator B = M + dt_eff W.  The
+    Crank-Nicolson right side (M - dt_eff W) u = 2 M u - B u needs no second
+    operator: the solve is linear, and (0, -u) solves for (-B u, 0), so a step
+    solves for M u and half the loads, the backward-Euler half step y, and
+    takes (r, u') = (2 y_r, 2 y_u - u).  The factorization is computed once
+    and reused, so the wind must be steady; any steady wind is accepted.  A
     Galerkin pair factors B alone and returns r = 0.  The counter receives
     the banded work of the initial projection; the sparse LU is not counted
     as ops.  Its cost figure is factor.fill_nnz, SuperLU's count of the L and
@@ -223,12 +222,15 @@ class RotatingFlowStepper(StepperBase):
         super().__init__(problem, config, counter)
         self.trial = Space2D(self.trial_x, self.trial_y)
         self.test = Space2D(self.test_x, self.test_y)
-        matrix, self.b_rhs = assemble_2d_saddle(
+        matrix = assemble_2d_saddle(
             self.trial, self.test, (problem.diffusion_x, problem.diffusion_y),
             problem.wind, config.t0, 0.5 * config.tau)
         self.galerkin = matrix.shape[0] == self.trial.interior_dim  # B alone
         self.factor = sparse_lu(matrix)
         del matrix  # steps read only the factor
+        # M = Mx (x) My, test x trial
+        self._masses = [block(mass, s, v).to_csr()
+                        for s, v in ((self.trial_x, self.test_x), (self.trial_y, self.test_y))]
         self.loads = (None if problem.forcing is None
                       else LoadAssembler(self.test_x, self.test_y))
         if not self.galerkin:
@@ -239,19 +241,17 @@ class RotatingFlowStepper(StepperBase):
 
     def step(self, state: SolutionState) -> SolutionState:
         tau = self.config.tau
-        rhs_top = self.b_rhs @ state.u.ravel()
+        rhs = kron_matvec(*self._masses, state.u)
         f, support = self.problem.forcing, self.problem.forcing_support
         if f is not None:
-            load = (self.loads.load(f, state.time, support)
-                    + self.loads.load(f, state.time + tau, support))
-            rhs_top = rhs_top + 0.5 * tau * load.ravel()
+            rhs = rhs + 0.25 * tau * (self.loads.load(f, state.time, support)
+                                      + self.loads.load(f, state.time + tau, support))
         if self.galerkin:
-            u, r = self.factor.solve(rhs_top), np.zeros(self.test.interior_shape)
+            y, r = self.factor.solve(rhs.ravel()), np.zeros(self.test.interior_shape)
         else:
-            rhs = np.concatenate([rhs_top, np.zeros(self.trial.interior_dim)])
-            sol = self.factor.solve(rhs)
-            r = sol[:self.test.interior_dim].reshape(self.test.interior_shape)
-            u = sol[self.test.interior_dim:]
+            m = self.test.interior_dim
+            y = self.factor.solve(np.concatenate([rhs.ravel(), np.zeros(self.trial.interior_dim)]))
+            r, y = 2.0 * y[:m].reshape(self.test.interior_shape), y[m:]
             self.last_residual_norms = kron_norms(r, *self._norm_blocks)
-        return SolutionState(u=u.reshape(self.trial.interior_shape), r=r,
-                             time=state.time + tau)
+        u = 2.0 * y.reshape(self.trial.interior_shape) - state.u
+        return SolutionState(u=u, r=r, time=state.time + tau)

@@ -25,14 +25,10 @@ Three pieces:
   ``solve_deferred`` gathers u at once and returns r as a function that
   gathers it, for the callers that may not read r.
 
-* ``kron_solve`` / ``kron_matvec`` / ``kron_norms`` -- the split direction's
-  solve, (Ax (x) Ay) and the L2/H1 norms of Kronecker-product inner
+* ``solve_along`` / ``kron_matvec`` / ``kron_norms`` -- a factor's inverse
+  along one axis, (Ax (x) Ay) and the L2/H1 norms of Kronecker-product inner
   products on coefficient grids indexed (x, y), never materializing a
-  Kronecker product.  A substep's whole solve is (S^-1 (x) M^-1); as
-  (S^-1 (x) M^-1)(P (x) Q) = S^-1 P (x) M^-1 Q, its caller divides by the
-  other direction's M (``solve_along``) on whichever grid is smallest, and
-  ``kron_solve`` applies S^-1 alone.  A product contracts its cheaper axis
-  first.
+  Kronecker product.  A product contracts its cheaper axis first.
 
 Every factorization and solve adds its floating-point work to an
 ``OpCounter``; counted operations, not wall clock, are the cost metric the
@@ -51,7 +47,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .banded import BandedMatrix, csr
 from .exceptions import SingularMatrixError
 
-__all__ = ["OpCounter", "BandLayout", "BandedLU", "SaddleFactor", "kron_solve", "solve_along",
+__all__ = ["OpCounter", "BandLayout", "BandedLU", "SaddleFactor", "solve_along",
            "kron_matvec", "kron_norms", "along", "x_first_cheaper"]
 
 
@@ -303,29 +299,6 @@ def _local_inverse(A: BandedMatrix, local, elements):
     inverse = np.linalg.inv(blocks)
     g, i, j = np.nonzero((members[:, :, None] >= 0) & (members[:, None, :] >= 0))
     return members[g, i], members[g, j], inverse[g, i, j]
-
-
-def kron_solve(split_factor, split_axis: str, rhs: np.ndarray):
-    """Apply (F_split (x) I)^{-1} to a grid indexed (x, y): the split direction alone.
-
-    It is the whole Kronecker solve once the other direction's factor A is
-    divided out of rhs, (F^-1 (x) A^-1) rhs = (F^-1 (x) I)(I (x) A^-1) rhs, so
-    the caller divides where that is cheapest (``solve_along``).
-    ``split_factor`` acts along ``split_axis``: a BandedLU (plain Galerkin)
-    returns the grid, a SaddleFactor the pair (r, u) for rhs's m test rows,
-    with r a function that gathers the grid: only a step's last r is read.
-    """
-    if split_axis not in ("x", "y"):
-        raise ValueError("split_axis must be 'x' or 'y'")
-    rhs = np.asarray(rhs, dtype=float)
-    F = rhs if split_axis == "x" else rhs.T
-    if not isinstance(split_factor, SaddleFactor):
-        out = split_factor.solve(F)
-        return out if split_axis == "x" else out.T
-    gather_r, u = split_factor.solve_deferred(F)
-    if split_axis == "x":
-        return gather_r, u
-    return (lambda: gather_r().T), u.T
 
 
 def solve_along(lu: BandedLU, grid: np.ndarray, axis: int) -> np.ndarray:

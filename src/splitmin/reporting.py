@@ -27,7 +27,7 @@ from .full2d import RotatingFlowStepper
 from .kron import BandedLU, OpCounter, kron_norms
 from .problems import ProductSum, factor_values, get_problem
 from .splines import SplineSpace, eval_matrix, gauss_rule
-from .stepping import RunConfig, Stepper, march, spaces
+from .stepping import RunConfig, SchemeKind, Stepper, march, spaces
 
 __all__ = ["RunConfig", "ErrorRow", "ErrorEvaluator", "make_stepper", "run",
            "convergence_study", "timing_study", "export_field", "sample_field",
@@ -163,10 +163,10 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 def run(config: RunConfig):
     """Execute one configured run; write artifacts; return the final state."""
     problem = get_problem(config.problem)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     counter = OpCounter()
     stepper = make_stepper(problem, config, counter)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     trial_x, trial_y = stepper.trial_x, stepper.trial_y
     effective_scheme = config.scheme if problem.wind.separable else "monolithic-cn"
 
@@ -225,7 +225,7 @@ def _study_point(config: RunConfig) -> tuple[str, float, np.ndarray]:
 
 
 def convergence_study(config: RunConfig, taus: Sequence[float],
-                      schemes: Sequence[str] = ("pr", "strang-be", "strang-cn", "be"),
+                      schemes: Sequence[str] = tuple(k.value for k in SchemeKind),
                       jobs: int = 1, out_dir: Optional[str] = None,
                       reference: str = "exact") -> dict:
     """Error-vs-tau sweep at a fixed horizon; least-squares orders per scheme.
@@ -245,6 +245,8 @@ def convergence_study(config: RunConfig, taus: Sequence[float],
         raise ParameterError(f"unknown reference {reference!r}")
     if not schemes:
         raise ParameterError("convergence study needs at least one scheme")
+    for scheme in schemes:
+        SchemeKind.parse(scheme)
     if jobs < 1:
         raise ParameterError(f"jobs must be at least 1, got {jobs}")
     problem = get_problem(config.problem)

@@ -39,7 +39,7 @@ from .assembly import advection, block, mass, stiffness
 from .exceptions import ParameterError
 from .banded import common_entries, csr
 from .kron import (BandedLU, BandLayout, OpCounter, SaddleFactor, kron_matvec, kron_norms,
-                   kron_solve, solve_along, x_first_cheaper)
+                   solve_along, x_first_cheaper)
 from .problems import ProductSum, factor_values
 from .splines import SplineSpace, element_local, eval_matrix, gauss_rule
 
@@ -142,20 +142,20 @@ class DirectionalOperator:
       b_split = m_rect + dt_eff*(k_rect + s*g_rect), with g_rect the advection
         block of the wind's time-free factor and s its scale,
       a_split = test Gram (m_test + k_test) in the split direction,
-      m_other/k_other  square trial blocks in the orthogonal direction.
-    rhs_ops holds the explicit blocks the schemes' right-hand sides use
-    besides m_other, which the division by m_other cancels.  split_factor
-    factors b_split (with a_split, its element-local test functions
-    condensed out, when stabilized) along the split direction; other_lu
-    factors m_other, and the loads come divided by it.
+      m_other/k_other  square trial blocks in the orthogonal direction,
+      other_minus = m_other - dt_eff*(k_other + s*g_other), the explicit
+        block of the Peaceman-Rachford right-hand side (a CSR matrix).
+    split_factor factors b_split (with a_split, its element-local test
+    functions condensed out, when stabilized) along the split direction;
+    other_lu factors m_other, and the loads come divided by it.
 
     The constructor builds all that does not change in time: the blocks,
     each space's element tables made once, advection of the wind's
     time-free (x, y) factors included, other_lu, the loads, and one fixed
-    pattern per wind-dependent matrix (b_split,
-    rect_minus, other_minus), the union of its blocks' nonzeros, with the
-    CSR matrices and split_factor's band layout on it.  set_wind(s_x, s_y)
-    forms values there and refactors; b_split is derived on read.
+    pattern per wind-dependent matrix (b_split, other_minus), the union of
+    its blocks' nonzeros, with other_minus's CSR and split_factor's band
+    layout on it.  set_wind(s_x, s_y) forms values there and refactors;
+    b_split is derived on read.
     """
 
     def __init__(self, direction, dt_eff, stabilized, trial_split, test_split,
@@ -185,9 +185,7 @@ class DirectionalOperator:
         rows, cols, self._rect = common_entries(self.m_rect, self.k_rect,
                                                 self._g_rect_free)
         *other, self._other = common_entries(self.m_other, self.k_other, g_other)
-        self.rhs_ops = {"m_rect": self.m_rect,
-                        "rect_minus": csr(rows, cols, 0.0 * rows, self.m_rect.shape),
-                        "other_minus": csr(*other, 0.0 * other[0], self.m_other.shape)}
+        self.other_minus = csr(*other, 0.0 * other[0], self.m_other.shape)
         for read in (self.m_rect, self.m_test, self.a_split, self.m_other):
             read.to_csr()  # the blocks steps read, built here once
         if stabilized:
@@ -206,8 +204,7 @@ class DirectionalOperator:
         self._scales = scales
         (m, k, g), (mo, ko, go) = self._rect, self._other
         step = self.dt_eff * (k + scales[self.axis] * g)
-        self.rhs_ops["rect_minus"].data[:] = m - step
-        self.rhs_ops["other_minus"].data[:] = mo - self.dt_eff * (ko + scales[1 - self.axis] * go)
+        self.other_minus.data[:] = mo - self.dt_eff * (ko + scales[1 - self.axis] * go)
         if self.stabilized:
             self.split_factor.refactor(m + step)
         else:
@@ -230,10 +227,6 @@ def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace
     if direction not in ("x", "y"):
         raise ParameterError(f"direction must be 'x' or 'y', got {direction!r}")
     trial_split, trial_other = (trial_x, trial_y) if direction == "x" else (trial_y, trial_x)
-    if test_split.degree < trial_split.degree:
-        raise ParameterError(
-            f"test space degree {test_split.degree} is coarser than trial degree "
-            f"{trial_split.degree} in the split direction")
     if not stabilized:
         test_split = trial_split
     op = DirectionalOperator(direction, dt_eff, stabilized, trial_split,
@@ -246,9 +239,19 @@ def substep(op: DirectionalOperator, rhs_grid: np.ndarray) -> SolutionState:
     """Solve one substep in the split direction alone, for a tested load grid
     (m test rows in the split direction) already divided by the other
     direction's mass; returns (u, r), with r gathered from the saddle
-    solution only when it is read."""
-    out = kron_solve(op.split_factor, op.direction, rhs_grid)
-    return SolutionState(u=out[1], r=out[0]) if op.stabilized else SolutionState(u=out)
+    solution only when it is read.
+
+    As (S^-1 (x) M^-1) rhs = (S^-1 (x) I)(I (x) M^-1) rhs, this is the whole
+    Kronecker solve once the other direction's mass is divided out.
+    """
+    F = rhs_grid if op.axis == 0 else rhs_grid.T
+    if not op.stabilized:
+        u = op.split_factor.solve(F)
+        return SolutionState(u=u if op.axis == 0 else u.T)
+    gather_r, u = op.split_factor.solve_deferred(F)
+    if op.axis == 0:
+        return SolutionState(u=u, r=gather_r)
+    return SolutionState(u=u.T, r=lambda: gather_r().T)
 
 
 def divide_other(op: DirectionalOperator, grid: np.ndarray) -> np.ndarray:

@@ -10,7 +10,10 @@ indexed (x, y), all blocks Dirichlet-eliminated):
               (dt_eff = tau/2, tau, tau/2), forcing at t+tau/2 and t+tau;
               first order.
   strang-cn   Crank-Nicolson substeps (dt_eff = tau/4, tau/2, tau/4) with
-              averaged forcings; second order.
+              averaged forcings; second order.  The right side
+              (M - dt_eff W) u = 2 M u - B u needs no second operator: a
+              substep solves for M u, its backward-Euler half step y, and
+              takes (r, u') = (2 y_r, 2 y_u - u).
   be          Lie-split backward Euler: each direction once at dt_eff = tau,
               forcing at t+tau in the x substep; first order.
 """
@@ -55,7 +58,8 @@ class RunConfig:
                 ("tau", 0 < self.tau < np.inf, "positive and finite"),
                 ("n_steps", self.n_steps >= 0, "non-negative"),
                 ("snapshot_stride", self.snapshot_stride >= 0, "non-negative"),
-                ("snapshot_resolution", self.snapshot_resolution >= 1, "at least 1")):
+                ("snapshot_resolution", self.snapshot_resolution >= 1, "at least 1"),
+                ("t0", -np.inf < self.t0 < np.inf, "finite")):
             if not ok:
                 raise ParameterError(f"{name} must be {expected}, got {getattr(self, name)!r}")
 
@@ -76,20 +80,20 @@ class SchemeKind(Enum):
 
 
 # One row per implicit substep: direction, dt_eff as a fraction of tau, the
-# explicit blocks (rhs_ops keys) in the split and in the other direction (None
-# for the other direction's mass, which the substep's division cancels), and
-# the forcing times as fractions of tau (loads summed in this order).
+# direction whose M - dt_eff W stands explicit on the right ("other", "split"
+# or None: backward Euler), and the forcing times as fractions of tau (loads
+# summed in this order).
 _SUBSTEPS = {
-    SchemeKind.PEACEMAN_RACHFORD: (("x", 0.5, "m_rect", "other_minus", (0.5,)),
-                                   ("y", 0.5, "m_rect", "other_minus", (0.5,))),
-    SchemeKind.STRANG_BE: (("x", 0.5, "m_rect", None, (0.5,)),
-                           ("y", 1.0, "m_rect", None, ()),
-                           ("x", 0.5, "m_rect", None, (1.0,))),
-    SchemeKind.STRANG_CN: (("x", 0.25, "rect_minus", None, (0.5, 0.0)),
-                           ("y", 0.5, "rect_minus", None, ()),
-                           ("x", 0.25, "rect_minus", None, (1.0, 0.5))),
-    SchemeKind.BE_SPLIT: (("x", 1.0, "m_rect", None, (1.0,)),
-                          ("y", 1.0, "m_rect", None, ())),
+    SchemeKind.PEACEMAN_RACHFORD: (("x", 0.5, "other", (0.5,)),
+                                   ("y", 0.5, "other", (0.5,))),
+    SchemeKind.STRANG_BE: (("x", 0.5, None, (0.5,)),
+                           ("y", 1.0, None, ()),
+                           ("x", 0.5, None, (1.0,))),
+    SchemeKind.STRANG_CN: (("x", 0.25, "split", (0.5, 0.0)),
+                           ("y", 0.5, "split", ()),
+                           ("x", 0.25, "split", (1.0, 0.5))),
+    SchemeKind.BE_SPLIT: (("x", 1.0, None, (1.0,)),
+                          ("y", 1.0, None, ())),
 }
 # each direction has one operator, so all its rows share one dt_eff
 assert all(len({row[1] for row in rows if row[0] == d}) == 1
@@ -100,24 +104,28 @@ def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau, support=None
     """One step of the scheme's substep table; returns the last (op, state).
 
     A substep solves (S^-1 (x) M_o^-1)((P (x) Q) u + dt L) with S the split
-    direction's system and M_o the other direction's mass.  As
-    (S^-1 (x) M_o^-1)(P (x) Q) = S^-1 (P (x) M_o^-1 Q), the explicit part is
-    divided on the trial grid, and not at all when Q is M_o; the loads come
-    divided from the operator's assembler, and the solve is the split
-    direction's alone.
+    direction's system, P its mass, M_o the other direction's mass and L the
+    mean of the loads.  As (S^-1 (x) M_o^-1)(P (x) Q) = S^-1 (P (x) M_o^-1 Q),
+    the explicit part is divided on the trial grid, and not at all when Q is
+    M_o; the loads come divided from the operator's assembler, and the solve
+    is the split direction's alone.  A Crank-Nicolson substep extrapolates
+    that backward-Euler solve, r gathered only when read.
     """
     ops = {"x": x_op, "y": y_op}
     u = state.u
-    for direction, _, split_block, other_block, fractions in _SUBSTEPS[scheme]:
+    for direction, _, explicit, fractions in _SUBSTEPS[scheme]:
         op = ops[direction]
-        if other_block is not None:
-            u = divide_other(op, along(op.rhs_ops[other_block], u, 1 - op.axis))
-        rhs = along(op.rhs_ops[split_block], u, op.axis)
+        if explicit == "other":
+            u = divide_other(op, along(op.other_minus, u, 1 - op.axis))
+        rhs = along(op.m_rect, u, op.axis)
         if forcing is not None and fractions:
             loads = [op.loads.load(forcing, state.time + a * tau, support)
                      for a in fractions]
-            rhs += op.dt_eff * sum(loads[1:], loads[0])
+            rhs += op.dt_eff / len(loads) * sum(loads[1:], loads[0])
         out = substep(op, rhs)
+        if explicit == "split":
+            r = (lambda half=out: 2.0 * half.r) if op.stabilized else None
+            out = SolutionState(u=2.0 * out.u - u, r=r)
         u = out.u
     return op, out
 
@@ -138,10 +146,17 @@ def spaces(domain, mesh, pair) -> tuple[SplineSpace, SplineSpace]:
 
 
 class StepperBase:
-    """The spaces, initial state at config.t0 and residual norms both paths share."""
+    """The spaces, initial state at config.t0 and residual norms both paths share.
+
+    A test degree below the trial degree raises ParameterError here, before
+    either path assembles: its saddle is singular.
+    """
 
     def __init__(self, problem, config: RunConfig,
                  counter: OpCounter | None = None):
+        if config.stabilized and config.test[0] < config.trial[0]:
+            raise ParameterError(f"test space degree {config.test[0]} is coarser than "
+                                 f"trial degree {config.trial[0]}")
         self.problem = problem
         self.config = config
         self.counter = counter if counter is not None else OpCounter()

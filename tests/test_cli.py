@@ -275,15 +275,23 @@ _CONVERGE = ["converge", "--mesh", "6", "--tau", "0.04", "--steps", "5",
     [*_CONVERGE, "--taus", "0.04,0.02,0.01", "--jobs", "0"],
     [*_CONVERGE, "--taus", "0.04,0.02,0.01", "--jobs", "-3"],
     ["run", "--tau", "inf", "--steps", "2"],
+    ["run", "--config", "t0-nan.ini", "--steps", "2"],
+    ["run", "--config", "t0-inf.ini", "--steps", "2"],
+    [*_CONVERGE[:-1], "pr,strang-cn,foo", "--taus", "0.04,0.02,0.01"],
+    ["run", "--trial", "2,1", "--test", "1,0", "--steps", "2"],
+    ["run", "--problem", "circular-wind", "--trial", "2,1", "--test", "1,0", "--steps", "2"],
 ), ids=["empty-meshes", "zero-tau", "negative-tau", "zero-resolution",
         "negative-run-tau", "negative-stride", "no-closed-form", "empty-schemes",
-        "zero-jobs", "negative-jobs", "infinite-tau"])
+        "zero-jobs", "negative-jobs", "infinite-tau", "nan-t0", "infinite-t0",
+        "unknown-scheme", "coarse-test-split", "coarse-test-general"])
 def test_invalid_input_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                argv):
     def no_run(*args):
         raise AssertionError("a time loop ran on invalid input")
 
     monkeypatch.chdir(tmp_path)
+    for value in ("nan", "inf"):
+        (tmp_path / f"t0-{value}.ini").write_text(f"t0 = {value}\n")
     monkeypatch.setattr(reporting, "march", no_run)
     assert main([*argv, "--out", "out"]) == 2
     assert "configuration error:" in capsys.readouterr().err

@@ -38,20 +38,21 @@ def _general(problem, n, tau):
 
 
 def _saddle(stepper):
-    """The stepper's saddle matrix, from the sp.kron/bmat oracle."""
+    """The stepper's saddle matrix and its Crank-Nicolson right-hand-side
+    operator M - (tau/2) W, from the sp.kron/bmat oracle."""
     problem, config = stepper.problem, stepper.config
     return kron_saddle(stepper.trial, stepper.test,
                        (problem.diffusion_x, problem.diffusion_y),
-                       problem.wind, config.t0, 0.5 * config.tau)[0]
+                       problem.wind, config.t0, 0.5 * config.tau)
 
 
 def _operators(trial, test, diffusion, wind):
     """Dense (gram, m_rect, w_rect) read off the program's assembly at
-    dt_eff = 1, where B = M + W and b_rhs = M - W."""
-    matrix, b_rhs = assemble_2d_saddle(trial, test, diffusion, wind, 0.0, 1.0)
+    dt_eff = 0 and 1, where B = M and B = M + W."""
     m = test.interior_dim
-    dense, rhs = matrix.toarray(), b_rhs.toarray()
-    return dense[:m, :m], 0.5 * (dense[:m, m:] + rhs), 0.5 * (dense[:m, m:] - rhs)
+    b0, b1 = (assemble_2d_saddle(trial, test, diffusion, wind, 0.0, dt).toarray()
+              for dt in (0.0, 1.0))
+    return b1[:m, :m], b0[:m, m:], b1[:m, m:] - b0[:m, m:]
 
 
 def _space2d(pc, n, interval=(0.0, 1.0)):
@@ -116,11 +117,18 @@ def test_advection_2d_scalar_wind_components_broadcast():
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
-def test_variable_diffusion_enters_the_general_operator():
+def test_variable_diffusion_enters_the_general_operator(monkeypatch):
     # the general path must read diffusion_x/diffusion_y, not one constant
     problem = dataclasses.replace(circular_wind(),
                                   diffusion_x=lambda x: 0.2 + 0.1 * x * x,
                                   diffusion_y=lambda y: 0.3 + 0.05 * y)
+    assembled, assemble = [], full2d.assemble_2d_saddle
+
+    def recorded(*args):
+        assembled.append(assemble(*args))
+        return assembled[-1]
+
+    monkeypatch.setattr(full2d, "assemble_2d_saddle", recorded)
     stepper = _general(problem, 3, tau=0.1)
     ref = _dense_reference(
         stepper.trial, stepper.test,
@@ -128,10 +136,11 @@ def test_variable_diffusion_enters_the_general_operator():
          (lambda x, y: 0.3 + 0.05 * y + 0.0 * x, (0, 1), (0, 1)),
          (lambda x, y: y + 0.0 * x, (1, 0), (0, 0)),
          (lambda x, y: -x + 0.0 * y, (0, 1), (0, 0))], 7)
-    # b_rhs = M - (tau/2) W, the mass from the same quadrature route
+    # the saddle's B = M + (tau/2) W, the mass from the same quadrature route
     ref = _dense_reference(stepper.trial, stepper.test,
-                           [(lambda x, y: 1.0 + 0.0 * x * y, (0, 0), (0, 0))], 7) - 0.05 * ref
-    np.testing.assert_allclose(stepper.b_rhs.toarray(), ref,
+                           [(lambda x, y: 1.0 + 0.0 * x * y, (0, 0), (0, 0))], 7) + 0.05 * ref
+    m = stepper.test.interior_dim
+    np.testing.assert_allclose(assembled[0].toarray()[:m, m:], ref,
                                atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -181,7 +190,7 @@ def test_saddle_matrix_blocks_and_symmetry():
     trial = _space2d((2, 1), 3)
     test = _space2d((3, 0), 3)
     args = (trial, test, (0.01, 0.01), _ROTATION, 0.0, 0.05)
-    matrix, b_rhs = assemble_2d_saddle(*args)
+    matrix = assemble_2d_saddle(*args)
     gram, m_rect, w_rect = kron_operators(*args[:5])
     scale = kron_saddle(*args, magnitude=True)[0].toarray()
     b = (m_rect + 0.05 * w_rect).toarray()
@@ -198,13 +207,12 @@ def test_saddle_matrix_blocks_and_symmetry():
                                sp.csr_matrix(scale[rows]))
     np.testing.assert_array_equal(dense[m:, m:], 0.0)
     _assert_matches_oracle(matrix, matrix.T, sp.csr_matrix(scale))
-    _assert_matches_oracle(b_rhs, m_rect - 0.05 * w_rect, sp.csr_matrix(scale[:m, m:]))
 
 
 def test_sparse_lu_matches_dense_solve():
     trial = _space2d((2, 1), 3)
     test = _space2d((3, 0), 3)
-    matrix, _ = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.0, 0.05)
+    matrix = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.0, 0.05)
     rng = np.random.default_rng(90)
     rhs = rng.standard_normal(matrix.shape[0])
     got = sparse_lu(matrix).solve(rhs)
@@ -256,15 +264,14 @@ def test_assembly_matches_kron_oracle_on_random_saddles(case):
     # a Galerkin pair assembles B alone, the saddle's upper right block
     args, _ = case
     trial, test = args[:2]
-    matrix, b_rhs = assemble_2d_saddle(*args)
-    saddle, ref_rhs = kron_saddle(*args)
-    scale, rhs_scale = kron_saddle(*args, magnitude=True)
+    matrix = assemble_2d_saddle(*args)
+    saddle = kron_saddle(*args)[0]
+    scale = kron_saddle(*args, magnitude=True)[0]
     m = test.interior_dim
     if matrix.shape[0] == trial.interior_dim:
         assert trial.x.continuity == test.x.continuity and trial.x.degree == test.x.degree
         saddle, scale = saddle[:m, m:], scale[:m, m:]
     _assert_matches_oracle(matrix, saddle, scale)
-    _assert_matches_oracle(b_rhs, ref_rhs, rhs_scale)
 
 
 def _galerkin_4x6():
@@ -289,7 +296,7 @@ def test_sparse_lu_matches_dense_solve_on_random_saddles(case):
     # Galerkin pair goes the program's route: B alone, r = 0
     args, seed = case
     trial, test = args[:2]
-    matrix, _ = assemble_2d_saddle(*args)
+    matrix = assemble_2d_saddle(*args)
     saddle = kron_saddle(*args)[0].toarray()
     rhs = np.random.default_rng(seed).standard_normal(saddle.shape[0])
     m = test.interior_dim
@@ -335,8 +342,8 @@ def test_sparse_lu_guard_rejects_an_inaccurate_factor(monkeypatch, error, raises
             return self.lu.solve(rhs) * (1.0 + error)
 
     monkeypatch.setattr(full2d, "splu", lambda *a, **k: Inaccurate(splu(*a, **k)))
-    matrix, _ = assemble_2d_saddle(_space2d((2, 1), 3), _space2d((3, 0), 3),
-                                   (0.01, 0.01), _ROTATION, 0.0, 0.05)
+    matrix = assemble_2d_saddle(_space2d((2, 1), 3), _space2d((3, 0), 3),
+                                (0.01, 0.01), _ROTATION, 0.0, 0.05)
     if raises:
         with pytest.raises(SingularMatrixError, match="relative residual"):
             sparse_lu(matrix)
@@ -355,7 +362,7 @@ def test_assembly_peak_memory_is_near_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = sum(a.nbytes for mat in out for a in (mat.data, mat.indices, mat.indptr))
+    size = sum(a.nbytes for a in (out.data, out.indices, out.indptr))
     assert peak <= 2.5 * size
 
 
@@ -385,7 +392,8 @@ def test_galerkin_pair_factors_b_alone_with_small_fill():
 def test_galerkin_steps_equal_the_dense_saddle_solve():
     # B alone gives the saddle's u, and r = 0 as the saddle's own solve does
     stepper = _galerkin_stepper(16)
-    saddle, b_rhs = _saddle(stepper).toarray(), stepper.b_rhs
+    saddle, b_rhs = _saddle(stepper)
+    saddle = saddle.toarray()
     lu = scipy.linalg.lu_factor(saddle)
     m = stepper.test.interior_dim
     state = stepper.initial_state()
@@ -406,7 +414,8 @@ def test_galerkin_steps_equal_the_dense_saddle_solve():
 def test_zero_dt_step_is_identity_on_representable_data():
     trial = _space2d((2, 1), 4)
     test = _space2d((3, 0), 4)
-    matrix, m_rect = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.0, 0.0)
+    matrix = assemble_2d_saddle(trial, test, (0.01, 0.01), _ROTATION, 0.0, 0.0)
+    m_rect = kron_operators(trial, test, (0.01, 0.01), _ROTATION, 0.0)[1]
     rng = np.random.default_rng(91)
     u0 = rng.standard_normal(trial.interior_dim)
     rhs = np.concatenate([m_rect @ u0, np.zeros(trial.interior_dim)])
@@ -428,8 +437,9 @@ def test_rotating_stepper_single_step_matches_dense_solve():
     problem = get_problem("circular-wind")
     stepper = _general(problem, 4, tau=0.1)
     state = stepper.initial_state()
-    dense = _saddle(stepper).toarray()
-    rhs = np.concatenate([stepper.b_rhs @ state.u.ravel(),
+    dense, b_rhs = _saddle(stepper)
+    dense = dense.toarray()
+    rhs = np.concatenate([b_rhs @ state.u.ravel(),
                           np.zeros(stepper.trial.interior_dim)])
     ref = np.linalg.solve(dense, rhs)
     m = stepper.test.interior_dim
@@ -498,7 +508,7 @@ def test_forced_monolithic_step_uses_trapezoidal_loads():
     load1 = loads.load(forced.forcing, 0.2)
     rhs = np.concatenate([0.5 * 0.2 * (load0 + load1).ravel(),
                           np.zeros(stepper.trial.interior_dim)])
-    ref = np.linalg.solve(_saddle(stepper).toarray(), rhs)
+    ref = np.linalg.solve(_saddle(stepper)[0].toarray(), rhs)
     np.testing.assert_allclose(out.u.ravel(),
                                ref[stepper.test.interior_dim:],
                                atol=1e-10)

@@ -16,8 +16,7 @@ from splitmin.assembly import advection, block, mass, stiffness
 from splitmin.banded import BandedMatrix, common_entries
 from splitmin.exceptions import SingularMatrixError
 from splitmin.kron import (BandedLU, BandLayout, OpCounter, SaddleFactor,
-                           kron_matvec, kron_norms, kron_solve, solve_along,
-                           x_first_cheaper)
+                           kron_matvec, kron_norms, x_first_cheaper)
 from splitmin.splines import element_local, make_space
 
 from helpers import from_dense, saddle_factor
@@ -442,26 +441,6 @@ def test_kron_matvec_rejects_shape_mismatch():
     ay = from_dense(np.eye(4))
     with pytest.raises(ValueError):
         kron_matvec(ax, ay, np.zeros((4, 3)))
-
-
-def test_kron_solve_square_factor_both_axes():
-    # the split solve, after the other factor is divided out of the grid, is
-    # the whole Kronecker solve: (Ax (x) Ay)^-1 = (Ax^-1 (x) I)(I (x) Ay^-1)
-    rng = np.random.default_rng(31)
-    ax = _tridiag(6, -1.0, 4.0, -1.0)
-    ay = _tridiag(5, -1.0, 5.0, -1.0)
-    rhs = rng.standard_normal((6, 5))
-    ref = np.linalg.solve(np.kron(ax, ay), rhs.ravel()).reshape(6, 5)
-    for axis, split, other in (("x", ax, ay), ("y", ay, ax)):
-        divided = solve_along(BandedLU(from_dense(other)), rhs, "yx".index(axis))
-        got = kron_solve(BandedLU(from_dense(split)), axis, divided)
-        np.testing.assert_allclose(got, ref, atol=1e-11)
-
-
-def test_kron_solve_rejects_bad_axis():
-    lu = BandedLU(from_dense(np.eye(3)))
-    with pytest.raises(ValueError):
-        kron_solve(lu, "z", np.eye(3))
 
 
 @st.composite

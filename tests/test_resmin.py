@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitmin import full2d, stepping
 from splitmin.acceptance import _dense_substep
 from splitmin.assembly import advection, block
 from splitmin.exceptions import ParameterError
@@ -45,10 +46,6 @@ def test_one_step_block_combines_mass_stiffness_advection():
     ref = (op.m_rect.to_dense()
            + 0.05 * (op.k_rect.to_dense() + g_rect.to_dense()))
     np.testing.assert_allclose(op.b_split.to_dense(), ref, atol=1e-14)
-    minus = (op.m_rect.to_dense()
-             - 0.05 * (op.k_rect.to_dense() + g_rect.to_dense()))
-    np.testing.assert_allclose(op.rhs_ops["rect_minus"].toarray(), minus,
-                               atol=1e-14)
 
 
 def test_zero_dt_reduces_one_step_block_to_mass():
@@ -79,11 +76,9 @@ def test_set_wind_rescales_to_directly_assembled_blocks(direction):
         g_rect = direct(op.trial_split, op.test_split, axis)
         g_other = direct(op.trial_other, op.trial_other, 1 - axis)
         b_split = op.m_rect + 0.05 * (op.k_rect + g_rect)
-        rect_minus = op.m_rect - 0.05 * (op.k_rect + g_rect)
         other_minus = op.m_other - 0.05 * (op.k_other + g_other)
         for got, ref in ((op.b_split.to_dense(), b_split),
-                         (op.rhs_ops["rect_minus"].toarray(), rect_minus),
-                         (op.rhs_ops["other_minus"].toarray(), other_minus)):
+                         (op.other_minus.toarray(), other_minus)):
             ref = ref.to_dense()
             err = np.max(np.abs(got - ref))
             assert err <= 1e-14 * np.max(np.abs(ref))
@@ -141,11 +136,9 @@ def test_set_wind_refactors_as_a_fresh_factor(case):
         rhs = rng.standard_normal((b.shape[0], 3))  # a saddle solves for (r, u)
         assert np.array_equal(np.vstack(op.split_factor.solve(rhs)),
                               np.vstack(fresh.solve(rhs)))
-        rect_minus = op.m_rect - dt * (op.k_rect + s[axis] * g_rect)
         other_minus = op.m_other - dt * (op.k_other + s[1 - axis] * g_other)
-        for name, ref in (("rect_minus", rect_minus), ("other_minus", other_minus)):
-            x = rng.standard_normal((ref.n_cols, 2))
-            assert np.array_equal(op.rhs_ops[name] @ x, ref.apply(x))
+        x = rng.standard_normal((other_minus.n_cols, 2))
+        assert np.array_equal(op.other_minus @ x, other_minus.apply(x))
 
 
 @pytest.mark.parametrize("direction", ["x", "y"])
@@ -259,14 +252,19 @@ def test_stabilized_substep_solve_ops_are_pinned(direction):
 
 
 def test_unstabilized_substep_solves_square_system():
-    op = _build("x", stabilized=False)
+    # a Galerkin factor on both axes: once the other direction's mass is
+    # divided out of the grid, the split solve is the whole Kronecker solve
     rng = np.random.default_rng(9)
-    rhs = rng.standard_normal((op.b_split.shape[0], op.m_other.shape[0]))
-    state = substep(op, divide_other(op, rhs))
-    assert state.r is None
-    big = np.kron(op.b_split.to_dense(), op.m_other.to_dense())
-    ref = np.linalg.solve(big, rhs.ravel()).reshape(rhs.shape)
-    np.testing.assert_allclose(state.u, ref, atol=1e-10)
+    for direction in ("x", "y"):
+        op = _build(direction, stabilized=False)
+        b, mo = op.b_split.to_dense(), op.m_other.to_dense()
+        big, shape = ((np.kron(b, mo), (b.shape[0], mo.shape[0])) if direction == "x"
+                      else (np.kron(mo, b), (mo.shape[0], b.shape[0])))
+        rhs = rng.standard_normal(shape)
+        state = substep(op, divide_other(op, rhs))
+        assert state.r is None
+        ref = np.linalg.solve(big, rhs.ravel()).reshape(shape)
+        np.testing.assert_allclose(state.u, ref, atol=1e-10)
 
 
 def test_unstabilized_path_ignores_the_test_space():
@@ -466,12 +464,18 @@ def test_constant_load_is_positive_for_interior_functions():
     assert np.all(grid > 0.0)
 
 
-def test_invalid_direction_and_incompatible_degrees_rejected():
+def test_invalid_direction_and_incompatible_degrees_rejected(monkeypatch):
     tx, ty, ts = _spaces()
-    diffusion = (0.1, 0.1)
-    velocity = (1.0, 0.0)
     with pytest.raises(ParameterError):
-        build_directional("z", tx, ty, ts, diffusion, velocity, 0.01)
-    low = make_space(1, 0, 4, (0.0, 1.0))
-    with pytest.raises(ParameterError):
-        build_directional("x", tx, ty, low, diffusion, velocity, 0.01)
+        build_directional("z", tx, ty, ts, (0.1, 0.1), (1.0, 0.0), 0.01)
+
+    # a test degree below the trial degree: both steppers raise before assembling
+    def no_assembly(*args):
+        raise AssertionError("an incompatible pair was assembled")
+
+    monkeypatch.setattr(stepping, "build_directional", no_assembly)
+    monkeypatch.setattr(full2d, "assemble_2d_saddle", no_assembly)
+    config = RunConfig(mesh=(4, 4), trial=(2, 1), test=(1, 0))
+    for stepper in (Stepper, full2d.RotatingFlowStepper):
+        with pytest.raises(ParameterError, match="coarser"):
+            stepper(manufactured(), config)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitmin import assembly, resmin, splines
+from splitmin.assembly import advection, block
 from splitmin.banded import BandedMatrix
 from splitmin.exceptions import ParameterError
 from splitmin.problems import ProductSum, Wind, WindComponent, get_problem
@@ -242,10 +243,10 @@ def test_moving_wind_steps_build_no_banded_matrix(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(BandedMatrix, "__init__", counted_init)
-    other_minus = stepper.x_op.rhs_ops["other_minus"].data.copy()
+    other_minus = stepper.x_op.other_minus.data.copy()
     for _ in range(3):
         state = stepper.step(state)
-    assert not np.array_equal(stepper.x_op.rhs_ops["other_minus"].data, other_minus)
+    assert not np.array_equal(stepper.x_op.other_minus.data, other_minus)
     assert calls == []
     BandedMatrix.from_entries([0, 1], [0, 0], [1.0, 2.0], (2, 1))  # the counter counts
     assert calls == ["BandedMatrix"]
@@ -351,35 +352,52 @@ def test_spatial_orders_at_a_small_time_step(trial, test):
         assert np.log2(coarse.h1_percent / fine.h1_percent) >= p - 0.25
 
 
-def _dense(block_or_csr) -> np.ndarray:
-    return (block_or_csr.to_dense() if isinstance(block_or_csr, BandedMatrix)
-            else block_or_csr.toarray())
+# The schemes the whole-step test draws, each by its own definition: per
+# substep the direction, dt_eff as a fraction of tau, the direction whose
+# M - dt_eff W stands explicit on the right (the other one for
+# Peaceman-Rachford, the split one for Crank-Nicolson, none for backward
+# Euler) and the forcing times as fractions of tau
+_DEFINITIONS = {
+    SchemeKind.PEACEMAN_RACHFORD: (("x", 0.5, "other", (0.5,)), ("y", 0.5, "other", (0.5,))),
+    SchemeKind.STRANG_CN: (("x", 0.25, "split", (0.5, 0.0)), ("y", 0.5, "split", ()),
+                           ("x", 0.25, "split", (1.0, 0.5))),
+    SchemeKind.BE_SPLIT: (("x", 1.0, None, (1.0,)), ("y", 1.0, None, ())),
+}
 
 
-def _dense_step(scheme, u, x_op, y_op, forcing, t, tau, support):
-    """One step of the scheme's substep table by dense 2D assembled solves.
+def _dense_step(scheme, u, x_op, y_op, velocity, scales, forcing, t, tau, support):
+    """One step of the scheme's definition by dense 2D assembled solves.
 
     Each substep forms (P (x) Q) u + dt * loads on the test grid, with loads
-    from an assembler that divides by nothing, and solves the full 2D saddle
-    [[A (x) M, B (x) M], [(B (x) M)^T, 0]] (or B (x) M alone, for Galerkin)
-    with M the other direction's mass, in the split direction's Kronecker
-    slot: the system before any commutation or condensation.
+    from an assembler that divides by nothing, and P and Q the masses but in
+    the explicit direction, where they are M - dt W, W = K + s G with the
+    advection block G made here from the wind's factor.  It solves the full
+    2D saddle [[A (x) M, B (x) M], [(B (x) M)^T, 0]] (or B (x) M alone, for
+    Galerkin), B = M + dt W, with M the other direction's mass in the split
+    direction's Kronecker slot: the system before any commutation,
+    condensation or extrapolation.
     """
     ops = {"x": x_op, "y": y_op}
     r = None
-    for direction, _, split_block, other_block, fractions in _SUBSTEPS[scheme]:
-        op = ops[direction]
-        mo = op.m_other.to_dense()
-        q = mo if other_block is None else _dense(op.rhs_ops[other_block])
+    for direction, fraction, explicit, fractions in _DEFINITIONS[scheme]:
+        op, dt = ops[direction], fraction * tau
+        split, other = op.axis, 1 - op.axis
+        m, mo = op.m_rect.to_dense(), op.m_other.to_dense()
+        w = op.k_rect.to_dense() + scales[split] * block(
+            advection, op.trial_split, op.test_split, velocity[split]).to_dense()
+        w_other = op.k_other.to_dense() + scales[other] * block(
+            advection, op.trial_other, op.trial_other, velocity[other]).to_dense()
+        p = m - dt * w if explicit == "split" else m
+        q = mo - dt * w_other if explicit == "other" else mo
         kron = (lambda s, o: np.kron(s, o)) if direction == "x" else (
             lambda s, o: np.kron(o, s))
-        rhs = kron(_dense(op.rhs_ops[split_block]), q) @ u.ravel()
+        rhs = kron(p, q) @ u.ravel()
         spaces = ((op.test_split, op.trial_other) if direction == "x"
                   else (op.trial_other, op.test_split))
         loads = resmin.LoadAssembler(*spaces)
         for a in fractions:
-            rhs = rhs + op.dt_eff * loads.load(forcing, t + a * tau, support).ravel()
-        b = kron(op.b_split.to_dense(), mo)
+            rhs = rhs + dt * loads.load(forcing, t + a * tau, support).ravel()
+        b = kron(m + dt * w, mo)
         if op.stabilized:
             a_big = kron(op.a_split.to_dense(), mo)
             zeros = np.zeros((b.shape[1], b.shape[1]))
@@ -416,7 +434,7 @@ def _step_cases(draw):
     velocity = (lambda x: w0 + w1 * x, lambda y: w1 - 0.5 * w0 * y)
     scales = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
     tau = draw(st.floats(1e-3, 0.5))
-    dt = dict(row[:2] for row in _SUBSTEPS[scheme])
+    dt = dict(row[:2] for row in _DEFINITIONS[scheme])
     x_op, y_op = (build_directional(d, tx, ty, test, diffusion, velocity, dt[d] * tau,
                                     stabilized, scales=scales)
                   for d, test in zip("xy", tests))
@@ -433,7 +451,8 @@ def _step_cases(draw):
         support = draw(st.sampled_from((None, ((x0, intervals[0][1]), (y0, intervals[1][1])))))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     u = rng.standard_normal((tx.dim - 2, ty.dim - 2))
-    return scheme, x_op, y_op, forcing, support, u, tau, draw(st.floats(0.0, 1.0))
+    return (scheme, x_op, y_op, velocity, scales, forcing, support, u, tau,
+            draw(st.floats(0.0, 1.0)))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -441,10 +460,11 @@ def _step_cases(draw):
 def test_whole_step_matches_dense_2d_step(case):
     # split_step, the function Stepper.step calls, against the dense 2D step
     # to criterion 1's 1e-9; r checked at the same bound, scaled by the state
-    scheme, x_op, y_op, forcing, support, u, tau, t = case
+    scheme, x_op, y_op, velocity, scales, forcing, support, u, tau, t = case
     state = resmin.SolutionState(u=u, time=t)
     _, got = split_step(scheme, state, x_op, y_op, forcing, tau, support)
-    u_ref, r_ref = _dense_step(scheme, u, x_op, y_op, forcing, t, tau, support)
+    u_ref, r_ref = _dense_step(scheme, u, x_op, y_op, velocity, scales, forcing, t, tau,
+                               support)
     scale = np.linalg.norm(u_ref)
     assert np.linalg.norm(got.u - u_ref) <= 1e-9 * scale
     if r_ref is not None:
