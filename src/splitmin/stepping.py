@@ -148,15 +148,18 @@ def spaces(domain, mesh, pair) -> tuple[SplineSpace, SplineSpace]:
 class StepperBase:
     """The spaces, initial state at config.t0 and residual norms both paths share.
 
-    A test degree below the trial degree raises ParameterError here, before
-    either path assembles: its saddle is singular.
+    A test space that does not hold the trial space (a lower degree or a
+    higher continuity) raises ParameterError here, before either path
+    assembles: its saddle is singular or its residual minimization ill-posed.
     """
 
     def __init__(self, problem, config: RunConfig,
                  counter: OpCounter | None = None):
-        if config.stabilized and config.test[0] < config.trial[0]:
-            raise ParameterError(f"test space degree {config.test[0]} is coarser than "
-                                 f"trial degree {config.trial[0]}")
+        (p, c), (q, d) = config.trial, config.test
+        if config.stabilized and (q < p or d > c):
+            raise ParameterError(f"test space {config.test} is coarser than the trial "
+                                 f"space {config.trial}: it needs degree >= {p} and "
+                                 f"continuity <= {c}")
         self.problem = problem
         self.config = config
         self.counter = counter if counter is not None else OpCounter()

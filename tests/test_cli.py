@@ -280,10 +280,12 @@ _CONVERGE = ["converge", "--mesh", "6", "--tau", "0.04", "--steps", "5",
     [*_CONVERGE[:-1], "pr,strang-cn,foo", "--taus", "0.04,0.02,0.01"],
     ["run", "--trial", "2,1", "--test", "1,0", "--steps", "2"],
     ["run", "--problem", "circular-wind", "--trial", "2,1", "--test", "1,0", "--steps", "2"],
+    ["run", "--trial", "2,0", "--test", "2,1", "--steps", "2"],
 ), ids=["empty-meshes", "zero-tau", "negative-tau", "zero-resolution",
         "negative-run-tau", "negative-stride", "no-closed-form", "empty-schemes",
         "zero-jobs", "negative-jobs", "infinite-tau", "nan-t0", "infinite-t0",
-        "unknown-scheme", "coarse-test-split", "coarse-test-general"])
+        "unknown-scheme", "coarse-test-split", "coarse-test-general",
+        "smoother-test"])
 def test_invalid_input_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                argv):
     def no_run(*args):

@@ -469,13 +469,15 @@ def test_invalid_direction_and_incompatible_degrees_rejected(monkeypatch):
     with pytest.raises(ParameterError):
         build_directional("z", tx, ty, ts, (0.1, 0.1), (1.0, 0.0), 0.01)
 
-    # a test degree below the trial degree: both steppers raise before assembling
+    # a test space that does not hold the trial space, by a lower degree or a
+    # higher continuity: both steppers raise before assembling
     def no_assembly(*args):
         raise AssertionError("an incompatible pair was assembled")
 
     monkeypatch.setattr(stepping, "build_directional", no_assembly)
     monkeypatch.setattr(full2d, "assemble_2d_saddle", no_assembly)
-    config = RunConfig(mesh=(4, 4), trial=(2, 1), test=(1, 0))
-    for stepper in (Stepper, full2d.RotatingFlowStepper):
-        with pytest.raises(ParameterError, match="coarser"):
-            stepper(manufactured(), config)
+    for trial, test in (((2, 1), (1, 0)), ((2, 0), (2, 1))):
+        config = RunConfig(mesh=(4, 4), trial=trial, test=test)
+        for stepper in (Stepper, full2d.RotatingFlowStepper):
+            with pytest.raises(ParameterError, match="coarser"):
+                stepper(manufactured(), config)
