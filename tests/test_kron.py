@@ -7,6 +7,8 @@ row-by-row band elimination that counts its operations as it goes: same
 pivots, same counts, same solutions.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,6 +19,7 @@ from splitmin.banded import BandedMatrix, common_entries
 from splitmin.exceptions import SingularMatrixError
 from splitmin.kron import (BandedLU, BandLayout, OpCounter, SaddleFactor,
                            kron_matvec, kron_norms, x_first_cheaper)
+from splitmin.resmin import build_directional, divide_other, substep
 from splitmin.splines import element_local, make_space
 
 from helpers import from_dense, saddle_factor
@@ -441,6 +444,35 @@ def test_kron_matvec_rejects_shape_mismatch():
     ay = from_dense(np.eye(4))
     with pytest.raises(ValueError):
         kron_matvec(ax, ay, np.zeros((4, 3)))
+
+
+def test_kron_solve_square_factor_both_axes():
+    # the split solve, after the other factor is divided out of the grid, is
+    # the whole Kronecker solve: (Ax (x) Ay)^-1 = (Ax^-1 (x) I)(I (x) Ay^-1);
+    # resmin.substep applies the split factor, divide_other the other one
+    rng = np.random.default_rng(31)
+    ax = _tridiag(6, -1.0, 4.0, -1.0)
+    ay = _tridiag(5, -1.0, 5.0, -1.0)
+    rhs = rng.standard_normal((6, 5))
+    ref = np.linalg.solve(np.kron(ax, ay), rhs.ravel()).reshape(6, 5)
+    for axis, split, other in ((0, ax, ay), (1, ay, ax)):
+        op = SimpleNamespace(axis=axis, stabilized=False,
+                             split_factor=BandedLU(from_dense(split)),
+                             other_lu=BandedLU(from_dense(other)))
+        state = substep(op, divide_other(op, rhs))
+        assert state.r is None
+        np.testing.assert_allclose(state.u, ref, atol=1e-11)
+
+
+def test_kron_solve_rejects_bad_axis():
+    # a split direction other than x or y is rejected where the operator is
+    # built, for the saddle and the Galerkin factor alike
+    space = make_space(2, 1, 3, (0.0, 1.0))
+    test = make_space(3, 0, 3, (0.0, 1.0))
+    for stabilized in (True, False):
+        with pytest.raises(ValueError, match="direction"):
+            build_directional("z", space, space, test, (0.1, 0.1), (1.0, 0.0),
+                              0.01, stabilized)
 
 
 @st.composite
