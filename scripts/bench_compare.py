@@ -1,0 +1,84 @@
+"""Compare two BENCH files: the markdown table of end-to-end metrics CHANGES.md uses.
+
+    python3 scripts/bench_compare.py PARENT.json CHANGE.json
+
+For each workload and end-to-end metric of BENCHMARK.json, one row: the
+parent's and the change's median [q1, q3], the pairs the change wins (run i
+of one file against run i of the other, failed runs left out), the change of
+the median, and the parent's quartile spread, (q3 - q1) / median, against
+the metric's bound: "resolved" when the spread is within the bound, so that a
+move of the bound's size would show.  A last line gives each file's dgbtrs
+calibration kernel, median [q1, q3], whose shift is the host's, not the
+code's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def spread(entry: dict) -> float:
+    return (entry["q3"] - entry["q1"]) / entry["median"]
+
+
+def quartiles(entry: dict) -> str:
+    return f"{entry['median']:.4g} [{entry['q1']:.4g}, {entry['q3']:.4g}]"
+
+
+def wins(parent: dict, change: dict, better: str) -> tuple[int, int]:
+    """Pairs the change wins, and the pairs in which both runs gave a value."""
+    pairs = [(p, c) for p, c in zip(parent["values"], change["values"])
+             if p is not None and c is not None]
+    won = sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
+    return won, len(pairs)
+
+
+def table(parent: dict, change: dict, spec: dict) -> list[str]:
+    lines = [f"| workload | metric | parent {parent['label']} | change | "
+             "pairs the change wins | median change | parent spread / bound |",
+             "|---|---|---|---|---|---|---|"]
+    for workload in (w["name"] for w in spec["workloads"]):
+        before = parent["workloads"].get(workload, {}).get("metrics", {})
+        after = change["workloads"].get(workload, {}).get("metrics", {})
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            if name not in before or name not in after:
+                continue
+            p, c = before[name], after[name]
+            won, pairs = wins(p, c, metric["better"])
+            move = (c["median"] - p["median"]) / p["median"]
+            resolved = "resolved" if spread(p) <= metric["bound"] else "unresolved"
+            lines.append(f"| {workload} | `{name}` ({p['unit']}) | {quartiles(p)} | "
+                         f"{quartiles(c)} | {won}/{pairs} | {100 * move:+.1f}% | "
+                         f"{100 * spread(p):.1f}% / {100 * metric['bound']:g}% {resolved} |")
+    return lines
+
+
+def calibration(bench: dict) -> str:
+    """The calibration kernel over all of a file's runs, median [q1, q3]."""
+    values = [v for w in bench["workloads"].values() for v in w["calibration"]["values"]]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return f"{bench['label']} {median:.0f} [{q1:.0f}, {q3:.0f}] us"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
+    print("\n".join(table(parent, change, spec)))
+    print(f"\ndgbtrs calibration kernel: parent {calibration(parent)}, "
+          f"change {calibration(change)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

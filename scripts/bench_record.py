@@ -18,9 +18,11 @@ repository:
   run order, null for a failed run;
 - per workload, a calibration kernel timed in this process right after
   each run: the median of 200 ``dgbtrs`` solves of one fixed banded system
-  the size of ``manufactured-split``'s saddle (n = 511, lb = ub = 6, 128
-  right-hand-side columns), in microseconds.  The kernel never changes, so
-  a shift in its time is a shift of the host, not of the code;
+  (n = 511, lb = ub = 6, 128 right-hand-side columns), in microseconds.
+  That was ``manufactured-split``'s saddle before the condensation made it
+  n = 255, lb = ub = 4; the kernel is kept as it was, so that files stay
+  comparable.  It never changes, so a shift in its time is a shift of the
+  host, not of the code;
 - per workload, the layer figures of one traced run per checkout
   (``--trace 1``), made after all untraced runs, under ``layers``: each
   layer's calls, self time and work count per round, the counted

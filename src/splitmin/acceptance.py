@@ -72,8 +72,9 @@ def criterion_1_oracle_equivalence() -> tuple[bool, str]:
                     m = op.b_split.shape[0]
                     shape = (m, trial_y.dim - 2) if direction == "x" else (trial_x.dim - 2, m)
                     rhs = rng.standard_normal(shape)
-                    # the step path's substep, on the rhs with the other mass divided out
-                    u_kron = substep(op, divide_other(op, rhs)).u
+                    # the step path's substep, on the rhs with the other mass
+                    # divided out, in the operator's (split, other) layout
+                    u_kron = op.layout(substep(op, divide_other(op, op.layout(rhs))).u)
                     u_dense = _dense_substep(op, rhs)
                     rel = (np.linalg.norm(u_kron - u_dense)
                            / np.linalg.norm(u_dense))

@@ -7,7 +7,8 @@ Three pieces:
   bandwidth of U grows by at most the lower bandwidth), by LAPACK
   ``dgbtrf``/``dgbtrs``.  Cost O(n * band^2).  ``BandLayout`` places a
   nonzero pattern in LAPACK's band array, the only band storage in the
-  program; the bandwidths are those of the pattern.
+  program; the bandwidths are those of the pattern.  dgbtrf flags only an
+  exactly zero pivot, so a checked factor also solves once for A @ ones.
 
 * ``SaddleFactor`` -- factorization of the indefinite block system
 
@@ -21,9 +22,13 @@ Three pieces:
   matrix with bandwidth independent of the mesh, which a single banded LU
   factors; factorization and each solve stay O(m + n).  Its pattern, band
   layout and the terms of its entries are found once: ``refactor`` forms
-  the entries for new values of B on the same pattern and factors.
-  ``solve_deferred`` gathers u at once and returns r as a function that
-  gathers it, for the callers that may not read r.
+  the entries for new values of B on the same pattern and factors, the
+  first factorization checked.  A solve is one sparse product T F, which
+  places F's kept rows and condenses its local rows into the banded right-
+  hand side, then the banded solve over F's columns.  ``solve_deferred``
+  gathers u at once and returns r as a function that gathers it, for the
+  callers that may not read r: r's local rows come from two products, one
+  of F and one of the solution.
 
 * ``solve_along`` / ``kron_matvec`` / ``kron_norms`` -- a factor's inverse
   along one axis, (Ax (x) Ay) and the L2/H1 norms of Kronecker-product inner
@@ -36,7 +41,8 @@ linear-complexity checks assert on.  The banded LU's counts are structural
 closed forms in n, the bandwidths and the number of right-hand-side columns:
 the operations of the row-by-row band elimination, which never depend on
 the values.  A sparse product of the condensation counts 2 nnz operations
-per right-hand-side column.
+per right-hand-side column; T's identity entries, a copy of the kept rows,
+are not counted.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ class BandLayout:
     def __init__(self, rows, cols, n: int):
         lb, ub = int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
         self.n, self.lb, self.ub = n, lb, ub
+        self.rows, self.cols = rows, cols
         self._height = 2 * lb + ub + 1
         self._flat = lb + ub + rows - cols + self._height * cols  # in the Fortran-ordered array
         # rows below the pivot at each step, and entries of U right of the
@@ -89,12 +96,22 @@ class BandLayout:
         ab = np.bincount(self._flat, vals, self._height * self.n)
         return ab.reshape(self.n, self._height).T
 
+    def matvec(self, vals, x: np.ndarray) -> np.ndarray:
+        """A @ x for the values vals on this pattern."""
+        return np.bincount(self.rows, vals * x[self.cols], self.n)
+
 
 class BandedLU:
     """LU with band-restricted pivoting (LAPACK dgbtrf/dgbtrs) of a square
-    BandedMatrix or of a (BandLayout, values) pair."""
+    BandedMatrix or of a (BandLayout, values) pair.
 
-    def __init__(self, matrix, counter: OpCounter | None = None):
+    dgbtrf flags only an exactly zero pivot.  With ``check``, the factor also
+    solves once for A @ ones, uncounted, and a relative residual above 1e-8
+    (or NaN) raises SingularMatrixError, as the general path's sparse factor
+    does.
+    """
+
+    def __init__(self, matrix, counter: OpCounter | None = None, check: bool = False):
         if isinstance(matrix, BandedMatrix):
             if matrix.n_rows != matrix.n_cols:
                 raise ValueError("banded LU requires a square matrix")
@@ -108,6 +125,12 @@ class BandedLU:
                                            overwrite_ab=1)
         if info > 0:
             raise SingularMatrixError(f"zero pivot at elimination step {info - 1}")
+        if check:
+            rhs = layout.matvec(vals, np.ones(layout.n))
+            x, _ = dgbtrs(self._lu, layout.lb, layout.ub, rhs, self._piv)
+            rel = np.linalg.norm(layout.matvec(vals, x) - rhs) / np.linalg.norm(rhs)
+            if not rel <= 1e-8:  # also NaN
+                raise SingularMatrixError(f"unstable banded factor: relative residual {rel:.1e}")
         self._solve_ops_per_column = layout.solve_ops_per_column
         if counter is not None:
             counter.factor_ops += layout.factor_ops
@@ -136,11 +159,17 @@ class SaddleFactor:
         [[A_vv - A_vl E A_lv,  B_v - A_vl E B_l], [(.)^T,  -B_l^T E B_l]]
 
     on (r_v, u), interleaved as ``kron``'s docstring says.  A is fixed and its
-    entries enter once; every other entry of that matrix, of the condensing
-    product and of the product that recovers r_l is a sum of terms
+    entries enter once; every other entry of that matrix, of T (the kept
+    rows' identity entries and the condensing product, which make the banded
+    right-hand side from F in one product) and of the two products that
+    recover r_l (from F and from the solution) is a sum of terms
     w * b_i * b_j (b_i a value of B, or 1), listed in set-up, so ``refactor``
     forms them for B's values with one weighted bincount and factors on the
-    band layout found once.
+    band layout found once.  Its first factorization is checked (``BandedLU``'s
+    ``check``): a singular B passes dgbtrf with a tiny pivot, not a zero one.
+
+    F's columns are the banded solve's: a caller with grids laid out (split,
+    other) in C order solves for all the other direction's lines at once.
     """
 
     def __init__(self, A: BandedMatrix, pattern, counter: OpCounter | None = None,
@@ -182,41 +211,52 @@ class SaddleFactor:
         ebl, ebd = el[ib], el[ib[kd]]
         # terms (row, col, e1, e2, weight) of sums of w * b[e1] * b[e2] (b[-1] = 1):
         # the saddle [[S, C], [C^T, -D]] in band positions, its repeated
-        # positions summed by the layout; the condensing product, F to
-        # (F_v - G F_l, -B_l^T E F_l) in band rows; and the recovering one,
-        # [F; x] to r_l = E F_l - G^T r_v - (B_l^T E)^T u
+        # positions summed by the layout; T, which takes F to the condensed
+        # right-hand side (F_v - G F_l, -B_l^T E F_l) in band rows, the kept
+        # rows' identity entries with it; and the two products that recover
+        # r_l = E F_l - G^T r_v - (B_l^T E)^T u from F and from the solution
         saddle = ((at_v[ar[vv]], at_v[ac[vv]], -1, -1, av[vv]),
                   (at_v[g.rows[ia]], at_v[ac[lv][ja]], -1, -1, -g.vals[ia] * av[lv][ja]),
                   (c_rows, c_cols, c_e, -1, c_w), (c_cols, c_rows, c_e, -1, c_w),
                   (at_u[cols_b[ebd]], at_u[cols_b[el[jd]]], ebd, el[jd], -ev[je[kd]]))
-        products = ((at_v[g.rows], g.cols, -1, -1, -g.vals),
+        nl = self._l.size
+        products = ((self._pos_v, v, -1, -1, np.ones(v.size)),
+                    (at_v[g.rows], g.cols, -1, -1, -g.vals),
                     (at_u[cols_b[ebl]], ec[je], ebl, -1, -ev[je]),
                     (size + l_rank[er], ec, -1, -1, ev),
-                    (size + l_rank[g.cols], m + at_v[g.rows], -1, -1, -g.vals),
-                    (size + l_rank[ec[je]], m + at_u[cols_b[ebl]], ebl, -1, -ev[je]))
+                    (size + nl + l_rank[g.cols], at_v[g.rows], -1, -1, -g.vals),
+                    (size + nl + l_rank[ec[je]], at_u[cols_b[ebl]], ebl, -1, -ev[je]))
         rows, cols, *self._terms = _terms(*saddle, *products)
         self._n_saddle = sum(group[0].size for group in saddle)
         self._layout = BandLayout(rows[:self._n_saddle], cols[:self._n_saddle], size)
-        # the two products stacked: rows 0..size-1 condense, the rest recover
-        keys, self._target = np.unique(rows[self._n_saddle:] * (m + size)
+        # the three products stacked by rows: T, then r_l's F and solution parts
+        width = max(m, size)
+        keys, self._target = np.unique(rows[self._n_saddle:] * width
                                        + cols[self._n_saddle:], return_inverse=True)
-        pr, pc = divmod(keys, m + size)
-        self._split = np.searchsorted(pr, size)
-        self._condense = csr(pr[:self._split], pc[:self._split], np.zeros(self._split),
-                             (size, m))
-        self._recover = csr(pr[self._split:] - size, pc[self._split:],
-                            np.zeros(keys.size - self._split), (self._l.size, m + size))
+        pr, pc = divmod(keys, width)
+        ends = np.searchsorted(pr, [size, size + nl])
+        self._kept = v.size  # T's identity entries: a copy, not counted as work
+        self._condense, self._recover_f, self._recover_x = (
+            csr(pr[lo:hi] - off, pc[lo:hi], np.zeros(hi - lo), shape)
+            for lo, hi, off, shape in ((0, ends[0], 0, (size, m)),
+                                       (ends[0], ends[1], size, (nl, m)),
+                                       (ends[1], keys.size, size + nl, (nl, size))))
+        self._lu = None
 
     def refactor(self, vals_b) -> None:
-        """Factor again with B's values vals_b on its pattern."""
+        """Factor again with B's values vals_b on its pattern; the first
+        factorization is checked as ``BandedLU``'s ``check`` says."""
         e1, e2, w = self._terms
         ext = np.append(vals_b, 1.0)  # index -1 reads 1
         vals = w * ext[e1] * ext[e2]
         products = np.bincount(self._target, vals[self._n_saddle:])
-        self._condense.data[:] = products[:self._split]
-        self._recover.data[:] = products[self._split:]
+        at = 0
+        for matrix in (self._condense, self._recover_f, self._recover_x):
+            matrix.data[:] = products[at:at + matrix.nnz]
+            at += matrix.nnz
         try:
-            self._lu = BandedLU((self._layout, vals[:self._n_saddle]), self.counter)
+            self._lu = BandedLU((self._layout, vals[:self._n_saddle]), self.counter,
+                                check=self._lu is None)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 "saddle system is singular; the trial/test pair is incompatible") from exc
@@ -229,32 +269,32 @@ class SaddleFactor:
     def solve_deferred(self, F: np.ndarray):
         """solve, with r returned as a function that gathers it from the solution.
 
-        F's kept rows go straight to their interleaved places in dgbtrs's
-        Fortran-ordered right-hand side, and one sparse product condenses the
-        local rows into it; u's rows are gathered at once.  r's local rows are
-        recovered, by a second product, only when r is gathered.
+        One sparse product T F puts F's kept rows in their interleaved places
+        and condenses the local rows into them: the banded solve's right-hand
+        side, whose columns are F's.  u's rows are gathered at once; r's kept
+        rows and, by two more products, its local rows only when r is gathered.
         """
         F = np.asarray(F, dtype=float)
         if F.shape[0] != self.m:
             raise ValueError(f"rhs has {F.shape[0]} rows, expected the {self.m} test rows")
-        b = np.zeros((self._layout.n,) + F.shape[1:], order="F")
-        b[self._pos_v] = F[self._v]
-        if self._condense.nnz:
-            b += self._product(self._condense, F)
-        x = self._lu.solve(b)
+        x = self._lu.solve(self._product(self._condense, F, self._kept))
+        u = x[self._pos_u]
 
         def gather_r():
             r = np.empty(F.shape)
             r[self._v] = x[self._pos_v]
             if self._l.size:
-                r[self._l] = self._product(self._recover, np.concatenate([F, x]))
+                r[self._l] = (self._product(self._recover_f, F)
+                              + self._product(self._recover_x, x))
             return r
-        return gather_r, x[self._pos_u]
+        return gather_r, u
 
-    def _product(self, matrix, rhs: np.ndarray) -> np.ndarray:
-        """matrix @ rhs, counted as 2 nnz operations per column."""
+    def _product(self, matrix, rhs: np.ndarray, copies: int = 0) -> np.ndarray:
+        """matrix @ rhs, counted as 2 operations per column for each of its
+        entries but the ``copies`` identity entries."""
         if self.counter is not None:
-            self.counter.solve_ops += 2 * matrix.nnz * (1 if rhs.ndim == 1 else rhs.shape[1])
+            self.counter.solve_ops += (2 * (matrix.nnz - copies)
+                                       * (1 if rhs.ndim == 1 else rhs.shape[1]))
         return matrix @ rhs
 
 

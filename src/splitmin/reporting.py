@@ -16,6 +16,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,7 +27,7 @@ from .exceptions import ParameterError
 from .full2d import RotatingFlowStepper
 from .kron import BandedLU, OpCounter, kron_norms
 from .problems import ProductSum, factor_values, get_problem
-from .splines import SplineSpace, eval_matrix, gauss_rule
+from .splines import SplineSpace, eval_matrix, gauss_rule, make_space
 from .stepping import RunConfig, SchemeKind, Stepper, march, spaces
 
 __all__ = ["RunConfig", "ErrorRow", "ErrorEvaluator", "make_stepper", "run",
@@ -384,10 +385,20 @@ def timing_study(meshes: Sequence[int],
 
 def sample_field(u_grid: np.ndarray, trial_x: SplineSpace, trial_y: SplineSpace,
                  resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xs = np.linspace(*trial_x.interval, resolution)
-    ys = np.linspace(*trial_y.interval, resolution)
-    vx, vy = eval_matrix(trial_x, xs)[0], eval_matrix(trial_y, ys)[0]
+    """(xs, ys, values): the field on resolution evenly spaced points per
+    direction, ends included, values indexed (x, y).  The points (read-only)
+    and the basis there are made once per space and resolution."""
+    (xs, vx), (ys, vy) = (_sample_basis(s.degree, s.continuity, s.n_elements, s.interval,
+                                        resolution) for s in (trial_x, trial_y))
     return xs, ys, _on_grid(vx, u_grid, vy)
+
+
+@lru_cache(maxsize=16)
+def _sample_basis(degree, continuity, n_elements, interval, resolution):
+    """A space's sample points and its basis values there."""
+    xs = np.linspace(*interval, resolution)
+    xs.flags.writeable = False
+    return xs, eval_matrix(make_space(degree, continuity, n_elements, interval), xs)[0]
 
 
 def _on_grid(vx, u_grid: np.ndarray, vy) -> np.ndarray:

@@ -18,6 +18,13 @@ element-local test functions condensed out.  With test = trial the same
 substep reduces to the plain Galerkin ADI update (and r = 0); the
 unstabilized path solves the square system directly.
 
+A directional operator works on grids laid out (split, other) in C order:
+indexed (x, y) for x, (y, x) for y (``layout`` turns an (x, y) grid into
+its own and back).  Its split-direction CSR products then read rows, and
+dgbtrs along the other direction reads the grid's transpose, which is
+Fortran-ordered, with no copy.  Its loads, substeps and residual
+representatives come in that layout.
+
 A DirectionalOperator is built once per direction, advection blocks
 included: each wind component is s(t) times a time-free factor, so the blocks
 are assembled once from the factors.  set_wind only forms values for the
@@ -26,9 +33,11 @@ set-up, and refactors.  The split stepper takes the wind at each step's
 midpoint.  A forcing in product form loads as a sum of outer products of 1D
 loads made once; any other forcing is evaluated on the Gauss grid, and with
 a declared support box only at the Gauss points inside it.  A directional
-operator's loads come divided by its other direction's mass.  A substep
-gathers its residual representative r from the saddle solution only when r
-is read, which a step does for its last substep alone.
+operator's loads come divided by its other direction's mass, in its
+layout.  A substep gathers its residual representative r from the saddle
+solution only when r is read, which a step does for its last substep alone.
+The first factorization of each operator is checked by one solve for
+matrix @ ones; set_wind's refactors are not.
 """
 
 from __future__ import annotations
@@ -73,19 +82,23 @@ class LoadAssembler:
     kept.  Any other callable is evaluated on the Gauss grid, in the
     orientation the cheaper contraction order reads; given the box outside
     which f is zero, it reads only the Gauss points inside it, bit for bit
-    the full-grid load.  px and py stay the full grids.
+    the full-grid load.  px and py stay the full x and y grids.
 
     Given divide = (axis, lu), every load comes out divided by lu along that
     axis: a product's 1D loads on that axis are divided once, when made, and
-    a support-cut grid only on its lines that meet the box.
+    a support-cut grid only on its lines that meet the box.  With
+    ``transposed``, loads come indexed (y, x), each the exact transpose of
+    the (x, y) load: a y operator's (split, other) layout.
     """
 
-    def __init__(self, space_x: SplineSpace, space_y: SplineSpace, divide=None):
+    def __init__(self, space_x: SplineSpace, space_y: SplineSpace, divide=None,
+                 transposed: bool = False):
         self.px, wx = _weighted_basis(space_x)
         self.py, wy = _weighted_basis(space_y)
         wx_t, wy_t = wx.T.tocsr(), wy.T  # basis x points; a transposed CSR is a CSC
         self._x_first = x_first_cheaper(wx_t, wy_t)
         self._divide = divide
+        self._transposed = transposed
         self._cuts = {None: (self.px, wx_t, self.py, wy_t, slice(None))}
         self._products = {}
 
@@ -104,7 +117,8 @@ class LoadAssembler:
                     loads[axis] = lu.solve(loads[axis].T).T
                 self._products[f] = loads
             ax, by = self._products[f]
-            return (ax.T * f.scales(t)) @ by
+            scaled = ax.T * f.scales(t)
+            return by.T @ scaled.T if self._transposed else scaled @ by
         if support not in self._cuts:
             ix, iy = (slice(np.searchsorted(p, lo), np.searchsorted(p, hi, side="right"))
                       for p, (lo, hi) in zip((self.px, self.py), support))
@@ -119,8 +133,11 @@ class LoadAssembler:
         vals = np.broadcast_to(np.asarray(f(x, y, t), dtype=float), np.broadcast(x, y).shape)
         grid = kron_matvec(wx_t, wy_t, vals if self._x_first else vals.T,
                            self._x_first)[1:-1, 1:-1]
+        if self._transposed:
+            grid = grid.T
         if self._divide is not None:
             axis, lu = self._divide
+            axis ^= self._transposed  # the divided axis, in the grid's own order
             across = (lines, slice(None)) if axis == 1 else (slice(None), lines)
             grid[across] = solve_along(lu, grid[across], axis)
         return grid
@@ -147,7 +164,8 @@ class DirectionalOperator:
         block of the Peaceman-Rachford right-hand side (a CSR matrix).
     split_factor factors b_split (with a_split, its element-local test
     functions condensed out, when stabilized) along the split direction;
-    other_lu factors m_other, and the loads come divided by it.
+    other_lu factors m_other, and the loads come divided by it, laid out
+    (split, other) as every grid the operator reads.
 
     The constructor builds all that does not change in time: the blocks,
     each space's element tables made once, advection of the wind's
@@ -168,6 +186,7 @@ class DirectionalOperator:
         self.test_split = test_split
         self.trial_other = trial_other
         self.counter = counter
+        self._scales = None  # set_wind's; None until the first factorization
         tables = {}  # each space's element tables, made once for all its blocks
         self.m_rect = block(mass, trial_split, test_split, None, tables)
         self.k_rect = block(stiffness, trial_split, test_split, diffusion[self.axis], tables)
@@ -197,10 +216,12 @@ class DirectionalOperator:
         if direction == "x":
             self.loads = LoadAssembler(test_split, trial_other, divide)
         else:
-            self.loads = LoadAssembler(trial_other, test_split, divide)
+            self.loads = LoadAssembler(trial_other, test_split, divide, transposed=True)
 
     def set_wind(self, scales) -> None:
-        """Form the wind-dependent values for the wind's (s_x, s_y) and refactor."""
+        """Form the wind-dependent values for the wind's (s_x, s_y) and refactor;
+        the first factorization is checked (``BandedLU``'s ``check``)."""
+        first = self._scales is None
         self._scales = scales
         (m, k, g), (mo, ko, go) = self._rect, self._other
         step = self.dt_eff * (k + scales[self.axis] * g)
@@ -208,7 +229,12 @@ class DirectionalOperator:
         if self.stabilized:
             self.split_factor.refactor(m + step)
         else:
-            self.split_factor = BandedLU((self._layout, m + step), self.counter)
+            self.split_factor = BandedLU((self._layout, m + step), self.counter, check=first)
+
+    def layout(self, grid: np.ndarray) -> np.ndarray:
+        """A grid indexed (x, y) in this operator's (split, other) layout, or
+        such a grid back in (x, y): itself for x, its transpose (a view) for y."""
+        return grid if self.axis == 0 else grid.T
 
     b_split = property(lambda self: self.m_rect + self.dt_eff * (
         self.k_rect + self._scales[self.axis] * self._g_rect_free))
@@ -237,31 +263,27 @@ def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace
 
 def substep(op: DirectionalOperator, rhs_grid: np.ndarray) -> SolutionState:
     """Solve one substep in the split direction alone, for a tested load grid
-    (m test rows in the split direction) already divided by the other
-    direction's mass; returns (u, r), with r gathered from the saddle
-    solution only when it is read.
+    in the operator's (split, other) layout (m test rows in the split
+    direction) already divided by the other direction's mass; returns (u, r)
+    in that layout, with r gathered from the saddle solution only when read.
 
     As (S^-1 (x) M^-1) rhs = (S^-1 (x) I)(I (x) M^-1) rhs, this is the whole
     Kronecker solve once the other direction's mass is divided out.
     """
-    F = rhs_grid if op.axis == 0 else rhs_grid.T
     if not op.stabilized:
-        u = op.split_factor.solve(F)
-        return SolutionState(u=u if op.axis == 0 else u.T)
-    gather_r, u = op.split_factor.solve_deferred(F)
-    if op.axis == 0:
-        return SolutionState(u=u, r=gather_r)
-    return SolutionState(u=u.T, r=lambda: gather_r().T)
+        return SolutionState(u=op.split_factor.solve(rhs_grid))
+    gather_r, u = op.split_factor.solve_deferred(rhs_grid)
+    return SolutionState(u=u, r=gather_r)
 
 
 def divide_other(op: DirectionalOperator, grid: np.ndarray) -> np.ndarray:
-    """The grid divided by the other direction's mass along that direction's axis."""
-    return solve_along(op.other_lu, grid, 1 - op.axis)
+    """A (split, other) grid divided by the other direction's mass along its
+    second axis; dgbtrs reads a C-ordered grid's transpose with no copy."""
+    return solve_along(op.other_lu, grid, 1)
 
 
 def residual_norms(op: DirectionalOperator, r: np.ndarray) -> tuple[float, float]:
-    """L2 and split-H1 norms of the residual representative (test-space V-norm):
-    the test Gram a_split stands in the split direction only."""
-    if op.axis == 0:
-        return kron_norms(r, op.m_test, op.m_other, gx=op.a_split)
-    return kron_norms(r, op.m_other, op.m_test, gy=op.a_split)
+    """L2 and split-H1 norms of the residual representative r, indexed (x, y)
+    (test-space V-norm): the test Gram a_split stands in the split direction
+    only.  They are read in the operator's layout, where r was gathered."""
+    return kron_norms(op.layout(r), op.m_test, op.m_other, gx=op.a_split)

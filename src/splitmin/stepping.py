@@ -1,8 +1,9 @@
 """Direction-split time integrators.
 
 Each scheme is one table of implicit directional substeps (_SUBSTEPS), run
-by split_step in the transposed grid algebra  result = Ax @ U @ Ay^T  (grids
-indexed (x, y), all blocks Dirichlet-eliminated):
+by split_step in the transposed grid algebra  result = Ax @ U @ Ay^T  (all
+blocks Dirichlet-eliminated).  States are indexed (x, y); each substep works
+in its operator's (split, other) layout:
 
   pr          two substeps, dt_eff = tau/2 in both directions, forcing at
               t + tau/2; second order.
@@ -110,14 +111,21 @@ def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau, support=None
     M_o; the loads come divided from the operator's assembler, and the solve
     is the split direction's alone.  A Crank-Nicolson substep extrapolates
     that backward-Euler solve, r gathered only when read.
+
+    Each substep works in its operator's (split, other) layout, C-ordered:
+    the split direction's sparse products read rows, and the other
+    direction's banded solves read the transpose with no copy.  Only the
+    trial grid is transposed, between substeps; the state returned is
+    indexed (x, y), its r transposed when read.
     """
     ops = {"x": x_op, "y": y_op}
-    u = state.u
+    u, op = state.u, x_op  # u is laid out as op's grids are
     for direction, _, explicit, fractions in _SUBSTEPS[scheme]:
-        op = ops[direction]
+        last, op = op, ops[direction]
+        u = op.layout(last.layout(u))
         if explicit == "other":
-            u = divide_other(op, along(op.other_minus, u, 1 - op.axis))
-        rhs = along(op.m_rect, u, op.axis)
+            u = divide_other(op, along(op.other_minus, u, 1))
+        rhs = op.m_rect @ u
         if forcing is not None and fractions:
             loads = [op.loads.load(forcing, state.time + a * tau, support)
                      for a in fractions]
@@ -127,6 +135,9 @@ def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau, support=None
             r = (lambda half=out: 2.0 * half.r) if op.stabilized else None
             out = SolutionState(u=2.0 * out.u - u, r=r)
         u = out.u
+    if op.axis == 1:
+        r = (lambda last=out: last.r.T) if op.stabilized else None
+        out = SolutionState(u=u.T, r=r)
     return op, out
 
 

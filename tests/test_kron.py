@@ -290,6 +290,24 @@ def _saddle_oracle(dense, F):
     return sol[:m], sol[m:]
 
 
+def test_singular_saddle_raises_on_its_first_factorization():
+    # B's first column copied into its second: a singular saddle that dgbtrf
+    # factors with no zero pivot; unchecked, a solve returns max|u| near 8e19
+    trial = make_space(2, 1, 8, (0.0, 1.0))
+    test = make_space(3, 0, 8, (0.0, 1.0))
+    a, b = _spline_saddle_blocks(8)
+    dense = b.to_dense()
+    dense[:, 1] = dense[:, 0]
+    rows, cols = np.nonzero(dense)
+    sf = SaddleFactor(a, (rows, cols, trial.dim - 2), OpCounter(), element_local(test))
+    with pytest.raises(SingularMatrixError, match="singular"):
+        sf.refactor(dense[rows, cols])
+    # a sound factor passes the check, whose solve is not counted
+    counter = OpCounter()
+    SaddleFactor(a, (b.rows, b.cols, b.n_cols), counter, element_local(test)).refactor(b.vals)
+    assert counter.solve_ops == 0
+
+
 def test_saddle_factor_matches_dense_block_solve():
     rng = np.random.default_rng(29)
     for n_el, trial_pc, test_pc in ((4, (2, 1), (3, 0)), (6, (1, 0), (2, 0)),
@@ -456,12 +474,14 @@ def test_kron_solve_square_factor_both_axes():
     rhs = rng.standard_normal((6, 5))
     ref = np.linalg.solve(np.kron(ax, ay), rhs.ravel()).reshape(6, 5)
     for axis, split, other in ((0, ax, ay), (1, ay, ax)):
-        op = SimpleNamespace(axis=axis, stabilized=False,
+        # each works on grids laid out (split, other): (x, y) for x, (y, x) for y
+        layout = (lambda grid: grid) if axis == 0 else (lambda grid: grid.T)
+        op = SimpleNamespace(axis=axis, stabilized=False, layout=layout,
                              split_factor=BandedLU(from_dense(split)),
                              other_lu=BandedLU(from_dense(other)))
-        state = substep(op, divide_other(op, rhs))
+        state = substep(op, divide_other(op, layout(rhs)))
         assert state.r is None
-        np.testing.assert_allclose(state.u, ref, atol=1e-11)
+        np.testing.assert_allclose(layout(state.u), ref, atol=1e-11)
 
 
 def test_kron_solve_rejects_bad_axis():

@@ -359,6 +359,8 @@ def test_spatial_orders_at_a_small_time_step(trial, test):
 # Euler) and the forcing times as fractions of tau
 _DEFINITIONS = {
     SchemeKind.PEACEMAN_RACHFORD: (("x", 0.5, "other", (0.5,)), ("y", 0.5, "other", (0.5,))),
+    SchemeKind.STRANG_BE: (("x", 0.5, None, (0.5,)), ("y", 1.0, None, ()),
+                           ("x", 0.5, None, (1.0,))),
     SchemeKind.STRANG_CN: (("x", 0.25, "split", (0.5, 0.0)), ("y", 0.5, "split", ()),
                            ("x", 0.25, "split", (1.0, 0.5))),
     SchemeKind.BE_SPLIT: (("x", 1.0, None, (1.0,)), ("y", 1.0, None, ())),
@@ -415,10 +417,9 @@ def _dense_step(scheme, u, x_op, y_op, velocity, scales, forcing, t, tau, suppor
 @st.composite
 def _step_cases(draw):
     """A whole step of a random problem: spaces, coefficients, wind scales, a
-    forcing of either kind, and pr, strang-cn or a Galerkin be step."""
-    scheme = draw(st.sampled_from((SchemeKind.PEACEMAN_RACHFORD, SchemeKind.STRANG_CN,
-                                   SchemeKind.BE_SPLIT)))
-    stabilized = scheme is not SchemeKind.BE_SPLIT
+    forcing of either kind, and a step of any scheme, stabilized or Galerkin."""
+    scheme = draw(st.sampled_from(tuple(_DEFINITIONS)))
+    stabilized = draw(st.booleans())
     p = draw(st.integers(1, 3))
     c = draw(st.integers(0, p - 1))
     q = draw(st.sampled_from((p, p + 1)))
@@ -469,3 +470,5 @@ def test_whole_step_matches_dense_2d_step(case):
     assert np.linalg.norm(got.u - u_ref) <= 1e-9 * scale
     if r_ref is not None:
         assert np.linalg.norm(got.r.ravel() - r_ref) <= 1e-9 * scale
+    else:
+        assert got.r is None
