@@ -292,7 +292,7 @@ def _saddle_oracle(dense, F):
 
 def test_singular_saddle_raises_on_its_first_factorization():
     # B's first column copied into its second: a singular saddle that dgbtrf
-    # factors with no zero pivot; unchecked, a solve returns max|u| near 8e19
+    # factors with no zero pivot; unchecked, a solve returns a finite u near 1e19
     trial = make_space(2, 1, 8, (0.0, 1.0))
     test = make_space(3, 0, 8, (0.0, 1.0))
     a, b = _spline_saddle_blocks(8)

@@ -429,11 +429,10 @@ def test_y_operator_loads_are_the_transposed_xy_loads(n):
     # a y operator works on (y, x) grids: its loads are the (x, y) loads of
     # the same spaces and division, transposed bit for bit; pollution's
     # forcing is support-cut or whole, manufactured's and the others products
+    plume, product = pollution(), manufactured()
     for problem, forcings in (
-            (pollution(), [(pollution().forcing, pollution().forcing_support),
-                           (pollution().forcing, None)]),
-            (manufactured(), [(f, None) for f in (manufactured().forcing,
-                                                  *_PRODUCT_FORCINGS)])):
+            (plume, [(plume.forcing, plume.forcing_support), (plume.forcing, None)]),
+            (product, [(f, None) for f in (product.forcing, *_PRODUCT_FORCINGS)])):
         trial_x, trial_y = (make_space(2, 1, n, interval) for interval in problem.domain)
         test_y = make_space(3, 0, n, problem.domain[1])
         (ax, _), (_, by) = problem.wind.factors
