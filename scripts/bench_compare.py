@@ -1,6 +1,6 @@
 """Compare two BENCH files: the markdown table of end-to-end metrics CHANGES.md uses.
 
-    python3 scripts/bench_compare.py PARENT.json CHANGE.json
+    python3 scripts/bench_compare.py PARENT.json CHANGE.json [--claim WORKLOAD/METRIC]
 
 For each workload and end-to-end metric of BENCHMARK.json, one row: the
 parent's and the change's median [q1, q3], the pairs the change wins (run i
@@ -10,6 +10,12 @@ the metric's bound: "resolved" when the spread is within the bound, so that a
 move of the bound's size would show.  A last line gives each file's dgbtrs
 calibration kernel, median [q1, q3], whose shift is the host's, not the
 code's.
+
+With ``--claim``, it then says whether the change's gain on that workload's
+metric is met: the change wins at least 9 of 10 of the pairs in which both
+runs gave a value (a tie counts for neither side), and its median is better
+than the parent's by more than the parent's quartile distance q3 - q1.  Last
+it lists every other row whose median is worse than the metric's bound.
 """
 
 from __future__ import annotations
@@ -39,25 +45,51 @@ def wins(parent: dict, change: dict, better: str) -> tuple[int, int]:
     return won, len(pairs)
 
 
-def table(parent: dict, change: dict, spec: dict) -> list[str]:
-    lines = [f"| workload | metric | parent {parent['label']} | change | "
-             "pairs the change wins | median change | parent spread / bound |",
-             "|---|---|---|---|---|---|---|"]
+def rows(parent: dict, change: dict, spec: dict):
+    """(workload, metric spec, parent entry, change entry) of every metric both files hold."""
     for workload in (w["name"] for w in spec["workloads"]):
         before = parent["workloads"].get(workload, {}).get("metrics", {})
         after = change["workloads"].get(workload, {}).get("metrics", {})
         for metric in spec["end_to_end"]:
-            name = metric["name"]
-            if name not in before or name not in after:
-                continue
-            p, c = before[name], after[name]
-            won, pairs = wins(p, c, metric["better"])
-            move = (c["median"] - p["median"]) / p["median"]
-            resolved = "resolved" if spread(p) <= metric["bound"] else "unresolved"
-            lines.append(f"| {workload} | `{name}` ({p['unit']}) | {quartiles(p)} | "
-                         f"{quartiles(c)} | {won}/{pairs} | {100 * move:+.1f}% | "
-                         f"{100 * spread(p):.1f}% / {100 * metric['bound']:g}% {resolved} |")
+            if metric["name"] in before and metric["name"] in after:
+                yield workload, metric, before[metric["name"]], after[metric["name"]]
+
+
+def table(parent: dict, change: dict, spec: dict) -> list[str]:
+    lines = [f"| workload | metric | parent {parent['label']} | change | "
+             "pairs the change wins | median change | parent spread / bound |",
+             "|---|---|---|---|---|---|---|"]
+    for workload, metric, p, c in rows(parent, change, spec):
+        won, pairs = wins(p, c, metric["better"])
+        move = (c["median"] - p["median"]) / p["median"]
+        resolved = "resolved" if spread(p) <= metric["bound"] else "unresolved"
+        lines.append(f"| {workload} | `{metric['name']}` ({p['unit']}) | {quartiles(p)} | "
+                     f"{quartiles(c)} | {won}/{pairs} | {100 * move:+.1f}% | "
+                     f"{100 * spread(p):.1f}% / {100 * metric['bound']:g}% {resolved} |")
     return lines
+
+
+def claim(parent: dict, change: dict, spec: dict, claimed: str) -> list[str]:
+    """Whether the claimed WORKLOAD/METRIC gain is met, then every other row
+    whose median is worse than its bound."""
+    lines, worse = [], []
+    for workload, metric, p, c in rows(parent, change, spec):
+        # the change's gain, positive when it is better
+        gain = (p["median"] - c["median"]) * (1 if metric["better"] == "lower" else -1)
+        if f"{workload}/{metric['name']}" == claimed:
+            won, pairs = wins(p, c, metric["better"])
+            distance = p["q3"] - p["q1"]
+            met = won >= 0.9 * pairs and gain > distance
+            lines.append(f"claim {claimed}: {'met' if met else 'not met'}: the change wins "
+                         f"{won}/{pairs} pairs (needs 9/10), median gap {gain:.3g} {p['unit']} "
+                         f"{'>' if gain > distance else '<='} parent q3 - q1 "
+                         f"{distance:.3g} {p['unit']}")
+        elif -gain / p["median"] > metric["bound"]:
+            worse.append(f"- {workload} `{metric['name']}`: {100 * -gain / p['median']:+.1f}% "
+                         f"worse, bound {100 * metric['bound']:g}%")
+    if not lines:
+        raise KeyError(f"no row {claimed!r} in both files")
+    return lines + ["other rows worse than their bound:"] + (worse or ["- none"])
 
 
 def calibration(bench: dict) -> str:
@@ -71,12 +103,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                        help="say whether the change's gain on this row is met")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
     print("\n".join(table(parent, change, spec)))
     print(f"\ndgbtrs calibration kernel: parent {calibration(parent)}, "
           f"change {calibration(change)}")
+    if args.claim:
+        try:
+            print("\n" + "\n".join(claim(parent, change, spec, args.claim)))
+        except KeyError as exc:
+            parser.error(exc.args[0])
     return 0
 
 

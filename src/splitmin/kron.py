@@ -20,15 +20,16 @@ Three pieces:
   The kept test and the trial unknowns are interleaved by their 1D position
   (Gram unknown first on ties), so the condensed system is ONE banded
   matrix with bandwidth independent of the mesh, which a single banded LU
-  factors; factorization and each solve stay O(m + n).  Its pattern, band
-  layout and the terms of its entries are found once: ``refactor`` forms
-  the entries for new values of B on the same pattern and factors, the
-  first factorization checked.  A solve is one sparse product T F, which
-  places F's kept rows and condenses its local rows into the banded right-
-  hand side, then the banded solve over F's columns.  ``solve_deferred``
-  gathers u at once and returns r as a function that gathers it, for the
-  callers that may not read r: r's local rows come from two products, one
-  of F and one of the solution.
+  factors; factorization and each solve stay O(m + n).  B's values lie on
+  a line b0 + s b1 on a fixed pattern (s a wind scale), so every entry is a
+  quadratic in s: its pattern, band layout and the three coefficient arrays
+  of its entries are found once, and ``refactor(s)`` evaluates them and
+  factors, the first factorization checked.  A solve is one sparse product
+  T F, which places F's kept rows and condenses its local rows into the
+  banded right-hand side, then the banded solve over F's columns.
+  ``solve_deferred`` gathers u at once and returns r as a function that
+  gathers it, for the callers that may not read r: r's local rows come from
+  two products, one of F and one of the solution.
 
 * ``solve_along`` / ``kron_matvec`` / ``kron_norms`` -- a factor's inverse
   along one axis, (Ax (x) Ay) and the L2/H1 norms of Kronecker-product inner
@@ -73,15 +74,23 @@ class BandLayout:
     """Where a -1 square pattern goes in dgbtrf's band storage, and its op counts.
 
     The bandwidths are the pattern's own: its extreme diagonal offsets.  A
-    position may repeat: ``fill`` sums its values.
+    position may repeat: ``fill`` sums its values.  ``at`` is each pattern
+    entry's index in the band array's entries listed column by column, and
+    ``band`` views such a list as the band array.
     """
 
     def __init__(self, rows, cols, n: int):
         lb, ub = int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
         self.n, self.lb, self.ub = n, lb, ub
-        self.rows, self.cols = rows, cols
         self._height = 2 * lb + ub + 1
-        self._flat = lb + ub + rows - cols + self._height * cols  # in the Fortran-ordered array
+        self.size = self._height * n
+        self.at = lb + ub + rows - cols + self._height * cols
+        # each position once, in column-major order, and its row and column
+        taken = np.zeros(self.size, bool)
+        taken[self.at] = True
+        self._once = np.flatnonzero(taken)
+        self._cols, diag = divmod(self._once, self._height)
+        self._rows = diag - lb - ub + self._cols
         # rows below the pivot at each step, and entries of U right of the
         # diagonal, which row swaps widen by lb
         below = np.minimum(lb, np.arange(n)[::-1])
@@ -93,42 +102,47 @@ class BandLayout:
     def fill(self, vals) -> np.ndarray:
         """ab[lb + ub + i - j, j] = A[i, j], the values at a repeated position
         summed; the lb rows on top take the row swaps' fill-in."""
-        ab = np.bincount(self._flat, vals, self._height * self.n)
-        return ab.reshape(self.n, self._height).T
+        return self.band(np.bincount(self.at, vals, self.size))
 
-    def matvec(self, vals, x: np.ndarray) -> np.ndarray:
-        """A @ x for the values vals on this pattern."""
-        return np.bincount(self.rows, vals * x[self.cols], self.n)
+    def band(self, entries: np.ndarray) -> np.ndarray:
+        """The band array (Fortran-ordered, a view) of its ``size`` entries
+        listed column by column."""
+        return entries.reshape(self.n, self._height).T
+
+    def matvec(self, ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """A @ x for the band array ab of a matrix on this layout."""
+        entries = ab.ravel(order="F")[self._once]
+        return np.bincount(self._rows, entries * x[self._cols], self.n)
 
 
 class BandedLU:
     """LU with band-restricted pivoting (LAPACK dgbtrf/dgbtrs) of a square
-    BandedMatrix or of a (BandLayout, values) pair.
+    BandedMatrix or of a (BandLayout, band array) pair.
 
     dgbtrf flags only an exactly zero pivot.  With ``check``, the factor also
     solves once for A @ ones, uncounted, and a relative residual above 1e-8
     (or NaN) raises SingularMatrixError, as the general path's sparse factor
-    does.
+    does.  Unchecked, dgbtrf factors a Fortran-ordered band array in place.
     """
 
     def __init__(self, matrix, counter: OpCounter | None = None, check: bool = False):
         if isinstance(matrix, BandedMatrix):
             if matrix.n_rows != matrix.n_cols:
                 raise ValueError("banded LU requires a square matrix")
-            matrix = (BandLayout(matrix.rows, matrix.cols, matrix.n_rows), matrix.vals)
-        layout, vals = matrix
+            layout = BandLayout(matrix.rows, matrix.cols, matrix.n_rows)
+            matrix = (layout, layout.fill(matrix.vals))
+        layout, ab = matrix
         self.n, self.lb = layout.n, layout.lb
         # row swaps during elimination widen U by at most lb
         self.ub = layout.ub + layout.lb
         self.counter = counter
-        self._lu, self._piv, info = dgbtrf(layout.fill(vals), layout.lb, layout.ub,
-                                           overwrite_ab=1)
+        self._lu, self._piv, info = dgbtrf(ab, layout.lb, layout.ub, overwrite_ab=int(not check))
         if info > 0:
             raise SingularMatrixError(f"zero pivot at elimination step {info - 1}")
         if check:
-            rhs = layout.matvec(vals, np.ones(layout.n))
+            rhs = layout.matvec(ab, np.ones(layout.n))
             x, _ = dgbtrs(self._lu, layout.lb, layout.ub, rhs, self._piv)
-            rel = np.linalg.norm(layout.matvec(vals, x) - rhs) / np.linalg.norm(rhs)
+            rel = np.linalg.norm(layout.matvec(ab, x) - rhs) / np.linalg.norm(rhs)
             if not rel <= 1e-8:  # also NaN
                 raise SingularMatrixError(f"unstable banded factor: relative residual {rel:.1e}")
         self._solve_ops_per_column = layout.solve_ops_per_column
@@ -148,13 +162,16 @@ class BandedLU:
 
 
 class SaddleFactor:
-    """Banded factorization of [[A, B], [B^T, 0]], element-local test functions condensed out.
+    """Banded factorization of [[A, B], [B^T, 0]] for B on a line b0 + s b1,
+    element-local test functions condensed out.
 
-    ``pattern`` is (rows, cols, n_cols) of B's nonzeros.  ``elements`` gives
-    each test function's element when it is supported in that element alone,
-    -1 otherwise (None: no such function).  These local functions l go first
-    (static condensation): A_ll is block-diagonal by element, so with
-    E = A_ll^-1 and v the other test functions the factored matrix is
+    ``pattern`` is (rows, cols, n_cols) of B's nonzeros and ``line`` (b0, b1)
+    their values at s = 0 and per unit of s: a fixed B is the line with
+    b1 = 0.  ``elements`` gives each test function's element when it is
+    supported in that element alone, -1 otherwise (None: no such function).
+    These local functions l go first (static condensation): A_ll is
+    block-diagonal by element, so with E = A_ll^-1 and v the other test
+    functions the factored matrix is
 
         [[A_vv - A_vl E A_lv,  B_v - A_vl E B_l], [(.)^T,  -B_l^T E B_l]]
 
@@ -163,16 +180,18 @@ class SaddleFactor:
     rows' identity entries and the condensing product, which make the banded
     right-hand side from F in one product) and of the two products that
     recover r_l (from F and from the solution) is a sum of terms
-    w * b_i * b_j (b_i a value of B, or 1), listed in set-up, so ``refactor``
-    forms them for B's values with one weighted bincount and factors on the
-    band layout found once.  Its first factorization is checked (``BandedLU``'s
-    ``check``): a singular B passes dgbtrf with a tiny pivot, not a zero one.
+    w * b_i * b_j (b_i a value of B, or 1), so a polynomial of degree <= 2 in
+    s.  Set-up sums the terms' coefficients of 1, s and s^2 into three arrays
+    (band array entries, then product data) once, and ``refactor(s)``
+    evaluates them and factors on the band layout found once.  Its first
+    factorization is checked (``BandedLU``'s ``check``): a singular B passes
+    dgbtrf with a tiny pivot, not a zero one.
 
     F's columns are the banded solve's: a caller with grids laid out (split,
     other) in C order solves for all the other direction's lines at once.
     """
 
-    def __init__(self, A: BandedMatrix, pattern, counter: OpCounter | None = None,
+    def __init__(self, A: BandedMatrix, pattern, line, counter: OpCounter | None = None,
                  elements=None):
         if A.n_rows != A.n_cols:
             raise ValueError("Gram block must be square")
@@ -226,13 +245,20 @@ class SaddleFactor:
                     (size + l_rank[er], ec, -1, -1, ev),
                     (size + nl + l_rank[g.cols], at_v[g.rows], -1, -1, -g.vals),
                     (size + nl + l_rank[ec[je]], at_u[cols_b[ebl]], ebl, -1, -ev[je]))
-        rows, cols, *self._terms = _terms(*saddle, *products)
-        self._n_saddle = sum(group[0].size for group in saddle)
-        self._layout = BandLayout(rows[:self._n_saddle], cols[:self._n_saddle], size)
+        rows, cols, e1, e2, w = _terms(*saddle, *products)
+        n_saddle = sum(group[0].size for group in saddle)
+        self._layout = layout = BandLayout(rows[:n_saddle], cols[:n_saddle], size)
         # the three products stacked by rows: T, then r_l's F and solution parts
         width = max(m, size)
-        keys, self._target = np.unique(rows[self._n_saddle:] * width
-                                       + cols[self._n_saddle:], return_inverse=True)
+        keys, target = np.unique(rows[n_saddle:] * width + cols[n_saddle:],
+                                 return_inverse=True)
+        # each term's coefficients of 1, s and s^2 (b[-1] reads 1 at every s),
+        # summed per band array entry, then per product entry
+        b0, b1 = (np.append(b, end) for b, end in zip(line, (1.0, 0.0)))
+        target = np.concatenate([layout.at, layout.size + target])
+        self._coefficients = [np.bincount(target, c, layout.size + keys.size) for c in
+                              (w * b0[e1] * b0[e2], w * (b0[e1] * b1[e2] + b1[e1] * b0[e2]),
+                               w * b1[e1] * b1[e2])]
         pr, pc = divmod(keys, width)
         ends = np.searchsorted(pr, [size, size + nl])
         self._kept = v.size  # T's identity entries: a copy, not counted as work
@@ -243,31 +269,25 @@ class SaddleFactor:
                                        (ends[1], keys.size, size + nl, (nl, size))))
         self._lu = None
 
-    def refactor(self, vals_b) -> None:
-        """Factor again with B's values vals_b on its pattern; the first
-        factorization is checked as ``BandedLU``'s ``check`` says."""
-        e1, e2, w = self._terms
-        ext = np.append(vals_b, 1.0)  # index -1 reads 1
-        vals = w * ext[e1] * ext[e2]
-        products = np.bincount(self._target, vals[self._n_saddle:])
-        at = 0
+    def refactor(self, s: float) -> None:
+        """Factor for B = b0 + s b1; the first factorization is checked as
+        ``BandedLU``'s ``check`` says."""
+        c0, c1, c2 = self._coefficients
+        vals = c0 + s * (c1 + s * c2)
+        at = size = self._layout.size
         for matrix in (self._condense, self._recover_f, self._recover_x):
-            matrix.data[:] = products[at:at + matrix.nnz]
+            matrix.data[:] = vals[at:at + matrix.nnz]
             at += matrix.nnz
         try:
-            self._lu = BandedLU((self._layout, vals[:self._n_saddle]), self.counter,
+            self._lu = BandedLU((self._layout, self._layout.band(vals[:size])), self.counter,
                                 check=self._lu is None)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 "saddle system is singular; the trial/test pair is incompatible") from exc
 
-    def solve(self, F: np.ndarray):
-        """Solve [[A, B], [B^T, 0]] (r, u) = (F, 0) for F's m rows; returns (r, u)."""
-        gather_r, u = self.solve_deferred(F)
-        return gather_r(), u
-
     def solve_deferred(self, F: np.ndarray):
-        """solve, with r returned as a function that gathers it from the solution.
+        """Solve [[A, B], [B^T, 0]] (r, u) = (F, 0) for F's m rows; returns
+        (gather_r, u), with r returned as a function that gathers it.
 
         One sparse product T F puts F's kept rows in their interleaved places
         and condenses the local rows into them: the banded solve's right-hand

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -21,6 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy
 
 from .assembly import _nq, norm_blocks
 from .exceptions import ParameterError
@@ -210,6 +212,8 @@ def run(config: RunConfig):
         "total_ops": counter.total,
         "final_time": state.time,
         "wall_time_s": elapsed,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
     }
     if not problem.wind.separable:  # SuperLU's work is not counted as ops
         metadata["fill_nnz"] = stepper.factor.fill_nnz

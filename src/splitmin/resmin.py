@@ -27,15 +27,19 @@ representatives come in that layout.
 
 A DirectionalOperator is built once per direction, advection blocks
 included: each wind component is s(t) times a time-free factor, so the blocks
-are assembled once from the factors.  set_wind only forms values for the
-scalars s_x(t), s_y(t), on nonzero patterns and a saddle layout fixed at
-set-up, and refactors.  The split stepper takes the wind at each step's
-midpoint.  A forcing in product form loads as a sum of outer products of 1D
-loads made once; any other forcing is evaluated on the Gauss grid, and with
-a declared support box only at the Gauss points inside it.  A directional
-operator's loads come divided by its other direction's mass, in its
-layout.  A substep gathers its residual representative r from the saddle
-solution only when r is read, which a step does for its last substep alone.
+are assembled once from the factors.  The split block is then a line
+m + dt_eff k + s (dt_eff g) in its direction's scale s, and every entry of
+its factored matrix a polynomial in s whose coefficients set-up forms once:
+set_wind evaluates them for the scalars s_x(t), s_y(t), forms the explicit
+block's values on its fixed pattern, and refactors.  The split stepper takes
+the wind at each step's midpoint.  A forcing in product form loads as a sum
+of outer products of 1D loads made once; any other forcing is evaluated on
+the Gauss grid, and with a declared support box only at the Gauss points
+inside it, its load made again only when those samples change: a steady
+source is assembled once per operator.  A directional operator's loads come
+divided by its other direction's mass, in its layout.  A substep gathers its
+residual representative r from the saddle solution only when r is read,
+which a step does for its last substep alone.
 The first factorization of each operator is checked by one solve for
 matrix @ ones; set_wind's refactors are not.
 """
@@ -82,7 +86,10 @@ class LoadAssembler:
     kept.  Any other callable is evaluated on the Gauss grid, in the
     orientation the cheaper contraction order reads; given the box outside
     which f is zero, it reads only the Gauss points inside it, bit for bit
-    the full-grid load.  px and py stay the full x and y grids.
+    the full-grid load.  px and py stay the full x and y grids.  The load
+    depends on f's samples alone, so each support cut keeps its last samples
+    and the load made from them, read-only, and returns that load while f
+    returns the same samples, shape and bits; a full-grid load keeps none.
 
     Given divide = (axis, lu), every load comes out divided by lu along that
     axis: a product's 1D loads on that axis are divided once, when made, and
@@ -101,6 +108,7 @@ class LoadAssembler:
         self._transposed = transposed
         self._cuts = {None: (self.px, wx_t, self.py, wy_t, slice(None))}
         self._products = {}
+        self._last = {}  # support box: (f's samples as (shape, bytes), their read-only load)
 
     def load(self, f, t: float, support=None) -> np.ndarray:
         if isinstance(f, ProductSum):
@@ -130,7 +138,12 @@ class LoadAssembler:
             self._cuts[support] = (px[ix], cut[0], py[iy], cut[1], lines)
         px, wx_t, py, wy_t, lines = self._cuts[support]
         x, y = (px[:, None], py[None, :]) if self._x_first else (px[None, :], py[:, None])
-        vals = np.broadcast_to(np.asarray(f(x, y, t), dtype=float), np.broadcast(x, y).shape)
+        vals = np.asarray(f(x, y, t), dtype=float)
+        samples = None if support is None else (vals.shape, vals.tobytes())
+        last = self._last.get(support)
+        if last is not None and last[0] == samples:
+            return last[1]
+        vals = np.broadcast_to(vals, np.broadcast(x, y).shape)
         grid = kron_matvec(wx_t, wy_t, vals if self._x_first else vals.T,
                            self._x_first)[1:-1, 1:-1]
         if self._transposed:
@@ -140,6 +153,9 @@ class LoadAssembler:
             axis ^= self._transposed  # the divided axis, in the grid's own order
             across = (lines, slice(None)) if axis == 1 else (slice(None), lines)
             grid[across] = solve_along(lu, grid[across], axis)
+        if samples is not None:
+            grid.flags.writeable = False
+            self._last[support] = (samples, grid)
         return grid
 
 
@@ -172,7 +188,11 @@ class DirectionalOperator:
     time-free (x, y) factors included, other_lu, the loads, and one fixed
     pattern per wind-dependent matrix (b_split, other_minus), the union of
     its blocks' nonzeros, with other_minus's CSR and split_factor's band
-    layout on it.  set_wind(s_x, s_y) forms values there and refactors;
+    layout on it.  On that pattern b_split is the line b0 + s b1 with
+    b0 = m + dt_eff*k and b1 = dt_eff*g, which split_factor takes once: a
+    SaddleFactor as the coefficients of its quadratic entries, the Galerkin
+    factor as two band arrays.  set_wind(s_x, s_y) evaluates them at the
+    split direction's scale and refactors, and forms other_minus's values;
     b_split is derived on read.
     """
 
@@ -201,17 +221,18 @@ class DirectionalOperator:
                                   tables)
         g_other = block(advection, trial_other, trial_other, velocity[1 - self.axis], tables)
         # (mass, stiffness, advection) values on each pattern
-        rows, cols, self._rect = common_entries(self.m_rect, self.k_rect,
-                                                self._g_rect_free)
+        rows, cols, (m, k, g) = common_entries(self.m_rect, self.k_rect, self._g_rect_free)
+        line = (m + dt_eff * k, dt_eff * g)  # b_split = b0 + s b1
         *other, self._other = common_entries(self.m_other, self.k_other, g_other)
         self.other_minus = csr(*other, 0.0 * other[0], self.m_other.shape)
         for read in (self.m_rect, self.m_test, self.a_split, self.m_other):
             read.to_csr()  # the blocks steps read, built here once
         if stabilized:
             self.split_factor = SaddleFactor(self.a_split, (rows, cols, self.m_rect.n_cols),
-                                             counter, element_local(test_split))
+                                             line, counter, element_local(test_split))
         else:
             self._layout = BandLayout(rows, cols, self.m_rect.n_rows)
+            self._band = [self._layout.fill(b) for b in line]
         divide = (1 - self.axis, self.other_lu)
         if direction == "x":
             self.loads = LoadAssembler(test_split, trial_other, divide)
@@ -219,17 +240,19 @@ class DirectionalOperator:
             self.loads = LoadAssembler(trial_other, test_split, divide, transposed=True)
 
     def set_wind(self, scales) -> None:
-        """Form the wind-dependent values for the wind's (s_x, s_y) and refactor;
-        the first factorization is checked (``BandedLU``'s ``check``)."""
+        """Refactor split_factor at the split direction's scale of the wind's
+        (s_x, s_y) and form other_minus's values; the first factorization is
+        checked (``BandedLU``'s ``check``)."""
         first = self._scales is None
         self._scales = scales
-        (m, k, g), (mo, ko, go) = self._rect, self._other
-        step = self.dt_eff * (k + scales[self.axis] * g)
+        s = scales[self.axis]
+        mo, ko, go = self._other
         self.other_minus.data[:] = mo - self.dt_eff * (ko + scales[1 - self.axis] * go)
         if self.stabilized:
-            self.split_factor.refactor(m + step)
+            self.split_factor.refactor(s)
         else:
-            self.split_factor = BandedLU((self._layout, m + step), self.counter, check=first)
+            b0, b1 = self._band
+            self.split_factor = BandedLU((self._layout, b0 + s * b1), self.counter, check=first)
 
     def layout(self, grid: np.ndarray) -> np.ndarray:
         """A grid indexed (x, y) in this operator's (split, other) layout, or

@@ -193,9 +193,9 @@ class Stepper(StepperBase):
 
     Operators are assembled and factored once, with the wind at the first
     step's midpoint t0 + tau/2.  For a time-dependent wind each step first
-    moves both to the wind at its own midpoint: set_wind rescales the cached
-    advection blocks by s(t + tau/2) and refactors, which keeps the
-    second-order schemes second order.
+    moves both to the wind at its own midpoint: set_wind evaluates each
+    operator's split block, a line in the wind scale, at s(t + tau/2) and
+    refactors, which keeps the second-order schemes second order.
     """
 
     def __init__(self, problem, config: RunConfig,

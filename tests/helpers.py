@@ -16,10 +16,18 @@ def from_dense(dense) -> BandedMatrix:
 
 
 def saddle_factor(a: BandedMatrix, b: BandedMatrix, counter=None, elements=None) -> SaddleFactor:
-    """The saddle of the Gram a and the block b, laid out on b's pattern and factored."""
-    sf = SaddleFactor(a, (b.rows, b.cols, b.n_cols), counter, elements)
-    sf.refactor(b.vals)
+    """The saddle of the Gram a and the fixed block b (the line with b1 = 0),
+    laid out on b's pattern and factored."""
+    sf = SaddleFactor(a, (b.rows, b.cols, b.n_cols), (b.vals, np.zeros(b.nnz)), counter,
+                      elements)
+    sf.refactor(0.0)
     return sf
+
+
+def saddle_solve(sf: SaddleFactor, F):
+    """(r, u) of sf's saddle for the right-hand side F."""
+    gather_r, u = sf.solve_deferred(F)
+    return gather_r(), u
 
 
 def _kron(ax: BandedMatrix, ay: BandedMatrix) -> sp.csr_matrix:

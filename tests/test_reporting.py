@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 import splitmin.reporting as reporting
@@ -206,6 +208,8 @@ def test_run_writes_expected_artifacts(tmp_path):
     assert meta["final_time"] == pytest.approx(0.2)
     assert meta["factor_ops"] > 0 and meta["solve_ops"] > 0
     assert meta["total_ops"] == meta["factor_ops"] + meta["solve_ops"]
+    assert meta["versions"] == {"python": platform.python_version(),
+                                "numpy": np.__version__, "scipy": scipy.__version__}
 
     assert (out / "field_step000004.vtk").exists()
     assert (out / "field_step000004.csv").exists()

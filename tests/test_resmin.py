@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from splitmin import full2d, stepping
 from splitmin.acceptance import _dense_substep
-from splitmin.assembly import advection, block
+from splitmin.assembly import advection, block, mass
 from splitmin.exceptions import ParameterError
 from splitmin.kron import BandedLU, BandLayout, OpCounter
 from splitmin.problems import ProductSum, Wind, WindComponent, manufactured, pollution
@@ -21,7 +21,7 @@ from splitmin.resmin import (LoadAssembler, SolutionState, build_directional,
 from splitmin.splines import element_local, eval_matrix, gauss_rule, make_space
 from splitmin.stepping import RunConfig, Stepper
 
-from helpers import saddle_factor
+from helpers import saddle_factor, saddle_solve
 
 
 def _spaces(n_el=4, trial_pc=(2, 1), test_pc=(3, 0)):
@@ -110,9 +110,19 @@ def _wind_sequences(draw):
             draw(st.floats(1e-3, 1.0)), scales)
 
 
+def _backward_error(matrix: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> float:
+    """Normwise backward error of x for matrix x = rhs, column by column, its largest."""
+    res = np.abs(matrix @ x - rhs).max(axis=0)
+    scale = np.abs(matrix).sum(axis=1).max() * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
+    return float(np.max(res / scale))
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(_wind_sequences())
 def test_set_wind_refactors_as_a_fresh_factor(case):
+    # set_wind(s) factors exactly what an operator built at s factors; both
+    # evaluate b0 + s b1, so against B = m + dt (k + s g) assembled directly
+    # the solve is a backward-stable one
     direction, tx, ty, test, diffusion, velocity, stabilized, dt, scales = case
     counter = OpCounter()
     op = build_directional(direction, tx, ty, test, diffusion, velocity, dt,
@@ -122,20 +132,32 @@ def test_set_wind_refactors_as_a_fresh_factor(case):
     def fresh_block(trial, test_space, d):
         return block(advection, trial, test_space, velocity[d])
 
+    def solve(factor, rhs):
+        return np.vstack(saddle_solve(factor, rhs)) if stabilized else factor.solve(rhs)
+
     g_rect = fresh_block(op.trial_split, op.test_split, axis)
     g_other = fresh_block(op.trial_other, op.trial_other, 1 - axis)
+    other_ops = OpCounter()
+    BandedLU(op.m_other, other_ops)
     rng = np.random.default_rng(3)
     for s in scales:
         before = counter.factor_ops
         op.set_wind(s)
-        b = op.m_rect + dt * (op.k_rect + s[axis] * g_rect)
         fresh_counter = OpCounter()
-        fresh = (saddle_factor(op.a_split, b, fresh_counter, element_local(op.test_split))
-                 if stabilized else BandedLU(b, fresh_counter))
-        assert counter.factor_ops - before == fresh_counter.factor_ops
+        fresh = build_directional(direction, tx, ty, test, diffusion, velocity, dt,
+                                  stabilized, fresh_counter, scales=s)
+        assert counter.factor_ops - before == fresh_counter.factor_ops - other_ops.factor_ops
+        b = op.m_rect + dt * (op.k_rect + s[axis] * g_rect)
         rhs = rng.standard_normal((b.shape[0], 3))  # a saddle solves for (r, u)
-        assert np.array_equal(np.vstack(op.split_factor.solve(rhs)),
-                              np.vstack(fresh.solve(rhs)))
+        got = solve(op.split_factor, rhs)
+        assert np.array_equal(got, solve(fresh.split_factor, rhs))
+        if stabilized:
+            a = op.a_split.to_dense()
+            matrix = np.block([[a, b.to_dense()], [b.to_dense().T, np.zeros((b.n_cols,) * 2)]])
+            rhs = np.vstack([rhs, np.zeros((b.n_cols, 3))])
+        else:
+            matrix = b.to_dense()
+        assert _backward_error(matrix, got, rhs) <= 1e-14
         other_minus = op.m_other - dt * (op.k_other + s[1 - axis] * g_other)
         x = rng.standard_normal((other_minus.n_cols, 2))
         assert np.array_equal(op.other_minus @ x, other_minus.apply(x))
@@ -469,6 +491,44 @@ def test_support_load_equals_full_grid_load(n):
                 assert not np.any(full)
             # the full grids stay in place: perfbench reads their sizes
             assert loads.px.size == (spaces[0].degree + 1) * n
+
+
+@pytest.mark.parametrize("transposed", (False, True))
+def test_cut_load_is_made_again_only_for_new_samples(transposed):
+    # a steady chimney's cut returns the same read-only grid, with no more
+    # line divides; the same disc scaled in time is made again on every
+    # call, bit for bit what a fresh assembler makes
+    problem = pollution()
+    steady, support = problem.forcing, problem.forcing_support
+
+    def pulsing(x, y, t):
+        return (1.0 + t) * steady(x, y, t)
+
+    spaces = _pollution_load_spaces(50)[0]
+    counter = OpCounter()
+    divide = (1, BandedLU(block(mass, spaces[1], spaces[1]), counter))
+
+    def assembler():
+        return LoadAssembler(*spaces, divide, transposed)
+
+    loads = assembler()
+    first = loads.load(steady, 0.0, support)
+    assert np.any(first) and not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    before = counter.solve_ops
+    assert loads.load(steady, 5.0, support) is first
+    assert counter.solve_ops == before
+    for t in (1.0, 2.0, 3.0):
+        before = counter.solve_ops
+        grid = loads.load(pulsing, t, support)
+        assert counter.solve_ops > before
+        assert np.array_equal(grid, assembler().load(pulsing, t, support))
+    again = loads.load(steady, 0.0, support)
+    assert again is not first and np.array_equal(again, first)
+    # a full-grid load keeps no samples: it is made on every call
+    whole = loads.load(steady, 0.0)
+    assert whole.flags.writeable and loads.load(steady, 0.0) is not whole
 
 
 @pytest.mark.parametrize("n", (8, 50, 64, 200))
