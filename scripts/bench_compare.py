@@ -7,9 +7,13 @@ parent's and the change's median [q1, q3], the pairs the change wins (run i
 of one file against run i of the other, failed runs left out), the change of
 the median, and the parent's quartile spread, (q3 - q1) / median, against
 the metric's bound: "resolved" when the spread is within the bound, so that a
-move of the bound's size would show.  A last line gives each file's dgbtrs
+move of the bound's size would show.  A line then gives each file's dgbtrs
 calibration kernel, median [q1, q3], whose shift is the host's, not the
-code's.
+code's.  Last comes the per-layer table: for each workload and per-layer
+metric of BENCHMARK.json that both files' ``layers`` records hold, the
+parent's and the change's value (one traced run each, the median over its
+rounds) and the change between them; a metric that reads 0 on both sides (a
+layer the workload never enters) is left out.
 
 With ``--claim``, it then says whether the change's gain on that workload's
 metric is met: the change wins at least 9 of 10 of the pairs in which both
@@ -69,6 +73,29 @@ def table(parent: dict, change: dict, spec: dict) -> list[str]:
     return lines
 
 
+def layer_table(parent: dict, change: dict, spec: dict) -> list[str]:
+    lines = [f"| workload | layer metric | parent {parent['label']} | change | change from parent |",
+             "|---|---|---|---|---|"]
+    for workload in (w["name"] for w in spec["workloads"]):
+        before, after = (bench["workloads"].get(workload, {}).get("layers", {}).get("metrics", {})
+                         for bench in (parent, change))
+        for metric in spec["per_layer"]:
+            if metric["name"] not in before or metric["name"] not in after:
+                continue
+            p, c = before[metric["name"]]["value"], after[metric["name"]]["value"]
+            if p == c == 0:
+                continue
+            move = f"{100 * (c - p) / abs(p):+.1f}%" if p else "from 0"
+            lines.append(f"| {workload} | `{metric['name']}` ({metric['unit']}) | {number(p)} | "
+                         f"{number(c)} | {move} |")
+    return lines
+
+
+def number(value: float) -> str:
+    """A whole number in full, with thousands separators; any other to 4 digits."""
+    return f"{value:,.0f}" if float(value).is_integer() else f"{value:.4g}"
+
+
 def claim(parent: dict, change: dict, spec: dict, claimed: str) -> list[str]:
     """Whether the claimed WORKLOAD/METRIC gain is met, then every other row
     whose median is worse than its bound."""
@@ -111,6 +138,7 @@ def main(argv=None) -> int:
     print("\n".join(table(parent, change, spec)))
     print(f"\ndgbtrs calibration kernel: parent {calibration(parent)}, "
           f"change {calibration(change)}")
+    print("\nper-layer figures:\n" + "\n".join(layer_table(parent, change, spec)))
     if args.claim:
         try:
             print("\n" + "\n".join(claim(parent, change, spec, args.claim)))

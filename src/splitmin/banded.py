@@ -22,6 +22,8 @@ import scipy.sparse as sp
 
 __all__ = ["BandedMatrix", "common_entries", "csr"]
 
+_COLUMNS = 32  # output columns per dense block of ``apply_rows``
+
 
 class BandedMatrix:
     """A sparse 1D block, immutable after construction, so its CSR is built once.
@@ -35,7 +37,7 @@ class BandedMatrix:
         self.rows, self.cols = np.asarray(rows)[keep], np.asarray(cols)[keep]
         self.vals = np.asarray(vals, dtype=float)[keep]
         self.n_rows, self.n_cols = shape
-        self._csr = None
+        self._csr = self._row_blocks = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -81,6 +83,31 @@ class BandedMatrix:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
+
+    def apply_rows(self, x: np.ndarray) -> np.ndarray:
+        """x @ A^T, A applied to each row of a C-ordered stack of rows.
+
+        One dense GEMM per block of ``_COLUMNS`` output columns reads x's
+        columns that block depends on in place, so x is never transposed.
+        The blocks of A^T are made once.  The result is C-ordered and differs
+        from a CSR product's by rounding only.
+        """
+        if self._row_blocks is None:
+            self._row_blocks = []
+            for lo in range(0, self.n_rows, _COLUMNS):
+                first, last = np.searchsorted(self.rows, [lo, lo + _COLUMNS])
+                rows, cols = self.rows[first:last] - lo, self.cols[first:last]
+                start = cols.min() if cols.size else 0
+                block = np.zeros((cols.max() + 1 - start if cols.size else 0,
+                                  min(_COLUMNS, self.n_rows - lo)))
+                block[cols - start, rows] = self.vals[first:last]
+                self._row_blocks.append((lo, start, block))
+        x = np.ascontiguousarray(x, dtype=float)
+        out = np.empty((x.shape[0], self.n_rows))
+        for lo, start, block in self._row_blocks:
+            np.matmul(x[:, start:start + block.shape[0]], block,
+                      out=out[:, lo:lo + block.shape[1]])
+        return out
 
     def interior(self) -> "BandedMatrix":
         """Drop the first and last row and column (Dirichlet elimination)."""

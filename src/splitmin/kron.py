@@ -9,6 +9,18 @@ Three pieces:
   nonzero pattern in LAPACK's band array, the only band storage in the
   program; the bandwidths are those of the pattern.  dgbtrf flags only an
   exactly zero pivot, so a checked factor also solves once for A @ ones.
+  A factor a run keeps (each directional operator's other-direction mass,
+  and its split factor when the wind is steady) also carries
+  ``BlockForm``, dgbtrf's own factor in dense blocks of ``BLOCK`` = 32
+  rows: a solve over 32 or more columns runs as one GEMM per block for L
+  and one GEMM and one dtrsm per block for U, reading a C-ordered
+  right-hand side in place.  It executes five (a 128^2 step's 255-row
+  saddle) to eight (its 128-row mass) times the elimination's multiply-adds,
+  but in BLAS-3 calls, where dgbtrs strides across the columns in every row
+  step.  It overtakes dgbtrs at about 14 columns for that saddle and about
+  28 for that mass.  Narrower solves, factors made for one solve and every
+  refactor of a time-dependent wind keep dgbtrs: building the blocks costs
+  more than such a factor's solves gain.
 
 * ``SaddleFactor`` -- factorization of the indefinite block system
 
@@ -41,14 +53,17 @@ Every factorization and solve adds its floating-point work to an
 linear-complexity checks assert on.  The banded LU's counts are structural
 closed forms in n, the bandwidths and the number of right-hand-side columns:
 the operations of the row-by-row band elimination, which never depend on
-the values.  A sparse product of the condensation counts 2 nnz operations
-per right-hand-side column; T's identity entries, a copy of the kept rows,
-are not counted.
+the values or on the kernel that solves (dgbtrs or the block form).  A
+sparse product of the condensation counts 2 nnz operations per
+right-hand-side column; T's identity entries, a copy of the kept rows, are
+not counted.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .banded import BandedMatrix, csr
@@ -122,10 +137,19 @@ class BandedLU:
     dgbtrf flags only an exactly zero pivot.  With ``check``, the factor also
     solves once for A @ ones, uncounted, and a relative residual above 1e-8
     (or NaN) raises SingularMatrixError, as the general path's sparse factor
-    does.  Unchecked, dgbtrf factors a Fortran-ordered band array in place.
+    does.  Unchecked and not kept, dgbtrf factors a Fortran-ordered band
+    array in place.
+
+    A ``kept`` factor, one a run solves with many times, also carries the
+    block form of dgbtrf's factor (``BlockForm``): a solve over ``BLOCK`` or
+    more columns runs in dense blocks of ``BLOCK`` rows, and a narrower one
+    (or a vector) through dgbtrs.  The block form is checked once, when it
+    is built, by the same solve for A @ ones through it.  Either kernel
+    counts the band elimination's operations.
     """
 
-    def __init__(self, matrix, counter: OpCounter | None = None, check: bool = False):
+    def __init__(self, matrix, counter: OpCounter | None = None, check: bool = False,
+                 kept: bool = False):
         if isinstance(matrix, BandedMatrix):
             if matrix.n_rows != matrix.n_cols:
                 raise ValueError("banded LU requires a square matrix")
@@ -136,15 +160,20 @@ class BandedLU:
         # row swaps during elimination widen U by at most lb
         self.ub = layout.ub + layout.lb
         self.counter = counter
-        self._lu, self._piv, info = dgbtrf(ab, layout.lb, layout.ub, overwrite_ab=int(not check))
+        self._lu, self._piv, info = dgbtrf(ab, layout.lb, layout.ub,
+                                           overwrite_ab=int(not (check or kept)))
         if info > 0:
             raise SingularMatrixError(f"zero pivot at elimination step {info - 1}")
+        checks = {}
         if check:
-            rhs = layout.matvec(ab, np.ones(layout.n))
-            x, _ = dgbtrs(self._lu, layout.lb, layout.ub, rhs, self._piv)
-            rel = np.linalg.norm(layout.matvec(ab, x) - rhs) / np.linalg.norm(rhs)
-            if not rel <= 1e-8:  # also NaN
-                raise SingularMatrixError(f"unstable banded factor: relative residual {rel:.1e}")
+            checks["banded factor"] = lambda b: dgbtrs(self._lu, layout.lb, layout.ub, b,
+                                                       self._piv)[0]
+        self.blocks = None
+        if kept:
+            self.blocks = BlockForm(self._lu, self._piv, layout.lb, layout.ub)
+            checks["block form"] = lambda b: self.blocks.solve(b[:, None])[:, 0]
+        if checks:
+            _check(layout, ab, checks)
         self._solve_ops_per_column = layout.solve_ops_per_column
         if counter is not None:
             counter.factor_ops += layout.factor_ops
@@ -154,11 +183,117 @@ class BandedLU:
         b = np.asarray(rhs, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.n}")
-        x, _ = dgbtrs(self._lu, self.lb, self.ub - self.lb, b, self._piv)
+        ncols = 1 if b.ndim == 1 else b.shape[1]
+        if self.blocks is not None and ncols >= BLOCK:
+            x = self.blocks.solve(b)
+        else:
+            x, _ = dgbtrs(self._lu, self.lb, self.ub - self.lb, b, self._piv)
         if self.counter is not None:
-            ncols = 1 if b.ndim == 1 else b.shape[1]
             self.counter.solve_ops += self._solve_ops_per_column * ncols
         return x
+
+
+def _check(layout: BandLayout, ab: np.ndarray, solves: dict) -> None:
+    """Raise SingularMatrixError when a solve of A @ ones leaves a relative
+    residual above 1e-8 (or NaN), A the unfactored band array ab on layout."""
+    rhs = layout.matvec(ab, np.ones(layout.n))
+    for what, solve in solves.items():
+        rel = np.linalg.norm(layout.matvec(ab, solve(rhs)) - rhs) / np.linalg.norm(rhs)
+        if not rel <= 1e-8:  # also NaN
+            raise SingularMatrixError(f"unstable {what}: relative residual {rel:.1e}")
+
+
+BLOCK = 32  # rows per block of a kept factor's block form, and its fewest columns
+
+
+class BlockForm:
+    """dgbtrf's factor of an n x n band matrix (lb, ub) in dense blocks of
+    BLOCK rows, for solves over many right-hand-side columns.
+
+    dgbtrs runs its L phase as one swap and one rank-1 update per row, each
+    striding across the columns.  Here the steps of each row block k, rows
+    [kb, kb + b), are composed once into their transform L_k on the b + lb
+    rows they touch: the same pivots and multipliers, applied to the
+    identity.  All blocks' transforms come from one L-only dgbtrs call on a
+    block-diagonal stack of identities, each block's steps mapped to its own
+    rows of the stack.  U's rows of block k are its dense triangular
+    diagonal block and its coupling to the next lb + ub rows, gathered from
+    the band array.  A solve is then, per block, one GEMM for L_k forward,
+    and backward one GEMM for the coupling and one triangular solve (BLAS
+    dtrsm, backward-stable substitution; no inverse is formed).  Rows past
+    n are padding: an identity in L_k and U, zero in the right-hand side.
+
+    Per column, the blocks execute count (b + lb)^2 + count b (lb + ub) +
+    count b (b + 1) / 2 multiply-adds, five to eight times the elimination's,
+    in BLAS-3 calls; each column's result depends on that column alone.
+    """
+
+    def __init__(self, lu: np.ndarray, piv: np.ndarray, lb: int, ub: int):
+        (height, n), b = lu.shape, BLOCK
+        kd = lb + ub  # U's bandwidth
+        self.count = count = -(-n // b)
+        size, h = count * b, b + lb  # rows padded to whole blocks; rows a block's steps touch
+        self.n, self.kd, self.h = n, kd, h
+        self._l = None
+        if lb:
+            # the stack's band array, by columns: block k's h columns are its
+            # b steps (a padding step's pivot is its own row), then lb steps
+            # that leave the identity; U is the identity, so dgbtrs applies L
+            band = np.zeros((count, h, 2 * lb + 1))
+            band[:, :, lb] = 1.0
+            mult = np.zeros((size, lb))
+            mult[:n] = lu[kd + 1:].T
+            mult[n - lb:n] *= np.tri(lb, k=-1)[::-1]  # no multiplier for rows past n
+            band[:, :b, lb + 1:] = mult.reshape(count, b, lb)
+            rows = np.arange(size, dtype=piv.dtype)
+            rows[:n] = piv
+            pivots = np.arange(count * h, dtype=piv.dtype).reshape(count, h)
+            pivots[:, :b] = rows.reshape(count, b) + lb * np.arange(count)[:, None]
+            eye = np.zeros((h, count, h))
+            eye[np.arange(h), :, np.arange(h)] = 1.0
+            self._l = dgbtrs(band.reshape(count * h, -1).T, lb, 0, eye.reshape(h, -1).T,
+                             pivots.ravel(), overwrite_b=1)[0]
+        # the band array's columns as rows, padded, with a unit diagonal on
+        # padding rows; U[i, i + d] = lu[kd - d, i + d] sits at flat offset
+        # kd + height i + (height - 1) d
+        columns = np.zeros((size + kd, height))
+        columns[:n] = lu.T
+        columns[n:size, kd] = 1.0
+        # per block, U's rows transposed: [:b] is its diagonal block D_k^T,
+        # [b:] its coupling C_k^T, so each .T is Fortran-ordered for BLAS;
+        # row a's entry d goes to [a + d, a], flat offset (b + 1) a + b d
+        self._u = np.zeros((count, b + kd, b))
+        e = self._u.itemsize
+        as_strided(self._u, (count, b, kd + 1), ((b + kd) * b * e, (b + 1) * e, b * e))[...] = \
+            as_strided(columns.ravel()[kd:], (count, b, kd + 1),
+                       (height * b * e, height * e, (height - 1) * e))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs for an (n, k) stack of columns, returned C-ordered."""
+        n, kd, h, b = self.n, self.kd, self.h, BLOCK
+        size = self.count * b
+        work = np.empty((size + kd, rhs.shape[1]))
+        work[:n] = rhs
+        work[n:] = 0.0
+        if self._l is not None:
+            # block k's rows into out; its last lb rows, which block k + 1
+            # reads, back into work
+            out = np.empty_like(work)
+            out[size:] = 0.0
+            for k in range(self.count):
+                np.matmul(self._l[k * h:(k + 1) * h], work[k * b:k * b + h],
+                          out=out[k * b:k * b + h])
+                work[(k + 1) * b:k * b + h] = out[(k + 1) * b:k * b + h]
+            work = out
+        for k in range(self.count - 1, -1, -1):
+            # (rows of the block)^T, Fortran-ordered, updated in place; BLAS
+            # flags positional, as f2py parses keywords slowly:
+            # C := C - A B^T, then B := B D^-T (right side, upper, transposed)
+            rows, u = work[k * b:(k + 1) * b].T, self._u[k]
+            if kd:
+                dgemm(-1.0, work[(k + 1) * b:(k + 1) * b + kd].T, u[b:].T, 1.0, rows, 0, 1, 1)
+            dtrsm(1.0, u[:b].T, rows, 1, 0, 1, 0, 1)
+        return work[:n]
 
 
 class SaddleFactor:
@@ -269,9 +404,9 @@ class SaddleFactor:
                                        (ends[1], keys.size, size + nl, (nl, size))))
         self._lu = None
 
-    def refactor(self, s: float) -> None:
+    def refactor(self, s: float, kept: bool = False) -> None:
         """Factor for B = b0 + s b1; the first factorization is checked as
-        ``BandedLU``'s ``check`` says."""
+        ``BandedLU``'s ``check`` says, and a ``kept`` one carries its block form."""
         c0, c1, c2 = self._coefficients
         vals = c0 + s * (c1 + s * c2)
         at = size = self._layout.size
@@ -280,7 +415,7 @@ class SaddleFactor:
             at += matrix.nnz
         try:
             self._lu = BandedLU((self._layout, self._layout.band(vals[:size])), self.counter,
-                                check=self._lu is None)
+                                check=self._lu is None, kept=kept)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 "saddle system is singular; the trial/test pair is incompatible") from exc
@@ -398,13 +533,18 @@ def kron_norms(grid: np.ndarray, mx, my, gx=None, gy=None) -> tuple[float, float
     L2^2 = (u, (mx (x) my) u).  gx and gy are the H1 Gram blocks (mass plus
     stiffness) of the directions a derivative enters, None elsewhere:
     H1^2 = (u, (gx (x) my) u) + (u, (mx (x) gy) u) - L2^2 with both, one
-    term with one, L2^2 with neither.  The blocks are symmetric, so
-    (u, (A (x) B) u) sums (A u) * (u B), and the mass products are shared.
+    term with one, L2^2 with neither.  The blocks are symmetric BandedMatrix
+    blocks, so (u, (A (x) B) u) sums (A u) * (u B), and the mass products are
+    shared.  A C-ordered grid is read in place: the y products run as
+    ``apply_rows``, and every product is C-ordered, summed by ``vdot``.
     """
-    grid = np.asarray(grid, dtype=float)
-    mu, um = along(mx, grid, 0), along(my, grid, 1)
-    l2sq = np.einsum("ij,ij->", mu, um)
-    terms = [np.einsum("ij,ij->", along(g, grid, axis), m)
-             for g, axis, m in ((gx, 0, um), (gy, 1, mu)) if g is not None]
+    grid = np.ascontiguousarray(grid, dtype=float)
+    mu, um = mx @ grid, my.apply_rows(grid)
+    l2sq = np.vdot(mu, um)
+    terms = []
+    if gx is not None:
+        terms.append(np.vdot(gx @ grid, um))
+    if gy is not None:
+        terms.append(np.vdot(gy.apply_rows(grid), mu))
     h1sq = sum(terms) - (len(terms) - 1) * l2sq
     return float(np.sqrt(max(l2sq, 0.0))), float(np.sqrt(max(h1sq, 0.0)))

@@ -21,9 +21,9 @@ unstabilized path solves the square system directly.
 A directional operator works on grids laid out (split, other) in C order:
 indexed (x, y) for x, (y, x) for y (``layout`` turns an (x, y) grid into
 its own and back).  Its split-direction CSR products then read rows, and
-dgbtrs along the other direction reads the grid's transpose, which is
-Fortran-ordered, with no copy.  Its loads, substeps and residual
-representatives come in that layout.
+the product along the other direction (other_minus) comes out transposed
+and C-ordered, the layout the other direction's mass solve reads in place.
+Its loads, substeps and residual representatives come in that layout.
 
 A DirectionalOperator is built once per direction, advection blocks
 included: each wind component is s(t) times a time-free factor, so the blocks
@@ -41,7 +41,10 @@ divided by its other direction's mass, in its layout.  A substep gathers its
 residual representative r from the saddle solution only when r is read,
 which a step does for its last substep alone.
 The first factorization of each operator is checked by one solve for
-matrix @ ones; set_wind's refactors are not.
+matrix @ ones; set_wind's refactors are not.  The factors an operator keeps
+carry their block form (``kron.BlockForm``), checked once when built:
+other_lu always, and the split factor when the operator is built ``steady``,
+for a wind that never changes, so that set_wind never refactors it.
 """
 
 from __future__ import annotations
@@ -180,8 +183,9 @@ class DirectionalOperator:
         block of the Peaceman-Rachford right-hand side (a CSR matrix).
     split_factor factors b_split (with a_split, its element-local test
     functions condensed out, when stabilized) along the split direction;
-    other_lu factors m_other, and the loads come divided by it, laid out
-    (split, other) as every grid the operator reads.
+    other_lu factors m_other, kept with its block form, and the loads come
+    divided by it, laid out (split, other) as every grid the operator reads;
+    a ``steady`` operator keeps split_factor's block form too.
 
     The constructor builds all that does not change in time: the blocks,
     each space's element tables made once, advection of the wind's
@@ -197,7 +201,7 @@ class DirectionalOperator:
     """
 
     def __init__(self, direction, dt_eff, stabilized, trial_split, test_split,
-                 trial_other, diffusion, velocity, counter):
+                 trial_other, diffusion, velocity, counter, steady=False):
         self.direction = direction
         self.axis = 0 if direction == "x" else 1
         self.dt_eff = dt_eff
@@ -206,6 +210,7 @@ class DirectionalOperator:
         self.test_split = test_split
         self.trial_other = trial_other
         self.counter = counter
+        self.steady = steady
         self._scales = None  # set_wind's; None until the first factorization
         tables = {}  # each space's element tables, made once for all its blocks
         self.m_rect = block(mass, trial_split, test_split, None, tables)
@@ -216,7 +221,7 @@ class DirectionalOperator:
         self.m_other = block(mass, trial_other, trial_other, None, tables)
         self.k_other = block(stiffness, trial_other, trial_other, diffusion[1 - self.axis],
                              tables)
-        self.other_lu = BandedLU(self.m_other, counter)
+        self.other_lu = BandedLU(self.m_other, counter, kept=True)
         self._g_rect_free = block(advection, trial_split, test_split, velocity[self.axis],
                                   tables)
         g_other = block(advection, trial_other, trial_other, velocity[1 - self.axis], tables)
@@ -249,10 +254,11 @@ class DirectionalOperator:
         mo, ko, go = self._other
         self.other_minus.data[:] = mo - self.dt_eff * (ko + scales[1 - self.axis] * go)
         if self.stabilized:
-            self.split_factor.refactor(s)
+            self.split_factor.refactor(s, kept=self.steady)
         else:
             b0, b1 = self._band
-            self.split_factor = BandedLU((self._layout, b0 + s * b1), self.counter, check=first)
+            self.split_factor = BandedLU((self._layout, b0 + s * b1), self.counter, check=first,
+                                         kept=self.steady)
 
     def layout(self, grid: np.ndarray) -> np.ndarray:
         """A grid indexed (x, y) in this operator's (split, other) layout, or
@@ -266,12 +272,14 @@ class DirectionalOperator:
 def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace,
                       test_split: SplineSpace, diffusion, velocity, dt_eff: float,
                       stabilized: bool = True, counter: OpCounter | None = None,
-                      scales=(1.0, 1.0)) -> DirectionalOperator:
+                      scales=(1.0, 1.0), steady: bool = False) -> DirectionalOperator:
     """Assemble one direction's operator and set its wind to scales.
 
     diffusion and velocity are (x, y) pairs of 1D coefficients (constants,
     callables of the direction's own variable, or None for 1); velocity holds
     the wind's time-free factors, which set_wind multiplies by scales.
+    ``steady`` (the wind never changes, so set_wind is not called again)
+    keeps the split factor's block form.
     """
     if direction not in ("x", "y"):
         raise ParameterError(f"direction must be 'x' or 'y', got {direction!r}")
@@ -279,7 +287,7 @@ def build_directional(direction: str, trial_x: SplineSpace, trial_y: SplineSpace
     if not stabilized:
         test_split = trial_split
     op = DirectionalOperator(direction, dt_eff, stabilized, trial_split,
-                             test_split, trial_other, diffusion, velocity, counter)
+                             test_split, trial_other, diffusion, velocity, counter, steady)
     op.set_wind(scales)
     return op
 
@@ -301,7 +309,8 @@ def substep(op: DirectionalOperator, rhs_grid: np.ndarray) -> SolutionState:
 
 def divide_other(op: DirectionalOperator, grid: np.ndarray) -> np.ndarray:
     """A (split, other) grid divided by the other direction's mass along its
-    second axis; dgbtrs reads a C-ordered grid's transpose with no copy."""
+    second axis: other_lu solves the grid's transpose, read in place by its
+    block form when that is C-ordered (as along(other_minus, u, 1) makes it)."""
     return solve_along(op.other_lu, grid, 1)
 
 

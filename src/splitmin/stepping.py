@@ -195,7 +195,9 @@ class Stepper(StepperBase):
     step's midpoint t0 + tau/2.  For a time-dependent wind each step first
     moves both to the wind at its own midpoint: set_wind evaluates each
     operator's split block, a line in the wind scale, at s(t + tau/2) and
-    refactors, which keeps the second-order schemes second order.
+    refactors, which keeps the second-order schemes second order.  A steady
+    wind's split factors are never refactored, so they are built ``steady``
+    and keep their block form (``kron.BlockForm``); a refactored one does not.
     """
 
     def __init__(self, problem, config: RunConfig,
@@ -213,7 +215,8 @@ class Stepper(StepperBase):
         scales = problem.wind.scales(self._wind_time)
         self.x_op, self.y_op = (
             build_directional(d, self.trial_x, self.trial_y, test, diffusion, (ax, by),
-                              dt[d] * config.tau, config.stabilized, self.counter, scales)
+                              dt[d] * config.tau, config.stabilized, self.counter, scales,
+                              steady=not problem.wind.time_dependent)
             for d, test in (("x", self.test_x), ("y", self.test_y)))
 
     def step(self, state: SolutionState) -> SolutionState:

@@ -241,3 +241,21 @@ def test_derived_matrices_carry_no_stale_csr(case):
         for x in _columns(rng, got.n_cols):
             scale = np.abs(want) @ np.abs(x)
             assert np.all(np.abs(got.apply(x) - want @ x) <= 1e-14 * scale)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 100), st.integers(1, 100), st.integers(0, 6), st.integers(0, 6),
+       st.integers(1, 50), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_apply_rows_is_the_product_along_each_row(m, n, lb, ub, k, fortran, seed):
+    # x @ A^T in dense column blocks, for any block count and bandwidth,
+    # empty rows of A included: A x^T transposed up to rounding, C-ordered
+    rng = np.random.default_rng(seed)
+    dense = _random_banded_dense(rng, m, n, lb, ub)
+    dense[rng.random(m) < 0.1] = 0.0
+    mat = from_dense(dense)
+    x = rng.standard_normal((n, k)).T if fortran else rng.standard_normal((k, n))
+    got = mat.apply_rows(x)
+    assert got.shape == (k, m) and got.flags.c_contiguous
+    scale = np.abs(x) @ np.abs(dense.T)
+    assert np.all(np.abs(got - (mat @ x.T).T) <= 1e-14 * scale)
+    np.testing.assert_array_equal(mat.apply_rows(x), got)  # the blocks, made once, reused

@@ -11,8 +11,9 @@ def test_compare_prints_the_recorded_pair():
     done = subprocess.run([sys.executable, "scripts/bench_compare.py", "BENCH_57394c4.json",
                            "BENCH_cn-halfstep.json"], cwd=ROOT, capture_output=True,
                           text=True, check=True)
+    end_to_end = done.stdout.split("per-layer figures:")[0]
     rows = {tuple(cell.strip() for cell in line.split("|")[1:3]): line
-            for line in done.stdout.splitlines() if line.startswith("| ")}
+            for line in end_to_end.splitlines() if line.startswith("| ")}
     assert len(rows) == 1 + 3 * 6  # the header, and three workloads of six metrics
     peak = rows[("rotation-general", "`peak_rss_mb` (MB)")]
     assert "| 139.1 [" in peak and "| 136.6 [" in peak
@@ -20,6 +21,33 @@ def test_compare_prints_the_recorded_pair():
     step = rows[("manufactured-split", "`step_ms_p50` (ms)")]
     assert "| 6/10 |" in step and "18.2% / 25% resolved" in step
     assert "pollution-rebuild" in done.stdout and "calibration" in done.stdout
+
+
+def test_compare_prints_the_per_layer_figures_of_the_recorded_pair():
+    # the wind-line pair: a pollution-rebuild round's wind refactors no
+    # longer rescale terms through kron_matvec, and a steady chimney's load
+    # is made once per operator
+    done = subprocess.run([sys.executable, "scripts/bench_compare.py", "BENCH_75bd28b.json",
+                           "BENCH_wind-line.json"], cwd=ROOT, capture_output=True, text=True,
+                          check=True)
+    heading, layers = done.stdout.split("per-layer figures:\n")
+    assert "calibration" in heading and "| workload | metric |" in heading
+    lines = layers.strip().splitlines()
+    assert lines[0] == ("| workload | layer metric | parent 75bd28b | change | "
+                        "change from parent |")
+    rows = {tuple(cell.strip() for cell in line.split("|")[1:3]): line for line in lines[2:]}
+    assert len(rows) == len(lines) - 2
+    assert rows[("pollution-rebuild", "`kron.kron_matvec.calls` (count)")].endswith(
+        "| 201 | 3 | -98.5% |")
+    assert rows[("pollution-rebuild", "`kron.solve.calls` (count)")].endswith(
+        "| 602 | 404 | -32.9% |")
+    assert rows[("pollution-rebuild", "`resmin.load.ms` (ms)")].endswith(
+        "| 7.62 | 4.289 | -43.7% |")
+    assert rows[("pollution-rebuild", "`kron.factor_ops` (count)")].endswith(
+        "| 1,315,892 | 1,315,892 | +0.0% |")
+    # a layer the workload never enters reads 0 on both sides and is left out
+    assert ("manufactured-split", "`full2d.solve.calls` (count)") not in rows
+    assert ("rotation-general", "`full2d.solve.calls` (count)") in rows
 
 
 def _claim(claimed: str, pair=("BENCH_f96fc31.json", "BENCH_split-layout.json")) -> list[str]:

@@ -17,7 +17,10 @@ from hypothesis import given, settings, strategies as st
 from splitmin.assembly import advection, block, mass, stiffness
 from splitmin.banded import BandedMatrix, common_entries
 from splitmin.exceptions import SingularMatrixError
-from splitmin.kron import (BandedLU, BandLayout, OpCounter, SaddleFactor,
+from scipy.linalg.lapack import dgbtrs
+
+from splitmin import kron
+from splitmin.kron import (BLOCK, BandedLU, BandLayout, OpCounter, SaddleFactor,
                            kron_matvec, kron_norms, x_first_cheaper)
 from splitmin.resmin import build_directional, divide_other, substep
 from splitmin.splines import element_local, make_space
@@ -256,6 +259,75 @@ def test_lu_matches_loop_reference(n, lb, ub, pivoting, ncols):
     assert x.shape == rhs.shape
     assert counter.solve_ops == ref_counter.solve_ops
     assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+
+@st.composite
+def _wide_cases(draw):
+    """A random band matrix whose elimination swaps rows, and a stack of
+    BLOCK to 160 right-hand-side columns in C or Fortran order.
+
+    n runs from 1 to 300, so across one, several and partial row blocks.
+    With bands on both sides of the diagonal, ``_oracle_matrix`` forces the
+    row swaps; a triangular band cannot swap rows and stay well conditioned,
+    so it is diagonally dominant.
+    """
+    n = draw(st.integers(1, 300))
+    lb, ub = (draw(st.integers(0, min(8, n - 1))) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    matrix = _oracle_matrix(n, lb, ub, bool(lb and ub), rng)
+    rhs = rng.standard_normal((n, draw(st.integers(BLOCK, 160))))
+    return matrix, rhs if draw(st.booleans()) else np.asfortranarray(rhs), rng
+
+
+def _backward_errors(dense, x, rhs):
+    """Each column's normwise backward error |A x - b| / (|A| |x| + |b|), in max norms."""
+    residual = np.abs(dense @ x - rhs).max(axis=0)
+    return residual / (np.abs(dense).sum(axis=1).max() * np.abs(x).max(axis=0)
+                       + np.abs(rhs).max(axis=0))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_wide_cases())
+def test_block_form_solves_wide_stacks_column_by_column(case):
+    matrix, rhs, rng = case
+    n = matrix.n_rows
+    counter, plain_counter = OpCounter(), OpCounter()
+    kept, plain = BandedLU(matrix, counter, kept=True), BandedLU(matrix, plain_counter)
+    assert kept.blocks is not None and plain.blocks is None
+    if kept.lb and kept.ub > kept.lb:
+        assert np.any(kept._piv != np.arange(n))
+    x = kept.solve(rhs)
+    assert x.shape == rhs.shape
+    # as backward stable as dgbtrs on the same draw, and counted alike
+    dense = matrix.to_dense()
+    assert (_backward_errors(dense, x, rhs).max()
+            <= 4.0 * _backward_errors(dense, plain.solve(rhs), rhs).max() + 1e-15)
+    assert (counter.factor_ops, counter.solve_ops) == (plain_counter.factor_ops,
+                                                      plain_counter.solve_ops)
+    # a column's result is its own: the same bits in the other memory order,
+    # and in any subset of the columns in any order
+    np.testing.assert_array_equal(kept.solve(np.asfortranarray(rhs)), x)
+    np.testing.assert_array_equal(kept.solve(np.ascontiguousarray(rhs)), x)
+    subset = rng.permutation(rhs.shape[1])[:rng.integers(BLOCK, rhs.shape[1] + 1)]
+    np.testing.assert_array_equal(kept.solve(rhs[:, subset]), x[:, subset])
+    # a narrower stack, and a vector, keep dgbtrs
+    np.testing.assert_array_equal(kept.solve(rhs[:, :BLOCK - 1]), plain.solve(rhs[:, :BLOCK - 1]))
+    np.testing.assert_array_equal(kept.solve(rhs[:, 0]), plain.solve(rhs[:, 0]))
+
+
+def test_block_form_with_wrongly_mapped_pivots_raises(monkeypatch):
+    # the block form checks itself once, when built: a stack whose pivots
+    # each map to their own row drops the row swaps, and the solve of
+    # A @ ones through the blocks misses it
+    matrix = _oracle_matrix(70, 2, 2, True, np.random.default_rng(3))
+    BandedLU(matrix, kept=True)
+
+    def unswapped(ab, kl, ku, b, ipiv, **kwargs):
+        return dgbtrs(ab, kl, ku, b, np.arange(ipiv.size, dtype=ipiv.dtype), **kwargs)
+
+    monkeypatch.setattr(kron, "dgbtrs", unswapped)
+    with pytest.raises(SingularMatrixError, match="unstable block form"):
+        BandedLU(matrix, kept=True)
 
 
 @pytest.mark.parametrize("dense", ([[1.0] * 3] * 3, [[0.0] * 4] * 4,

@@ -227,15 +227,30 @@ def test_run_writes_expected_artifacts(tmp_path):
                tau=1.0, n_steps=10), 39_804, 563_584),
     (RunConfig(problem="pollution", mesh=(16, 16), scheme="be",
                stabilized=False, tau=1.0, n_steps=10), 6_264, 69_344),
+    # at 50^2 the 25 m chimney holds Gauss points.  Every 1D block is 50 x 50
+    # interior (trial) or 99 rows condensed (saddle, lb = ub = 4; 541
+    # condensing entries, 49 of them copies; 200 + 492 recovering): mass
+    # factor 873, 673 per column; saddle factor 6,562, 2,481 per column.
+    # factor_ops: 2 masses and 2 saddles at set-up, both saddles again in
+    # steps 2-10 as the wind moves, 2 masses for the initial projection:
+    # 4 * 873 + 20 * 6,562 = 134,732.  solve_ops: the projection's two mass
+    # solves, 2 * 50 * 673 = 67,300; per step, each substep's mass divide
+    # (50 * 673), condensing product (2 * 492 * 50) and saddle solve
+    # (50 * 2,481), and the y substep's r (2 * 692 * 50): 483,000; and the
+    # chimney's load, made once per operator, divided on the 7 lines that
+    # meet it: 2 * 7 * 673 = 9,422.  67,300 + 10 * 483,000 + 9,422.
+    (RunConfig(problem="pollution", mesh=(50, 50), scheme="pr", tau=1.0,
+               n_steps=10), 134_732, 4_906_722),
 ], ids=["strang-cn", "be-galerkin", "pollution-pr", "pollution-strang-cn",
-        "pollution-be-galerkin"])
+        "pollution-be-galerkin", "pollution-pr-50"])
 def test_run_counted_operations_are_pinned(tmp_path, config, factor_ops,
                                            solve_ops):
     # the counts follow from the bandwidths assembly hands to the factors: a
     # substep divides the other direction's mass out on the n split trial
     # columns (not at all when the explicit block is that mass) and solves
     # the saddle with its element-local test rows condensed out, the
-    # condensing and recovering products counted as 2 nnz per column
+    # condensing and recovering products counted as 2 nnz per column; the
+    # kernel that solves (dgbtrs or a kept factor's blocks) counts the same
     run(dataclasses.replace(config, out_dir=str(tmp_path)))
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert (meta["factor_ops"], meta["solve_ops"]) == (factor_ops, solve_ops)

@@ -164,6 +164,25 @@ def test_time_dependent_wind_rebuilds_operators():
     assert np.all(np.isfinite(state.u))
 
 
+@pytest.mark.parametrize("stabilized", (True, False))
+def test_only_a_steady_wind_keeps_the_split_factors_block_form(stabilized):
+    # a kept factor carries its block form: every operator's other-direction
+    # mass, and its split factor only when the wind never changes; a
+    # time-dependent wind's refactors, one per step, keep dgbtrs
+    for name in ("manufactured", "pollution"):
+        problem = get_problem(name)
+        stepper = Stepper(problem, RunConfig(problem=name, mesh=(8, 8), trial=(2, 1),
+                                             test=(3, 0), tau=0.5, n_steps=2,
+                                             stabilized=stabilized))
+        stepper.step(stepper.step(stepper.initial_state()))
+        for op in (stepper.x_op, stepper.y_op):
+            split = op.split_factor._lu if stabilized else op.split_factor
+            assert (split.blocks is None) == problem.wind.time_dependent
+            assert op.other_lu.blocks is not None
+    assert get_problem("pollution").wind.time_dependent
+    assert not get_problem("manufactured").wind.time_dependent
+
+
 class _RebuildingStepper(Stepper):
     """Builds both directional operators afresh with every step's midpoint wind."""
 
