@@ -242,8 +242,9 @@ class BlockForm:
             band = np.zeros((count, h, 2 * lb + 1))
             band[:, :, lb] = 1.0
             mult = np.zeros((size, lb))
+            # the band array's positions past row n hold zeros (BandLayout
+            # fills none), so no multiplier reaches a padding row
             mult[:n] = lu[kd + 1:].T
-            mult[n - lb:n] *= np.tri(lb, k=-1)[::-1]  # no multiplier for rows past n
             band[:, :b, lb + 1:] = mult.reshape(count, b, lb)
             rows = np.arange(size, dtype=piv.dtype)
             rows[:n] = piv
