@@ -272,20 +272,13 @@ class BlockForm:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A^-1 rhs for an (n, k) stack of columns, returned C-ordered."""
         n, kd, h, b = self.n, self.kd, self.h, BLOCK
-        size = self.count * b
-        work = np.empty((size + kd, rhs.shape[1]))
+        work = np.empty((self.count * b + kd, rhs.shape[1]))
         work[:n] = rhs
         work[n:] = 0.0
         if self._l is not None:
-            # block k's rows into out; its last lb rows, which block k + 1
-            # reads, back into work
-            out = np.empty_like(work)
-            out[size:] = 0.0
             for k in range(self.count):
-                np.matmul(self._l[k * h:(k + 1) * h], work[k * b:k * b + h],
-                          out=out[k * b:k * b + h])
-                work[(k + 1) * b:k * b + h] = out[(k + 1) * b:k * b + h]
-            work = out
+                rows = work[k * b:k * b + h]
+                rows[...] = self._l[k * h:(k + 1) * h] @ rows
         for k in range(self.count - 1, -1, -1):
             # (rows of the block)^T, Fortran-ordered, updated in place; BLAS
             # flags positional, as f2py parses keywords slowly:
