@@ -13,13 +13,14 @@ code's.  Last comes the per-layer table: for each workload and per-layer
 metric of BENCHMARK.json that both files' ``layers`` records hold, the
 parent's and the change's value (one traced run each, the median over its
 rounds) and the change between them; a metric that reads 0 on both sides (a
-layer the workload never enters) is left out.
+layer the workload never enters) is left out.  Last it lists every row
+whose median is worse than the metric's bound, "- none" when there is none.
 
-With ``--claim``, it then says whether the change's gain on that workload's
-metric is met: the change wins at least 9 of 10 of the pairs in which both
-runs gave a value (a tie counts for neither side), and its median is better
-than the parent's by more than the parent's quartile distance q3 - q1.  Last
-it lists every other row whose median is worse than the metric's bound.
+With ``--claim``, that list is preceded by whether the change's gain on that
+workload's metric is met, and leaves the claimed row out: the change wins at
+least 9 of 10 of the pairs in which both runs gave a value (a tie counts for
+neither side), and its median is better than the parent's by more than the
+parent's quartile distance q3 - q1.
 """
 
 from __future__ import annotations
@@ -96,27 +97,34 @@ def number(value: float) -> str:
     return f"{value:,.0f}" if float(value).is_integer() else f"{value:.4g}"
 
 
-def claim(parent: dict, change: dict, spec: dict, claimed: str) -> list[str]:
-    """Whether the claimed WORKLOAD/METRIC gain is met, then every other row
-    whose median is worse than its bound."""
-    lines, worse = [], []
+def claim(parent: dict, change: dict, spec: dict, claimed: str) -> str:
+    """Whether the claimed WORKLOAD/METRIC gain is met."""
     for workload, metric, p, c in rows(parent, change, spec):
-        # the change's gain, positive when it is better
-        gain = (p["median"] - c["median"]) * (1 if metric["better"] == "lower" else -1)
         if f"{workload}/{metric['name']}" == claimed:
             won, pairs = wins(p, c, metric["better"])
-            distance = p["q3"] - p["q1"]
+            gain, distance = gain_of(metric, p, c), p["q3"] - p["q1"]
             met = won >= 0.9 * pairs and gain > distance
-            lines.append(f"claim {claimed}: {'met' if met else 'not met'}: the change wins "
-                         f"{won}/{pairs} pairs (needs 9/10), median gap {gain:.3g} {p['unit']} "
-                         f"{'>' if gain > distance else '<='} parent q3 - q1 "
-                         f"{distance:.3g} {p['unit']}")
-        elif -gain / p["median"] > metric["bound"]:
-            worse.append(f"- {workload} `{metric['name']}`: {100 * -gain / p['median']:+.1f}% "
+            return (f"claim {claimed}: {'met' if met else 'not met'}: the change wins "
+                    f"{won}/{pairs} pairs (needs 9/10), median gap {gain:.3g} {p['unit']} "
+                    f"{'>' if gain > distance else '<='} parent q3 - q1 "
+                    f"{distance:.3g} {p['unit']}")
+    raise KeyError(f"no row {claimed!r} in both files")
+
+
+def worse(parent: dict, change: dict, spec: dict, skip: str | None = None) -> list[str]:
+    """Every row but the WORKLOAD/METRIC ``skip`` whose median is worse than its bound."""
+    lines = []
+    for workload, metric, p, c in rows(parent, change, spec):
+        loss = -gain_of(metric, p, c) / p["median"]
+        if f"{workload}/{metric['name']}" != skip and loss > metric["bound"]:
+            lines.append(f"- {workload} `{metric['name']}`: {100 * loss:+.1f}% "
                          f"worse, bound {100 * metric['bound']:g}%")
-    if not lines:
-        raise KeyError(f"no row {claimed!r} in both files")
-    return lines + ["other rows worse than their bound:"] + (worse or ["- none"])
+    return lines or ["- none"]
+
+
+def gain_of(metric: dict, p: dict, c: dict) -> float:
+    """The change's median gain over the parent, positive when it is better."""
+    return (p["median"] - c["median"]) * (1 if metric["better"] == "lower" else -1)
 
 
 def calibration(bench: dict) -> str:
@@ -139,11 +147,13 @@ def main(argv=None) -> int:
     print(f"\ndgbtrs calibration kernel: parent {calibration(parent)}, "
           f"change {calibration(change)}")
     print("\nper-layer figures:\n" + "\n".join(layer_table(parent, change, spec)))
+    heading = "rows worse than their bound:"
     if args.claim:
         try:
-            print("\n" + "\n".join(claim(parent, change, spec, args.claim)))
+            heading = f"{claim(parent, change, spec, args.claim)}\nother {heading}"
         except KeyError as exc:
             parser.error(exc.args[0])
+    print("\n" + "\n".join([heading] + worse(parent, change, spec, args.claim)))
     return 0
 
 

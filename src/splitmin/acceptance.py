@@ -32,24 +32,18 @@ __all__ = ["run_all", "CRITERIA",
 
 
 def _dense_substep(op, rhs_grid: np.ndarray) -> np.ndarray:
-    """Dense 2D assembled solve of one substep; returns the u grid."""
-    a = op.a_split.to_dense()
-    b = op.b_split.to_dense()
-    mo = op.m_other.to_dense()
-    m, n = b.shape
-    if op.direction == "x":
-        top = np.hstack([np.kron(a, mo), np.kron(b, mo)])
-        bot = np.hstack([np.kron(b.T, mo), np.zeros((n * mo.shape[0],) * 2)])
-        nyc = mo.shape[0]
-        rhs = np.concatenate([rhs_grid.ravel(), np.zeros(n * nyc)])
-        sol = np.linalg.solve(np.vstack([top, bot]), rhs)
-        return sol[m * nyc:].reshape(n, nyc)
-    top = np.hstack([np.kron(mo, a), np.kron(mo, b)])
-    bot = np.hstack([np.kron(mo, b.T), np.zeros((n * mo.shape[0],) * 2)])
-    nxc = mo.shape[0]
-    rhs = np.concatenate([rhs_grid.ravel(), np.zeros(nxc * n)])
-    sol = np.linalg.solve(np.vstack([top, bot]), rhs)
-    return sol[nxc * m:].reshape(nxc, n)
+    """Dense 2D assembled solve of one substep; returns the u grid.
+
+    Grids are indexed (x, y); the system is written in the operator's
+    (split, other) layout, where both directions read
+    [[A (x) M_o, B (x) M_o], [B^T (x) M_o, 0]].
+    """
+    a, b, mo = (matrix.to_dense() for matrix in (op.a_split, op.b_split, op.m_other))
+    (m, n), k = b.shape, mo.shape[0]
+    saddle = np.block([[np.kron(a, mo), np.kron(b, mo)],
+                       [np.kron(b.T, mo), np.zeros((n * k, n * k))]])
+    rhs = np.concatenate([op.layout(rhs_grid).ravel(), np.zeros(n * k)])
+    return op.layout(np.linalg.solve(saddle, rhs)[m * k:].reshape(n, k))
 
 
 def criterion_1_oracle_equivalence() -> tuple[bool, str]:

@@ -48,7 +48,7 @@ from scipy.sparse.linalg import splu
 from .assembly import advection, block, mass, norm_blocks, stiffness
 from .banded import BandedMatrix, common_entries
 from .exceptions import ParameterError, SingularMatrixError
-from .kron import OpCounter, kron_matvec, kron_norms
+from .kron import OpCounter, check_solves, kron_matvec, kron_norms
 from .resmin import LoadAssembler, SolutionState
 from .splines import SplineSpace
 from .stepping import RunConfig, StepperBase
@@ -68,12 +68,6 @@ class Space2D:
     @property
     def interior_shape(self) -> tuple[int, int]:
         return (self.x.dim - 2, self.y.dim - 2)
-
-
-def _galerkin(trial: Space2D, test: Space2D) -> bool:
-    """The test spaces are the trial spaces: B is square and r = 0."""
-    return all((s.degree, s.continuity) == (v.degree, v.continuity)
-               for s, v in ((trial.x, test.x), (trial.y, test.y)))
 
 
 def _transpose(m: BandedMatrix) -> BandedMatrix:
@@ -140,13 +134,12 @@ def assemble_2d_saddle(trial: Space2D, test: Space2D, diffusion, wind, t: float,
     """
     (ax, bx), (ay, by) = wind.factors
     sx, sy = wind.scales(t)
-    tables = {}  # each space's element tables, made once for all its blocks
 
     def on_x(kind, coefficient=None, source=trial):
-        return block(kind, source.x, test.x, coefficient, tables)
+        return block(kind, source.x, test.x, coefficient)
 
     def on_y(kind, coefficient=None, source=trial):
-        return block(kind, source.y, test.y, coefficient, tables)
+        return block(kind, source.y, test.y, coefficient)
 
     mx, my = on_x(mass), on_y(mass)
     w = [(1.0, on_x(stiffness, diffusion[0]), my),
@@ -156,7 +149,7 @@ def assemble_2d_saddle(trial: Space2D, test: Space2D, diffusion, wind, t: float,
     b = [(1.0, mx, my)] + [(dt_eff * c, x, y) for c, x, y in w]
     b_t = [(c, _transpose(x), _transpose(y)) for c, x, y in b]
     m, n = test.interior_dim, trial.interior_dim
-    if _galerkin(trial, test):  # B^T's CSR arrays are B's CSC arrays
+    if trial == test:  # B^T's CSR arrays are B's CSC arrays
         return sp.csc_matrix(_kron_csr([[b_t]]), shape=(n, n))
     mx, my = on_x(mass, source=test), on_y(mass, source=test)
     gram = [(1.0, mx, my), (1.0, on_x(stiffness, source=test), my),
@@ -173,9 +166,9 @@ class _SparseFactor:
     Pivots below 1e-4 of their column are passed over: at 0, smooth-test
     saddles lose all accuracy; at 1e-2, row swaps undo the ordering.  On B
     alone this ordering fills less than COLAMD with partial pivoting
-    (0.20M against 0.51M at 32^2, (2,0)/(2,0)).  A relative residual above
-    1e-8 on matrix @ ones raises.  fill_nnz is SuperLU's count of the
-    entries it stores in L and U.
+    (0.20M against 0.51M at 32^2, (2,0)/(2,0)).  The factor is checked as
+    the banded ones are (``kron.check_solves``).  fill_nnz is SuperLU's
+    count of the entries it stores in L and U.
     """
 
     def __init__(self, matrix):
@@ -185,10 +178,7 @@ class _SparseFactor:
         except RuntimeError as exc:
             raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc
         self.fill_nnz = int(self._lu.nnz)
-        rhs = matrix @ np.ones(matrix.shape[1])
-        rel = np.linalg.norm(matrix @ self._lu.solve(rhs) - rhs) / np.linalg.norm(rhs)
-        if not rel <= 1e-8:  # also NaN, from a singular matrix with rhs = 0
-            raise SingularMatrixError(f"unstable sparse factor: relative residual {rel:.1e}")
+        check_solves(matrix, {"sparse factor": self._lu.solve})
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
@@ -225,7 +215,7 @@ class RotatingFlowStepper(StepperBase):
         matrix = assemble_2d_saddle(
             self.trial, self.test, (problem.diffusion_x, problem.diffusion_y),
             problem.wind, config.t0, 0.5 * config.tau)
-        self.galerkin = matrix.shape[0] == self.trial.interior_dim  # B alone
+        self.galerkin = self.trial == self.test  # B alone
         self.factor = sparse_lu(matrix)
         del matrix  # steps read only the factor
         # M = Mx (x) My, test x trial

@@ -62,6 +62,7 @@ not counted.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -69,8 +70,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .banded import BandedMatrix, csr
 from .exceptions import SingularMatrixError
 
-__all__ = ["OpCounter", "BandLayout", "BandedLU", "SaddleFactor", "solve_along",
-           "kron_matvec", "kron_norms", "along", "x_first_cheaper"]
+__all__ = ["OpCounter", "BandLayout", "BandedLU", "check_solves", "SaddleFactor",
+           "solve_along", "kron_matvec", "kron_norms", "along", "x_first_cheaper"]
 
 
 class OpCounter:
@@ -100,12 +101,6 @@ class BandLayout:
         self._height = 2 * lb + ub + 1
         self.size = self._height * n
         self.at = lb + ub + rows - cols + self._height * cols
-        # each position once, in column-major order, and its row and column
-        taken = np.zeros(self.size, bool)
-        taken[self.at] = True
-        self._once = np.flatnonzero(taken)
-        self._cols, diag = divmod(self._once, self._height)
-        self._rows = diag - lb - ub + self._cols
         # rows below the pivot at each step, and entries of U right of the
         # diagonal, which row swaps widen by lb
         below = np.minimum(lb, np.arange(n)[::-1])
@@ -124,10 +119,11 @@ class BandLayout:
         listed column by column."""
         return entries.reshape(self.n, self._height).T
 
-    def matvec(self, ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """A @ x for the band array ab of a matrix on this layout."""
-        entries = ab.ravel(order="F")[self._once]
-        return np.bincount(self._rows, entries * x[self._cols], self.n)
+    def matrix(self, ab: np.ndarray) -> sp.dia_matrix:
+        """The unfactored band array ab as a sparse matrix: its row r is the
+        diagonal at offset lb + ub - r."""
+        offsets = self.lb + self.ub - np.arange(self._height)
+        return sp.dia_matrix((ab, offsets), shape=(self.n, self.n))
 
 
 class BandedLU:
@@ -136,9 +132,9 @@ class BandedLU:
 
     dgbtrf flags only an exactly zero pivot.  With ``check``, the factor also
     solves once for A @ ones, uncounted, and a relative residual above 1e-8
-    (or NaN) raises SingularMatrixError, as the general path's sparse factor
-    does.  Unchecked and not kept, dgbtrf factors a Fortran-ordered band
-    array in place.
+    (or NaN) raises SingularMatrixError (``check_solves``, which the general
+    path's sparse factor calls too).  Unchecked and not kept, dgbtrf factors
+    a Fortran-ordered band array in place.
 
     A ``kept`` factor, one a run solves with many times, also carries the
     block form of dgbtrf's factor (``BlockForm``): a solve over ``BLOCK`` or
@@ -173,7 +169,7 @@ class BandedLU:
             self.blocks = BlockForm(self._lu, self._piv, layout.lb, layout.ub)
             checks["block form"] = lambda b: self.blocks.solve(b[:, None])[:, 0]
         if checks:
-            _check(layout, ab, checks)
+            check_solves(layout.matrix(ab), checks)
         self._solve_ops_per_column = layout.solve_ops_per_column
         if counter is not None:
             counter.factor_ops += layout.factor_ops
@@ -193,13 +189,14 @@ class BandedLU:
         return x
 
 
-def _check(layout: BandLayout, ab: np.ndarray, solves: dict) -> None:
-    """Raise SingularMatrixError when a solve of A @ ones leaves a relative
-    residual above 1e-8 (or NaN), A the unfactored band array ab on layout."""
-    rhs = layout.matvec(ab, np.ones(layout.n))
+def check_solves(matrix, solves: dict) -> None:
+    """Raise SingularMatrixError when one of the named solves of a square
+    sparse matrix's factor leaves a relative residual above 1e-8 (or NaN,
+    from a singular matrix) on matrix @ ones."""
+    rhs = matrix @ np.ones(matrix.shape[1])
     for what, solve in solves.items():
-        rel = np.linalg.norm(layout.matvec(ab, solve(rhs)) - rhs) / np.linalg.norm(rhs)
-        if not rel <= 1e-8:  # also NaN
+        rel = np.linalg.norm(matrix @ solve(rhs) - rhs) / np.linalg.norm(rhs)
+        if not rel <= 1e-8:
             raise SingularMatrixError(f"unstable {what}: relative residual {rel:.1e}")
 
 

@@ -272,10 +272,10 @@ PROBLEMS = {
 }
 
 
-def get_problem(name: str, **kwargs) -> ProblemDefinition:
+def get_problem(name: str) -> ProblemDefinition:
     try:
         factory = PROBLEMS[name]
     except KeyError:
         raise ParameterError(f"unknown problem {name!r}; expected one of "
                              f"{sorted(PROBLEMS)}") from None
-    return factory(**kwargs)
+    return factory()

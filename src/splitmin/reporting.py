@@ -24,12 +24,12 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy
 
-from .assembly import _nq, norm_blocks
+from .assembly import norm_blocks
 from .exceptions import ParameterError
 from .full2d import RotatingFlowStepper
 from .kron import BandedLU, OpCounter, kron_norms
 from .problems import ProductSum, factor_values, get_problem
-from .splines import SplineSpace, eval_matrix, gauss_rule, make_space
+from .splines import SplineSpace, eval_matrix, gauss_rule
 from .stepping import RunConfig, SchemeKind, Stepper, march, spaces
 
 __all__ = ["RunConfig", "ErrorRow", "ErrorEvaluator", "make_stepper", "run",
@@ -128,7 +128,7 @@ def _projections(space: SplineSpace, factors, mass_block):
     that f and Pi f do not share.  The order-1 entry is None when a df is
     missing for a factor that is not None.
     """
-    points, w = gauss_rule(space, _nq(space.degree, space.degree) + 1)
+    points, w = gauss_rule(space, space.degree + 2)
     full = eval_matrix(space, points)  # degree+1 entries per row
     f = np.array([factor_values(a, points) for a, _ in factors])
     coefs = np.zeros((space.dim, len(factors)))
@@ -338,14 +338,13 @@ def full_dof_count(mesh: tuple[int, int], trial: tuple[int, int],
 def timing_study(meshes: Sequence[int],
                  pairs: Sequence[tuple[tuple[int, int], tuple[int, int]]],
                  out_dir: Optional[str] = None,
-                 include_general: bool = True,
-                 tau: float = 0.01) -> list[dict]:
+                 include_general: bool = True) -> list[dict]:
     """Per-mesh cost table for both solver paths.
 
     The split path reports counted floating-point operations (factor + solve
     of one step); both paths report the wall time of building the stepper,
-    projecting the initial data and taking one step on the same spaces.  dofs
-    column counts full test + trial dimensions.
+    projecting the initial data and taking one step (RunConfig's default
+    tau) on the same spaces.  dofs column counts full test + trial dimensions.
     """
     if not meshes or not pairs:
         raise ParameterError("timing study needs a mesh and a space pair")
@@ -353,8 +352,7 @@ def timing_study(meshes: Sequence[int],
     rows = []
     for trial, test in pairs:
         for n in meshes:
-            config = RunConfig(mesh=(n, n), trial=trial, test=test, tau=tau,
-                               n_steps=1)
+            config = RunConfig(mesh=(n, n), trial=trial, test=test, n_steps=1)
             counter = OpCounter()
             started = time.perf_counter()
             stepper = Stepper(problem, config, counter)
@@ -392,17 +390,16 @@ def sample_field(u_grid: np.ndarray, trial_x: SplineSpace, trial_y: SplineSpace,
     """(xs, ys, values): the field on resolution evenly spaced points per
     direction, ends included, values indexed (x, y).  The points (read-only)
     and the basis there are made once per space and resolution."""
-    (xs, vx), (ys, vy) = (_sample_basis(s.degree, s.continuity, s.n_elements, s.interval,
-                                        resolution) for s in (trial_x, trial_y))
+    (xs, vx), (ys, vy) = (_sample_basis(s, resolution) for s in (trial_x, trial_y))
     return xs, ys, _on_grid(vx, u_grid, vy)
 
 
 @lru_cache(maxsize=16)
-def _sample_basis(degree, continuity, n_elements, interval, resolution):
+def _sample_basis(space: SplineSpace, resolution: int):
     """A space's sample points and its basis values there."""
-    xs = np.linspace(*interval, resolution)
+    xs = np.linspace(*space.interval, resolution)
     xs.flags.writeable = False
-    return xs, eval_matrix(make_space(degree, continuity, n_elements, interval), xs)[0]
+    return xs, eval_matrix(space, xs)[0]
 
 
 def _on_grid(vx, u_grid: np.ndarray, vy) -> np.ndarray:

@@ -188,11 +188,10 @@ class DirectionalOperator:
     a ``steady`` operator keeps split_factor's block form too.
 
     The constructor builds all that does not change in time: the blocks,
-    each space's element tables made once, advection of the wind's
-    time-free (x, y) factors included, other_lu, the loads, and one fixed
-    pattern per wind-dependent matrix (b_split, other_minus), the union of
-    its blocks' nonzeros, with other_minus's CSR and split_factor's band
-    layout on it.  On that pattern b_split is the line b0 + s b1 with
+    advection of the wind's time-free (x, y) factors included, other_lu,
+    the loads, and one fixed pattern per wind-dependent matrix (b_split,
+    other_minus), the union of its blocks' nonzeros, with other_minus's CSR
+    and split_factor's band layout on it.  On that pattern b_split is the line b0 + s b1 with
     b0 = m + dt_eff*k and b1 = dt_eff*g, which split_factor takes once: a
     SaddleFactor as the coefficients of its quadratic entries, the Galerkin
     factor as two band arrays.  set_wind(s_x, s_y) evaluates them at the
@@ -212,19 +211,16 @@ class DirectionalOperator:
         self.counter = counter
         self.steady = steady
         self._scales = None  # set_wind's; None until the first factorization
-        tables = {}  # each space's element tables, made once for all its blocks
-        self.m_rect = block(mass, trial_split, test_split, None, tables)
-        self.k_rect = block(stiffness, trial_split, test_split, diffusion[self.axis], tables)
-        self.m_test = block(mass, test_split, test_split, None, tables)
-        self.k_test = block(stiffness, test_split, test_split, None, tables)
+        self.m_rect = block(mass, trial_split, test_split)
+        self.k_rect = block(stiffness, trial_split, test_split, diffusion[self.axis])
+        self.m_test = block(mass, test_split, test_split)
+        self.k_test = block(stiffness, test_split, test_split)
         self.a_split = self.m_test + self.k_test
-        self.m_other = block(mass, trial_other, trial_other, None, tables)
-        self.k_other = block(stiffness, trial_other, trial_other, diffusion[1 - self.axis],
-                             tables)
+        self.m_other = block(mass, trial_other, trial_other)
+        self.k_other = block(stiffness, trial_other, trial_other, diffusion[1 - self.axis])
         self.other_lu = BandedLU(self.m_other, counter, kept=True)
-        self._g_rect_free = block(advection, trial_split, test_split, velocity[self.axis],
-                                  tables)
-        g_other = block(advection, trial_other, trial_other, velocity[1 - self.axis], tables)
+        self._g_rect_free = block(advection, trial_split, test_split, velocity[self.axis])
+        g_other = block(advection, trial_other, trial_other, velocity[1 - self.axis])
         # (mass, stiffness, advection) values on each pattern
         rows, cols, (m, k, g) = common_entries(self.m_rect, self.k_rect, self._g_rect_free)
         line = (m + dt_eff * k, dt_eff * g)  # b_split = b0 + s b1

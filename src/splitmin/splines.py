@@ -10,6 +10,11 @@ times, which gives
 
 basis functions.  Evaluation returns the p+1 functions that can be nonzero at
 a point together with their first derivatives.
+
+A space is a value: it compares and hashes by (degree, continuity,
+n_elements, interval), the knots being derived from them.  So equal spaces
+share one cached element table per Gauss rule (``element_table``), the one
+basis/quadrature table layer every assembly reads.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ class SplineSpace:
     continuity: int
     n_elements: int
     interval: tuple[float, float]
-    knots: np.ndarray = field(repr=False)
+    knots: np.ndarray = field(repr=False, compare=False)  # derived from the fields above
 
     @property
     def dim(self) -> int:
@@ -170,10 +175,15 @@ class ElementTable(NamedTuple):
     firsts: np.ndarray       # (n_elements,) first active basis index
 
 
+@lru_cache(maxsize=64)
 def element_table(space: SplineSpace, nq: int) -> ElementTable:
-    """The nq-point Gauss rule of every element and the active basis there."""
+    """The nq-point Gauss rule of every element and the active basis there,
+    made once per space and nq, read-only."""
     points, weights = gauss_rule(space, nq)
     first, values, derivatives = active_basis(space, points)
     shape = (space.n_elements, nq, space.degree + 1)
-    return ElementTable(points.reshape(shape[:2]), weights.reshape(shape[:2]),
-                        values.reshape(shape), derivatives.reshape(shape), first[::nq])
+    table = ElementTable(points.reshape(shape[:2]), weights.reshape(shape[:2]),
+                         values.reshape(shape), derivatives.reshape(shape), first[::nq])
+    for array in table:
+        array.flags.writeable = False
+    return table

@@ -12,11 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from splitmin import assembly
 from splitmin.assembly import mass
 from splitmin.banded import BandedMatrix
+from splitmin.kron import BandLayout
 from splitmin.splines import make_space
 
 from helpers import from_dense
@@ -173,6 +174,18 @@ def test_band_layer_matches_loop_references(case):
         assert got.shape == want.shape
         scale = np.abs(ref) @ np.abs(x)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_band_cases())
+def test_band_array_reads_back_as_the_matrix(case):
+    # the factor check's sparse matrix: a square band's unfactored LAPACK
+    # band array read as DIA diagonals
+    mat, ref = case[:2]
+    assume(mat.n_rows == mat.n_cols)
+    layout = BandLayout(mat.rows, mat.cols, mat.n_rows)
+    np.testing.assert_array_equal(layout.matrix(layout.fill(mat.vals)).toarray(),
+                                  mat.to_dense())
 
 
 @settings(max_examples=80, deadline=None, database=None)

@@ -32,6 +32,8 @@ def test_compare_prints_the_per_layer_figures_of_the_recorded_pair():
                           check=True)
     heading, layers = done.stdout.split("per-layer figures:\n")
     assert "calibration" in heading and "| workload | metric |" in heading
+    layers, worse = layers.split("\n\n")  # the rows worse than their bound follow
+    assert worse.startswith("rows worse than their bound:")
     lines = layers.strip().splitlines()
     assert lines[0] == ("| workload | layer metric | parent 75bd28b | change | "
                         "change from parent |")
@@ -84,3 +86,23 @@ def test_claim_lists_the_other_rows_worse_than_their_bound():
     assert others == ["other rows worse than their bound:",
                       "- rotation-general `setup_s`: +39.2% worse, bound 25%",
                       "- rotation-general `peak_rss_mb`: +34.5% worse, bound 5%"]
+
+
+def _worse(pair) -> list[str]:
+    """The lines from the list of rows worse than their bound on, with no claim."""
+    done = subprocess.run([sys.executable, "scripts/bench_compare.py", *pair], cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert not any(line.startswith("claim ") for line in lines)
+    return lines[lines.index("rows worse than their bound:"):]
+
+
+def test_every_call_lists_the_rows_worse_than_their_bound():
+    # the block-form pair, recorded with no row beyond its bound
+    assert _worse(("BENCH_d638824.json", "BENCH_block-form.json")) == [
+        "rows worse than their bound:", "- none"]
+    # the kron-pattern pair read backwards, as under --claim but with no row left out
+    assert _worse(("BENCH_kron-pattern.json", "BENCH_1984d92.json")) == [
+        "rows worse than their bound:",
+        "- rotation-general `setup_s`: +39.2% worse, bound 25%",
+        "- rotation-general `peak_rss_mb`: +34.5% worse, bound 5%"]

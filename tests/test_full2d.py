@@ -411,6 +411,27 @@ def test_galerkin_steps_equal_the_dense_saddle_solve():
         assert stepper.last_residual_norms == (0.0, 0.0)
 
 
+def test_stabilized_run_with_the_trial_space_as_test_space_is_the_galerkin_run():
+    # test = trial is the Galerkin pair whether or not the run is stabilized:
+    # B alone is assembled and factored, r = 0, and u is the same bit for bit
+    config = RunConfig(problem="circular-wind", mesh=(6, 6), trial=(2, 1), test=(2, 1),
+                       tau=0.1)
+    stabilized = RotatingFlowStepper(get_problem("circular-wind"), config)
+    galerkin = RotatingFlowStepper(get_problem("circular-wind"),
+                                   dataclasses.replace(config, stabilized=False))
+    assert stabilized.test == stabilized.trial and stabilized.galerkin and galerkin.galerkin
+    n = stabilized.trial.interior_dim
+    assert assemble_2d_saddle(stabilized.trial, stabilized.test, (0.01, 0.01), _ROTATION,
+                              0.0, 0.05).shape == (n, n)
+    assert stabilized.factor.fill_nnz == galerkin.factor.fill_nnz
+    a, b = stabilized.initial_state(), galerkin.initial_state()
+    for _ in range(3):
+        a, b = stabilized.step(a), galerkin.step(b)
+        np.testing.assert_array_equal(a.u, b.u)
+        np.testing.assert_array_equal(a.r, 0.0)
+        assert stabilized.last_residual_norms == (0.0, 0.0)
+
+
 def test_zero_dt_step_is_identity_on_representable_data():
     trial = _space2d((2, 1), 4)
     test = _space2d((3, 0), 4)

@@ -149,6 +149,28 @@ def test_element_table_shapes_and_weights():
     assert np.all((table.points > bks[:-1, None]) & (table.points < bks[1:, None]))
 
 
+def test_spaces_are_values():
+    # equal fields make equal spaces with equal hashes, whatever built them;
+    # a change in any field makes another space
+    args = (2, 1, 5, (0.0, 1.0))
+    space, again = make_space(*args), make_space(2, 1, 5, (0, 1))
+    assert space is not again and space == again and hash(space) == hash(again)
+    assert len({space, again}) == 1
+    for other in (make_space(3, 1, 5, (0.0, 1.0)), make_space(2, 0, 5, (0.0, 1.0)),
+                  make_space(2, 1, 6, (0.0, 1.0)), make_space(2, 1, 5, (0.0, 2.0)),
+                  make_space(2, 1, 5, (-1.0, 1.0))):
+        assert other != space
+
+
+def test_element_table_is_made_once_per_space_and_read_only():
+    table = element_table(make_space(2, 1, 5, (0.0, 1.0)), 3)
+    assert element_table(make_space(2, 1, 5, (0.0, 1.0)), 3) is table
+    assert element_table(make_space(2, 1, 5, (0.0, 1.0)), 4) is not table
+    for array in table:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+
+
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
 def test_element_table_values_equal_eval_matrix(p):
     # for every continuity C^-1 .. C^(p-1) the local columns hold every
