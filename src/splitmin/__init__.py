@@ -20,7 +20,7 @@ from .reporting import (ErrorEvaluator, convergence_study, export_field, run,
 from .resmin import (SolutionState, build_directional, residual_norms,
                      substep)
 from .splines import SplineSpace, eval_matrix, make_space
-from .stepping import RunConfig, SchemeKind, Stepper, project_initial
+from .stepping import SCHEMES, RunConfig, Stepper, project_initial
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "BandedLU", "BandedMatrix", "DomainError", "ErrorEvaluator",
     "NonFiniteStateError", "OpCounter", "ParameterError",
     "ProblemDefinition", "RotatingFlowStepper", "RunConfig", "SaddleFactor",
-    "SchemeKind", "SingularMatrixError", "SolutionState", "Space2D",
+    "SCHEMES", "SingularMatrixError", "SolutionState", "Space2D",
     "SplineSpace", "Stepper", "advection", "assemble_2d_saddle", "block",
     "build_directional", "circular_wind",
     "convergence_study", "eval_matrix", "export_field",

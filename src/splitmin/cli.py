@@ -21,13 +21,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .exceptions import (DomainError, NonFiniteStateError, ParameterError,
                          SingularMatrixError)
 from .reporting import RunConfig, convergence_study, run, timing_study
-from .stepping import SchemeKind
+from .stepping import SCHEMES
 
 __all__ = ["main"]
 
@@ -158,14 +158,13 @@ def build_run_config(args) -> RunConfig:
         "snapshot_stride": getattr(args, "snapshot_stride", None),
         "snapshot_resolution": getattr(args, "resolution", None),
     }
-    if "scheme" in values and not hasattr(args, "scheme"):
-        raise ParameterError(f"config key 'scheme' is not read by {args.command}; "
-                             "pass the schemes with --schemes")
+    for key in ("scheme", "snapshot_stride", "snapshot_resolution"):  # read by run alone
+        if key in values and args.command != "run":
+            hint = "; pass the schemes with --schemes" if key == "scheme" else ""
+            raise ParameterError(f"config key {key!r} is not read by {args.command}{hint}")
     values.update({k: v for k, v in overrides.items() if v is not None})
     if getattr(args, "galerkin", False):
         values["stabilized"] = False
-    known = {f.name for f in fields(RunConfig)}
-    values = {k: v for k, v in values.items() if k in known}
     return replace(RunConfig(), **values)
 
 
@@ -193,8 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one simulation")
     _add_common(p_run)
     p_run.add_argument("--scheme",
-                       choices=[k.value for k in SchemeKind],
-                       help="time integrator (split path)")
+                       choices=SCHEMES,
+                       help="split-path time integrator (default: the problem's own)")
     p_run.add_argument("--snapshot-stride", type=int, dest="snapshot_stride",
                        help="write a field snapshot every k steps (0: final only)")
     p_run.add_argument("--resolution", type=int,
@@ -208,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="parallel workers for study points")
     p_conv.add_argument("--taus", required=True,
                         help="comma-separated time steps, e.g. 0.02,0.01,0.005")
-    p_conv.add_argument("--schemes", default=",".join(k.value for k in SchemeKind),
+    p_conv.add_argument("--schemes", default=",".join(SCHEMES),
                         help="comma-separated scheme list")
     p_conv.add_argument("--reference", default="exact",
                         choices=("exact", "self"),

@@ -203,6 +203,8 @@ class RotatingFlowStepper(StepperBase):
     U entries, which run writes to metadata.json.
     """
 
+    scheme = "monolithic-cn"
+
     def __init__(self, problem, config: RunConfig,
                  counter: OpCounter | None = None):
         if problem.wind.time_dependent:

@@ -492,9 +492,9 @@ def solve_along(lu: BandedLU, grid: np.ndarray, axis: int) -> np.ndarray:
     return lu.solve(grid) if axis == 0 else lu.solve(grid.T).T
 
 
-def along(a, grid: np.ndarray, axis: int) -> np.ndarray:
-    """a contracted with one axis of a 2D grid: a @ grid (0) or grid @ a^T (1)."""
-    return a @ grid if axis == 0 else (a @ grid.T).T
+def along(a, grid: np.ndarray) -> np.ndarray:
+    """a contracted with the second axis of a 2D grid: grid @ a^T."""
+    return (a @ grid.T).T
 
 
 def x_first_cheaper(Ax, Ay) -> bool:
@@ -515,7 +515,7 @@ def kron_matvec(Ax, Ay, grid: np.ndarray, x_first: bool | None = None) -> np.nda
         raise ValueError(
             f"grid shape {grid.shape} does not match ({Ax.shape[1]}, {Ay.shape[1]})")
     x_first = x_first_cheaper(Ax, Ay) if x_first is None else x_first
-    return along(Ay, Ax @ grid, 1) if x_first else Ax @ along(Ay, grid, 1)
+    return along(Ay, Ax @ grid) if x_first else Ax @ along(Ay, grid)
 
 
 def kron_norms(grid: np.ndarray, mx, my, gx=None, gy=None) -> tuple[float, float]:

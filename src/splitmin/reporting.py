@@ -30,7 +30,7 @@ from .full2d import RotatingFlowStepper
 from .kron import BandedLU, OpCounter, kron_norms
 from .problems import ProductSum, factor_values, get_problem
 from .splines import SplineSpace, eval_matrix, gauss_rule
-from .stepping import RunConfig, SchemeKind, Stepper, march, spaces
+from .stepping import SCHEMES, RunConfig, Stepper, march, spaces
 
 __all__ = ["RunConfig", "ErrorRow", "ErrorEvaluator", "make_stepper", "run",
            "convergence_study", "timing_study", "export_field", "sample_field",
@@ -146,9 +146,11 @@ def _projections(space: SplineSpace, factors, mass_block):
 
 
 def make_stepper(problem, config: RunConfig, counter: OpCounter | None = None):
+    """The one choice of solver path: the split path for a separable wind,
+    else the general path, which runs its own scheme and takes none."""
     if problem.wind.separable:
         return Stepper(problem, config, counter)
-    if config.scheme != "pr":
+    if config.scheme is not None:
         raise ParameterError(
             f"scheme not supported for the non-separable problem {problem.name!r}: "
             "the general path runs monolithic Crank-Nicolson")
@@ -171,7 +173,6 @@ def run(config: RunConfig):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trial_x, trial_y = stepper.trial_x, stepper.trial_y
-    effective_scheme = config.scheme if problem.wind.separable else "monolithic-cn"
 
     evaluator = None
     if problem.exact is not None:
@@ -206,7 +207,7 @@ def run(config: RunConfig):
                    residual_rows)
     metadata = {
         "config": asdict(config),
-        "effective_scheme": effective_scheme,
+        "effective_scheme": stepper.scheme,
         "factor_ops": counter.factor_ops,
         "solve_ops": counter.solve_ops,
         "total_ops": counter.total,
@@ -215,7 +216,7 @@ def run(config: RunConfig):
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
     }
-    if not problem.wind.separable:  # SuperLU's work is not counted as ops
+    if isinstance(stepper, RotatingFlowStepper):  # SuperLU's work is not counted as ops
         metadata["fill_nnz"] = stepper.factor.fill_nnz
     (out / "metadata.json").write_text(json.dumps(metadata, indent=2,
                                                   sort_keys=True) + "\n")
@@ -230,7 +231,7 @@ def _study_point(config: RunConfig) -> tuple[str, float, np.ndarray]:
 
 
 def convergence_study(config: RunConfig, taus: Sequence[float],
-                      schemes: Sequence[str] = tuple(k.value for k in SchemeKind),
+                      schemes: Sequence[str] = SCHEMES,
                       jobs: int = 1, out_dir: Optional[str] = None,
                       reference: str = "exact") -> dict:
     """Error-vs-tau sweep at a fixed horizon; least-squares orders per scheme.
@@ -250,8 +251,6 @@ def convergence_study(config: RunConfig, taus: Sequence[float],
         raise ParameterError(f"unknown reference {reference!r}")
     if not schemes:
         raise ParameterError("convergence study needs at least one scheme")
-    for scheme in schemes:
-        SchemeKind.parse(scheme)
     if jobs < 1:
         raise ParameterError(f"jobs must be at least 1, got {jobs}")
     problem = get_problem(config.problem)

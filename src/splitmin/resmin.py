@@ -201,7 +201,6 @@ class DirectionalOperator:
 
     def __init__(self, direction, dt_eff, stabilized, trial_split, test_split,
                  trial_other, diffusion, velocity, counter, steady=False):
-        self.direction = direction
         self.axis = 0 if direction == "x" else 1
         self.dt_eff = dt_eff
         self.stabilized = stabilized
@@ -306,7 +305,7 @@ def substep(op: DirectionalOperator, rhs_grid: np.ndarray) -> SolutionState:
 def divide_other(op: DirectionalOperator, grid: np.ndarray) -> np.ndarray:
     """A (split, other) grid divided by the other direction's mass along its
     second axis: other_lu solves the grid's transpose, read in place by its
-    block form when that is C-ordered (as along(other_minus, u, 1) makes it)."""
+    block form when that is C-ordered (as along(other_minus, u) makes it)."""
     return solve_along(op.other_lu, grid, 1)
 
 

@@ -22,7 +22,6 @@ in its operator's (split, other) layout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -33,19 +32,19 @@ from .resmin import (LoadAssembler, SolutionState, build_directional, divide_oth
                      residual_norms, substep)
 from .splines import SplineSpace, make_space
 
-__all__ = ["RunConfig", "SchemeKind", "StepperBase", "Stepper", "march",
+__all__ = ["RunConfig", "SCHEMES", "StepperBase", "Stepper", "march",
            "project_initial", "spaces", "split_step"]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run of one problem, on either solver path."""
+    """One run of one problem, on either solver path; scheme None is the problem's own."""
 
     problem: str = "manufactured"
     mesh: tuple[int, int] = (16, 16)
     trial: tuple[int, int] = (2, 1)
     test: tuple[int, int] = (3, 0)
-    scheme: str = "pr"
+    scheme: str | None = None
     tau: float = 0.01
     n_steps: int = 50
     stabilized: bool = True
@@ -60,48 +59,35 @@ class RunConfig:
                 ("n_steps", self.n_steps >= 0, "non-negative"),
                 ("snapshot_stride", self.snapshot_stride >= 0, "non-negative"),
                 ("snapshot_resolution", self.snapshot_resolution >= 1, "at least 1"),
-                ("t0", -np.inf < self.t0 < np.inf, "finite")):
+                ("t0", -np.inf < self.t0 < np.inf, "finite"),
+                ("scheme", self.scheme in (None, *SCHEMES), f"None or one of {list(SCHEMES)}")):
             if not ok:
                 raise ParameterError(f"{name} must be {expected}, got {getattr(self, name)!r}")
 
 
-class SchemeKind(Enum):
-    PEACEMAN_RACHFORD = "pr"
-    STRANG_BE = "strang-be"
-    STRANG_CN = "strang-cn"
-    BE_SPLIT = "be"
-
-    @classmethod
-    def parse(cls, name: str) -> "SchemeKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ParameterError(f"unknown scheme {name!r}; expected one of "
-                             f"{[k.value for k in cls]}")
-
-
-# One row per implicit substep: direction, dt_eff as a fraction of tau, the
-# direction whose M - dt_eff W stands explicit on the right ("other", "split"
-# or None: backward Euler), and the forcing times as fractions of tau (loads
-# summed in this order).
+# The split schemes by name, one row per implicit substep: direction, dt_eff
+# as a fraction of tau, the direction whose M - dt_eff W stands explicit on
+# the right ("other", "split" or None: backward Euler), and the forcing times
+# as fractions of tau (loads summed in this order).
 _SUBSTEPS = {
-    SchemeKind.PEACEMAN_RACHFORD: (("x", 0.5, "other", (0.5,)),
-                                   ("y", 0.5, "other", (0.5,))),
-    SchemeKind.STRANG_BE: (("x", 0.5, None, (0.5,)),
-                           ("y", 1.0, None, ()),
-                           ("x", 0.5, None, (1.0,))),
-    SchemeKind.STRANG_CN: (("x", 0.25, "split", (0.5, 0.0)),
-                           ("y", 0.5, "split", ()),
-                           ("x", 0.25, "split", (1.0, 0.5))),
-    SchemeKind.BE_SPLIT: (("x", 1.0, None, (1.0,)),
-                          ("y", 1.0, None, ())),
+    "pr": (("x", 0.5, "other", (0.5,)),
+           ("y", 0.5, "other", (0.5,))),
+    "strang-be": (("x", 0.5, None, (0.5,)),
+                  ("y", 1.0, None, ()),
+                  ("x", 0.5, None, (1.0,))),
+    "strang-cn": (("x", 0.25, "split", (0.5, 0.0)),
+                  ("y", 0.5, "split", ()),
+                  ("x", 0.25, "split", (1.0, 0.5))),
+    "be": (("x", 1.0, None, (1.0,)),
+           ("y", 1.0, None, ())),
 }
+SCHEMES = tuple(_SUBSTEPS)
 # each direction has one operator, so all its rows share one dt_eff
 assert all(len({row[1] for row in rows if row[0] == d}) == 1
            for rows in _SUBSTEPS.values() for d in "xy")
 
 
-def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau, support=None):
+def split_step(scheme: str, state, x_op, y_op, forcing, tau, support=None):
     """One step of the scheme's substep table; returns the last (op, state).
 
     A substep solves (S^-1 (x) M_o^-1)((P (x) Q) u + dt L) with S the split
@@ -124,7 +110,7 @@ def split_step(scheme: SchemeKind, state, x_op, y_op, forcing, tau, support=None
         last, op = op, ops[direction]
         u = op.layout(last.layout(u))
         if explicit == "other":
-            u = divide_other(op, along(op.other_minus, u, 1))
+            u = divide_other(op, along(op.other_minus, u))
         rhs = op.m_rect @ u
         if forcing is not None and fractions:
             loads = [op.loads.load(forcing, state.time + a * tau, support)
@@ -206,7 +192,7 @@ class Stepper(StepperBase):
             raise ParameterError(
                 f"problem {problem.name!r} has a non-separable velocity; "
                 "use the general 2D solver path")
-        self.scheme = SchemeKind.parse(config.scheme)
+        self.scheme = config.scheme or "pr"
         super().__init__(problem, config, counter)
         diffusion = (problem.diffusion_x, problem.diffusion_y)
         dt = dict(row[:2] for row in _SUBSTEPS[self.scheme])

@@ -224,16 +224,21 @@ def test_converge_rejects_scheme_from_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("option,extra", (
     ("scheme", ["--scheme", "be"]),
+    ("scheme", ["--scheme", "pr"]),
+    ("scheme", ["--config", "scheme-pr.ini"]),
 ))
 def test_run_general_path_rejects_options_it_ignores(tmp_path, monkeypatch,
                                                      capsys, option, extra):
+    # the general path runs its own scheme, so any explicit one, pr included,
+    # exits 2 before the run makes its output directory
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "scheme-pr.ini").write_text("[run]\nscheme = pr\n")
     code = main(["run", "--problem", "circular-wind", "--mesh", "4",
                  "--tau", "0.1", "--steps", "1", "--out", "out", *extra])
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err and option in err
-    assert not (tmp_path / "out" / "metadata.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_general_path_galerkin(tmp_path, monkeypatch):
@@ -281,11 +286,12 @@ _CONVERGE = ["converge", "--mesh", "6", "--tau", "0.04", "--steps", "5",
     ["run", "--trial", "2,1", "--test", "1,0", "--steps", "2"],
     ["run", "--problem", "circular-wind", "--trial", "2,1", "--test", "1,0", "--steps", "2"],
     ["run", "--trial", "2,0", "--test", "2,1", "--steps", "2"],
+    [*_CONVERGE, "--taus", "0.04,0.02,0.01", "--config", "snapshots.ini"],
 ), ids=["empty-meshes", "zero-tau", "negative-tau", "zero-resolution",
         "negative-run-tau", "negative-stride", "no-closed-form", "empty-schemes",
         "zero-jobs", "negative-jobs", "infinite-tau", "nan-t0", "infinite-t0",
         "unknown-scheme", "coarse-test-split", "coarse-test-general",
-        "smoother-test"])
+        "smoother-test", "converge-snapshot-keys"])
 def test_invalid_input_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                argv):
     def no_run(*args):
@@ -294,6 +300,8 @@ def test_invalid_input_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     for value in ("nan", "inf"):
         (tmp_path / f"t0-{value}.ini").write_text(f"t0 = {value}\n")
+    # keys only run reads: converge would silently write no snapshot
+    (tmp_path / "snapshots.ini").write_text("snapshot_stride = 2\nsnapshot_resolution = 9\n")
     monkeypatch.setattr(reporting, "march", no_run)
     assert main([*argv, "--out", "out"]) == 2
     assert "configuration error:" in capsys.readouterr().err

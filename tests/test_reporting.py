@@ -290,6 +290,17 @@ def test_run_non_separable_uses_monolithic_path(tmp_path):
     assert (tmp_path / "residuals.csv").exists()
 
 
+@pytest.mark.parametrize("problem,effective", (("manufactured", "pr"),
+                                               ("circular-wind", "monolithic-cn")))
+def test_run_without_a_scheme_runs_the_problems_own(tmp_path, problem, effective):
+    # metadata.json keeps the configuration as given: no scheme is null
+    run(RunConfig(problem=problem, mesh=(4, 4), tau=0.1, n_steps=1,
+                  out_dir=str(tmp_path)))
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["config"]["scheme"] is None
+    assert meta["effective_scheme"] == effective
+
+
 def test_general_run_writes_its_factor_fill(tmp_path):
     # SuperLU's work is not counted as ops; its L+U fill is the cost figure
     config = RunConfig(problem="circular-wind", mesh=(4, 4), tau=0.1,
